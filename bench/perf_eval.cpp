@@ -254,8 +254,9 @@ int main() {
 
   // ---- 2. search steps/sec: refactored vs pre-refactor emulation ---------
   const int rounds = scale.full ? 200 : 40;
-  const Objective legacy_makespan = [&lat](const TaskGraph& gg, const DeviceNetwork& nn,
-                                           const Placement& pp) {
+  const ScheduleObjective legacy_makespan = [&lat](const TaskGraph& gg,
+                                                   const DeviceNetwork& nn,
+                                                   const Placement& pp, const Schedule&) {
     return makespan(gg, nn, pp, lat);  // re-simulates: the pre-refactor cost
   };
   const auto make_new_env = [&](std::mt19937_64& rng) {

@@ -39,12 +39,11 @@ inline constexpr int kEdgeFeatureDim = 4;
 
 /// `sched` must be the expected schedule of `placement` (it provides actual
 /// start times for the start-time potential). With include_potential = false
-/// the fourth node feature is zeroed (ablation of Fig. 15). When `index` is
-/// non-null it must be built from (`sched`, `placement`) — e.g.
-/// PlacementSearchEnv::schedule_index() — and the per-(task, device) EST
-/// sweep runs on it in O(log V) per query; when null a local index is built
-/// once for the call. Either way the values are exactly those of the
-/// unindexed scan.
+/// the fourth node feature is zeroed (ablation of Fig. 15). The potential's
+/// per-(task, device) ESTs come from one batched est_sweep, bitwise equal to
+/// the per-query earliest_start_on_queued scan. `index` is not consulted and
+/// nothing builds one; pass nullptr (the parameter stays for source
+/// compatibility).
 ///
 /// `sweep`, when non-null, must hold the result of est_sweep(sched, g, n,
 /// placement, lat, *sweep); the potential feature then reads it directly
@@ -73,8 +72,7 @@ struct TaskGraphFeatures {
   nn::Matrix edge;  ///< |E| x 4
 };
 
-/// `index`, when non-null, must be built from (`sched`, `placement`); see
-/// build_gpnet_features.
+/// `index` is not consulted, as in build_gpnet_features; pass nullptr.
 TaskGraphFeatures build_task_graph_features(const TaskGraph& g, const DeviceNetwork& n,
                                             const Placement& placement,
                                             const LatencyModel& lat, const Schedule& sched,

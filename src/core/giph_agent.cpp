@@ -85,7 +85,7 @@ ActionDecision GiPHAgent::decide_gpnet(PlacementSearchEnv& env, std::mt19937_64&
   const GpNetFeatures feats =
       build_gpnet_features(net, env.graph(), env.network(), env.placement(),
                            env.latency(), env.schedule(), scales_for(env),
-                           options_.include_potential, &env.schedule_index(), shared);
+                           options_.include_potential, nullptr, shared);
 
   std::vector<int> candidates;
   candidates.reserve(net.num_nodes());
@@ -122,7 +122,7 @@ ActionDecision GiPHAgent::decide_task_eft(PlacementSearchEnv& env, std::mt19937_
   const GraphView view = graph_view_of(g);
   const TaskGraphFeatures feats = build_task_graph_features(
       g, env.network(), env.placement(), env.latency(), env.schedule(),
-      env.feasible(), scales_for(env), &env.schedule_index());
+      env.feasible(), scales_for(env));
 
   std::vector<int> candidates;
   for (int v = 0; v < g.num_tasks(); ++v) {

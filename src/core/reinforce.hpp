@@ -19,8 +19,8 @@ using InstanceSampler = std::function<ProblemInstance(std::mt19937_64&)>;
 /// Builds the per-episode objective for an instance (rng available for noisy
 /// objectives). Null = makespan (with TrainOptions::noise applied). The
 /// objective is schedule-aware: it receives the environment's noise-free
-/// schedule per evaluation; wrap a legacy (g, n, p) functor with
-/// schedule_objective() if needed.
+/// schedule per evaluation (an objective that models something else may
+/// ignore it and simulate on its own).
 using ObjectiveFactory = std::function<ScheduleObjective(
     const TaskGraph&, const DeviceNetwork&, std::mt19937_64&)>;
 

@@ -34,13 +34,6 @@ class PlacementSearchEnv {
                      ScheduleObjective objective, Placement initial,
                      double normalizer = 0.0);
 
-  /// Legacy-objective convenience: the (g, n, p) functor is adapted to the
-  /// schedule-aware signature (it keeps whatever simulation cost it carries).
-  PlacementSearchEnv(const TaskGraph& g, const DeviceNetwork& n, const LatencyModel& lat,
-                     Objective objective, Placement initial, double normalizer = 0.0)
-      : PlacementSearchEnv(g, n, lat, schedule_objective(std::move(objective)),
-                           std::move(initial), normalizer) {}
-
   const TaskGraph& graph() const noexcept { return *g_; }
   const DeviceNetwork& network() const noexcept { return *n_; }
   const LatencyModel& latency() const noexcept { return *lat_; }

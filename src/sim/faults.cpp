@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
-#include <map>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "sim/sim_engine.hpp"
 
 namespace giph {
 namespace {
@@ -16,89 +15,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 bool finite_nonneg(double x) { return std::isfinite(x) && x >= 0.0; }
-
-/// A fault event expanded onto the timeline: transient effects become an
-/// apply action at `time` and a revert action at `until`.
-struct FaultAction {
-  enum Type { kCrash, kLeave, kSlowApply, kSlowRevert, kLinkApply, kLinkRevert };
-  double time = 0.0;
-  Type type = kCrash;
-  int device = -1;
-  int src = -1, dst = -1;
-  double factor = 1.0;
-  double delay_add = 0.0;
-};
-
-std::vector<FaultAction> expand_plan(const FaultPlan& plan, int num_devices) {
-  std::vector<FaultAction> actions;
-  for (const FaultEvent& e : plan.events) {
-    // Joins and events targeting joined devices cannot affect a fixed
-    // placement over the base network; they matter for post_fault_network().
-    if (e.kind == FaultKind::kDeviceJoin) continue;
-    if (e.device >= num_devices || e.link_src >= num_devices || e.link_dst >= num_devices) {
-      continue;
-    }
-    switch (e.kind) {
-      case FaultKind::kDeviceCrash:
-        actions.push_back({e.time, FaultAction::kCrash, e.device});
-        break;
-      case FaultKind::kDeviceLeave:
-        actions.push_back({e.time, FaultAction::kLeave, e.device});
-        break;
-      case FaultKind::kSlowdown:
-        actions.push_back({e.time, FaultAction::kSlowApply, e.device, -1, -1, e.factor});
-        if (e.until < kInf) {
-          actions.push_back({e.until, FaultAction::kSlowRevert, e.device, -1, -1, e.factor});
-        }
-        break;
-      case FaultKind::kLinkDegrade:
-        actions.push_back({e.time, FaultAction::kLinkApply, -1, e.link_src, e.link_dst,
-                           e.factor, e.delay_add});
-        if (e.until < kInf) {
-          actions.push_back({e.until, FaultAction::kLinkRevert, -1, e.link_src,
-                             e.link_dst, e.factor, e.delay_add});
-        }
-        break;
-      case FaultKind::kDeviceJoin:
-        break;
-    }
-  }
-  std::stable_sort(actions.begin(), actions.end(),
-                   [](const FaultAction& a, const FaultAction& b) { return a.time < b.time; });
-  return actions;
-}
-
-enum class EventKind { kTaskDone, kTransferDone, kFault };
-
-struct Event {
-  double time;
-  long seq;  // creation order, breaks time ties deterministically
-  EventKind kind;
-  int id;       // task id, edge id, or fault-action index
-  int version;  // rescaled task/transfer events invalidate older versions
-};
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-// Fault actions break time ties *after* every simulation event created so
-// far: a task finishing exactly at crash time counts as completed.
-constexpr long kFaultSeqBase = std::numeric_limits<long>::max() / 2;
-
-double realize(double expected, const SimOptions& opt) {
-  if (opt.noise <= 0.0) return expected;
-  std::uniform_real_distribution<double> d(expected * (1.0 - opt.noise),
-                                           expected * (1.0 + opt.noise));
-  return d(*opt.rng);
-}
-
-}  // namespace
-
-namespace {
 
 /// Error prefix naming the event so the caller can find and fix it:
 /// "fault plan event 3 (crash of device 9 at t=30): ...".
@@ -134,9 +50,10 @@ void validate_fault_plan(const FaultPlan& plan, const DeviceNetwork& n) {
     if (!finite_nonneg(e.time)) {
       reject_event(e, i, "event time must be finite and >= 0");
     }
-    if (e.until < e.time) {
+    if (!(e.until >= e.time)) {  // also rejects a NaN end
       std::ostringstream out;
-      out << "transient end until=" << e.until << " precedes start time=" << e.time;
+      out << "transient end until=" << e.until << " must not precede start time="
+          << e.time;
       reject_event(e, i, out.str());
     }
     switch (e.kind) {
@@ -394,6 +311,123 @@ std::string describe(const FaultEvent& e) {
   return out.str();
 }
 
+namespace {
+
+/// The plan's crash, leave and slowdown events on base devices, expanded
+/// onto the timeline (a transient slowdown adds a revert at `until`) and
+/// stably sorted by time. Joins, and events on joined devices, cannot affect
+/// a fixed placement over the base network; they matter for
+/// post_fault_network(). Link degrades become trace segments instead.
+std::vector<detail::FaultContext::Action> device_actions(const FaultPlan& plan,
+                                                         int num_devices) {
+  using Ctx = detail::FaultContext;
+  std::vector<Ctx::Action> actions;
+  for (const FaultEvent& e : plan.events) {
+    if (e.device >= num_devices) continue;
+    switch (e.kind) {
+      case FaultKind::kDeviceCrash:
+        actions.push_back({e.time, Ctx::kCrash, e.device});
+        break;
+      case FaultKind::kDeviceLeave:
+        actions.push_back({e.time, Ctx::kLeave, e.device});
+        break;
+      case FaultKind::kSlowdown:
+        actions.push_back({e.time, Ctx::kSlowApply, e.device, e.factor});
+        if (e.until < kInf) {
+          actions.push_back({e.until, Ctx::kSlowRevert, e.device, e.factor});
+        }
+        break;
+      case FaultKind::kLinkDegrade:
+      case FaultKind::kDeviceJoin:
+        break;
+    }
+  }
+  std::stable_sort(
+      actions.begin(), actions.end(),
+      [](const Ctx::Action& a, const Ctx::Action& b) { return a.time < b.time; });
+  return actions;
+}
+
+/// The plan's link degrades on base links as a NetworkTrace: one schedule
+/// per degraded link, in order of its first degrade in the plan, with a
+/// segment at every instant a degrade on it starts or ends (equal instants
+/// fold into one). Each segment is computed from the degrades active over
+/// it, in plan order: bandwidth_factor = 1 / (product of their factors),
+/// delay_add = sum of their delays.
+NetworkTrace degrade_trace(const FaultPlan& plan, int num_devices) {
+  NetworkTrace trace;
+  for (const FaultEvent& e : plan.events) {
+    if (e.kind == FaultKind::kLinkDegrade && e.link_src < num_devices &&
+        e.link_dst < num_devices) {
+      trace.link(e.link_src, e.link_dst);
+    }
+  }
+  for (LinkSchedule& ls : trace.links) {
+    std::vector<const FaultEvent*> degrades;
+    std::vector<double> times;
+    for (const FaultEvent& e : plan.events) {
+      if (e.kind != FaultKind::kLinkDegrade || e.link_src != ls.src ||
+          e.link_dst != ls.dst) {
+        continue;
+      }
+      degrades.push_back(&e);
+      times.push_back(e.time);
+      if (e.until < kInf) times.push_back(e.until);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    for (const double t : times) {
+      double product = 1.0, delay = 0.0;
+      for (const FaultEvent* e : degrades) {
+        if (e->time <= t && t < e->until) {
+          product *= e->factor;
+          delay += e->delay_add;
+        }
+      }
+      ls.segments.push_back(TraceSegment{t, 1.0 / product, delay, 0.0});
+    }
+  }
+  return trace;
+}
+
+}  // namespace
+
+void detail::SimEngine::apply_fault(const FaultContext::Action& a, double t) {
+  FaultContext& f = *faults;
+  const int d = a.device;
+  const int nv = g.num_tasks();
+  const auto running_on_d = [&](int v) {
+    return p.device_of(v) == d && out.tasks[v].start >= 0.0 && out.tasks[v].finish < 0.0;
+  };
+  if (a.type == FaultContext::kCrash || a.type == FaultContext::kLeave) {
+    if (f.up[d] == 0) return;
+    f.up[d] = 0;
+    f.failed_devices.push_back(d);
+    ws.fifo[d].clear();  // queued work never starts
+    if (a.type == FaultContext::kLeave) return;  // running tasks finish and send
+    // A crash kills the running tasks: the version bump turns their pending
+    // completions stale.
+    for (int v = 0; v < nv; ++v) {
+      if (!running_on_d(v)) continue;
+      ++f.task_version[v];
+      out.tasks[v].start = -1.0;
+    }
+    ws.running[d] = 0;
+    return;
+  }
+  // A straggler starts or ends: rescale the remaining work of the tasks
+  // running on d.
+  const double old_scale = f.scale[d];
+  f.scale[d] = a.type == FaultContext::kSlowApply ? old_scale * a.factor
+                                                  : old_scale / a.factor;
+  for (int v = 0; v < nv; ++v) {
+    if (!running_on_d(v)) continue;
+    const double remaining = f.task_finish_at[v] - t;
+    f.task_finish_at[v] = t + remaining * (f.scale[d] / old_scale);
+    push_event(f.task_finish_at[v], kTaskDone, v, ++f.task_version[v]);
+  }
+}
+
 FaultSimResult simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
                                     const Placement& p, const LatencyModel& lat,
                                     const FaultPlan& plan, const SimOptions& opt) {
@@ -403,252 +437,30 @@ FaultSimResult simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
         "simulate_with_faults: NetworkTrace is not supported on the fault path; "
         "encode time-varying link conditions as kLinkDegrade events instead");
   }
-  if (opt.shared_links != nullptr) {
-    throw std::invalid_argument(
-        "simulate_with_faults: shared-link contention is not supported on the "
-        "fault path; project the topology with apply_topology and use per-link "
-        "kLinkDegrade events instead");
-  }
-  if (!is_feasible(g, n, p)) {
-    throw std::invalid_argument("simulate_with_faults: infeasible placement");
-  }
   validate_fault_plan(plan, n);
-  detail::bump_simulation_count();
   const int nv = g.num_tasks();
-  const int ne = g.num_edges();
   const int m = n.num_devices();
 
+  detail::FaultContext faults;
+  faults.actions = device_actions(plan, m);
+  faults.up.assign(m, 1);
+  faults.scale.assign(m, 1.0);
+  faults.task_version.assign(nv, 0);
+  faults.task_finish_at.assign(nv, -1.0);
+  const NetworkTrace degrades = degrade_trace(plan, m);
+  SimOptions with_degrades = opt;
+  with_degrades.trace = &degrades;
+
   FaultSimResult result;
-  Schedule& sched = result.schedule;
-  sched.tasks.assign(nv, TaskTiming{-1.0, -1.0});
-  sched.edge_start.assign(ne, -1.0);
-  sched.edge_finish.assign(ne, -1.0);
-  if (nv == 0) return result;
-
-  const std::vector<FaultAction> actions = expand_plan(plan, m);
-
-  std::priority_queue<Event, std::vector<Event>, EventLater> pq;
-  long seq = 0;
-
-  std::vector<int> remaining_inputs(nv);
-  for (int v = 0; v < nv; ++v) remaining_inputs[v] = g.in_degree(v);
-
-  std::vector<std::deque<int>> fifo(m);
-  std::vector<int> running(m, 0);        // occupied cores per device
-  std::vector<double> nic_free(m, 0.0);  // serialize_transfers only
-  int completed = 0;
-
-  // Fault state. `scale` multiplies durations (1 = nominal); link effects are
-  // keyed by the directed device pair.
-  std::vector<char> up(m, 1);
-  std::vector<char> leaving(m, 0);  // departed gracefully: running work finishes
-  std::vector<double> scale(m, 1.0);
-  std::map<std::pair<int, int>, std::pair<double, double>> link_effect;  // {factor, delay}
-
-  // Rescalable in-flight work: current finish times + version counters so a
-  // rescheduled completion invalidates its stale queue entry.
-  std::vector<int> task_version(nv, 0);
-  std::vector<double> task_finish_at(nv, -1.0);
-  std::vector<char> stranded(nv, 0);
-  std::vector<int> edge_version(ne, 0);
-  std::vector<double> edge_finish_at(ne, -1.0);
-  std::vector<double> edge_wire_begin(ne, 0.0);  // when the wire portion starts
-  std::vector<int> edge_src_dev(ne, -1), edge_dst_dev(ne, -1);
-  std::vector<char> edge_inflight(ne, 0);
-
-  auto link_terms = [&](int k, int l) -> std::pair<double, double> {
-    const auto it = link_effect.find({k, l});
-    return it == link_effect.end() ? std::pair<double, double>{1.0, 0.0} : it->second;
-  };
-
-  auto start_task = [&](int v, double t) {
-    const int d = p.device_of(v);
-    ++running[d];
-    sched.tasks[v].start = t;
-    const double w = realize(lat.compute_time(g, n, v, d), opt) * scale[d];
-    task_finish_at[v] = t + w;
-    pq.push(Event{t + w, seq++, EventKind::kTaskDone, v, task_version[v]});
-  };
-
-  auto make_runnable = [&](int v, double t) {
-    const int d = p.device_of(v);
-    if (stranded[v]) return;
-    if (!up[d]) {  // inputs arrived at a dead device: the task can never run
-      stranded[v] = 1;
-      return;
-    }
-    if (running[d] < n.device(d).cores && fifo[d].empty()) {
-      start_task(v, t);
-    } else {
-      fifo[d].push_back(v);
-    }
-  };
-
-  auto strand_unfinished_on = [&](int d, bool kill_running) {
-    for (int v = 0; v < nv; ++v) {
-      if (p.device_of(v) != d || sched.tasks[v].finish >= 0.0) continue;
-      const bool is_running = sched.tasks[v].start >= 0.0;
-      if (is_running && !kill_running) continue;  // graceful leave: let it finish
-      stranded[v] = 1;
-      if (is_running) {
-        ++task_version[v];  // invalidate the pending completion event
-        sched.tasks[v].start = -1.0;
-      }
-    }
-    fifo[d].clear();
-    if (kill_running) running[d] = 0;
-  };
-
-  auto apply_fault = [&](const FaultAction& a, double t) {
-    switch (a.type) {
-      case FaultAction::kCrash:
-        if (!up[a.device]) break;
-        up[a.device] = 0;
-        result.failed_devices.push_back(a.device);
-        strand_unfinished_on(a.device, /*kill_running=*/true);
-        break;
-      case FaultAction::kLeave:
-        if (!up[a.device]) break;
-        up[a.device] = 0;
-        leaving[a.device] = 1;
-        result.failed_devices.push_back(a.device);
-        strand_unfinished_on(a.device, /*kill_running=*/false);
-        break;
-      case FaultAction::kSlowApply:
-      case FaultAction::kSlowRevert: {
-        const int d = a.device;
-        const double old_scale = scale[d];
-        scale[d] = a.type == FaultAction::kSlowApply ? scale[d] * a.factor
-                                                     : scale[d] / a.factor;
-        // Rescale the remaining work of tasks running on d.
-        for (int v = 0; v < nv; ++v) {
-          if (p.device_of(v) != d || stranded[v]) continue;
-          if (sched.tasks[v].start < 0.0 || sched.tasks[v].finish >= 0.0) continue;
-          const double remaining = task_finish_at[v] - t;
-          task_finish_at[v] = t + remaining * (scale[d] / old_scale);
-          pq.push(Event{task_finish_at[v], seq++, EventKind::kTaskDone, v,
-                        ++task_version[v]});
-        }
-        break;
-      }
-      case FaultAction::kLinkApply:
-      case FaultAction::kLinkRevert: {
-        auto& eff = link_effect[{a.src, a.dst}];
-        if (eff.first == 0.0) eff = {1.0, 0.0};
-        const double old_factor = eff.first;
-        if (a.type == FaultAction::kLinkApply) {
-          eff = {eff.first * a.factor, eff.second + a.delay_add};
-        } else {
-          eff = {eff.first / a.factor, eff.second - a.delay_add};
-        }
-        // Rescale in-flight transfers on the degraded link. Only the
-        // remaining *wire* time rescales: the startup-delay portion (over by
-        // edge_wire_begin, which also covers NIC queueing under
-        // serialize_transfers) is bandwidth-independent and already
-        // committed, so anchoring at max(t, wire_begin) leaves it exempt -
-        // and keeps a revert from moving the finish before the start.
-        for (int e = 0; e < ne; ++e) {
-          if (!edge_inflight[e] || edge_src_dev[e] != a.src || edge_dst_dev[e] != a.dst) {
-            continue;
-          }
-          const double begun = std::max(t, edge_wire_begin[e]);
-          const double remaining = edge_finish_at[e] - begun;
-          if (remaining <= 0.0) continue;  // zero wire time: nothing to rescale
-          edge_finish_at[e] = begun + remaining * (eff.first / old_factor);
-          pq.push(Event{edge_finish_at[e], seq++, EventKind::kTransferDone, e,
-                        ++edge_version[e]});
-        }
-        break;
-      }
-    }
-  };
-
-  // Entry tasks become runnable at t = 0 in task-id order.
+  SimWorkspace ws;
+  detail::simulate_core(g, n, p, lat, ws, result.schedule, with_degrades, nullptr,
+                        nullptr, &faults, "simulate_with_faults");
+  // Everything unfinished - killed, never started on a dead device, or
+  // starved of an input from a stranded ancestor - is stranded.
   for (int v = 0; v < nv; ++v) {
-    if (remaining_inputs[v] == 0) make_runnable(v, 0.0);
+    if (result.schedule.tasks[v].finish < 0.0) result.stranded.push_back(v);
   }
-  // topological_order() throws on cyclic input; check up-front so a cyclic
-  // graph cannot hang the event loop.
-  (void)g.topological_order();
-
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    pq.push(Event{actions[i].time, kFaultSeqBase + static_cast<long>(i), EventKind::kFault,
-                  static_cast<int>(i), 0});
-  }
-
-  while (!pq.empty()) {
-    const Event ev = pq.top();
-    pq.pop();
-    if (ev.kind == EventKind::kFault) {
-      apply_fault(actions[static_cast<std::size_t>(ev.id)], ev.time);
-      continue;
-    }
-    if (ev.kind == EventKind::kTaskDone) {
-      const int v = ev.id;
-      if (ev.version != task_version[v]) continue;  // rescaled or killed
-      sched.tasks[v].finish = ev.time;
-      ++completed;
-      const int d = p.device_of(v);
-      // Outputs start transmitting to every child's device - concurrently in
-      // the paper's model, back-to-back through the NIC under contention.
-      for (int e : g.out_edges(v)) {
-        const int dl = p.device_of(g.edge(e).dst);
-        const auto [lf, ld] = link_terms(d, dl);
-        const double cr = realize(lat.comm_time(g, n, e, d, dl), opt);
-        const double c = cr * lf + (dl != d ? ld : 0.0);
-        double start = ev.time;
-        if (opt.serialize_transfers && dl != d) {
-          start = std::max(start, nic_free[d]);
-          nic_free[d] = start + c;
-        }
-        // Where the wire (bandwidth-proportional) portion begins: after the
-        // realized startup delay, stretched like the rest of the transfer by
-        // the active link factor, plus the degrade's extra delay. Noise is
-        // multiplicative, so the realized startup keeps the expected startup
-        // fraction of the realized total.
-        const double ce = lat.comm_time(g, n, e, d, dl);
-        const double de = lat.comm_startup(g, n, e, d, dl);
-        const double dr = ce > 0.0 ? de * (cr / ce) : 0.0;
-        edge_wire_begin[e] = start + dr * lf + (dl != d ? ld : 0.0);
-        sched.edge_start[e] = start;
-        edge_src_dev[e] = d;
-        edge_dst_dev[e] = dl;
-        edge_inflight[e] = 1;
-        edge_finish_at[e] = start + c;
-        pq.push(Event{start + c, seq++, EventKind::kTransferDone, e, edge_version[e]});
-      }
-      --running[d];
-      if (up[d] && !fifo[d].empty() && running[d] < n.device(d).cores) {
-        const int next = fifo[d].front();
-        fifo[d].pop_front();
-        start_task(next, ev.time);
-      }
-    } else {
-      const int e = ev.id;
-      if (ev.version != edge_version[e]) continue;  // rescaled
-      sched.edge_finish[e] = ev.time;
-      edge_inflight[e] = 0;
-      const int child = g.edge(e).dst;
-      if (--remaining_inputs[child] == 0) make_runnable(child, ev.time);
-    }
-  }
-
-  // Everything unfinished - killed, never started, or starved of an input
-  // produced by a stranded ancestor - is stranded.
-  for (int v = 0; v < nv; ++v) {
-    if (sched.tasks[v].finish < 0.0) result.stranded.push_back(v);
-  }
-  if (result.stranded.empty() && completed != nv) {
-    throw std::logic_error("simulate_with_faults: not all tasks completed");
-  }
-
-  double first_start = kInf, last_finish = -kInf;
-  for (const TaskTiming& t : sched.tasks) {
-    if (t.finish < 0.0) continue;
-    first_start = std::min(first_start, t.start);
-    last_finish = std::max(last_finish, t.finish);
-  }
-  sched.makespan = last_finish >= first_start ? last_finish - first_start : 0.0;
+  result.failed_devices = std::move(faults.failed_devices);
   std::sort(result.failed_devices.begin(), result.failed_devices.end());
   return result;
 }

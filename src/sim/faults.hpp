@@ -26,11 +26,16 @@ enum class FaultKind {
   /// already running is rescaled, so a permanent slowdown at t = 0 is
   /// equivalent to a proportionally slower device.
   kSlowdown,
-  /// Link degradation: from `time` until `until`, transfers on the directed
-  /// link (src -> dst) take `factor` times as long and incur an extra
-  /// `delay_add` at start. For an in-flight transfer only the remaining
-  /// *wire* time is rescaled by `factor`: the startup-delay portion
-  /// (LatencyModel::comm_startup, already committed at dispatch) is exempt.
+  /// Link degradation: from `time` until `until`, the directed link
+  /// (src -> dst) has its bandwidth divided by `factor` and `delay_add` added
+  /// to its startup delay, exactly as post_fault_network() folds a permanent
+  /// degrade into the link. Only the *wire* time of a transfer stretches; the
+  /// startup portion (LatencyModel::comm_startup) does not. The fault path
+  /// replays degrades as NetworkTrace segments: overlapping degrades on one
+  /// link multiply their factors and add their delays, and a transfer in
+  /// flight when a degrade starts or ends has its remaining wire time
+  /// rescaled like at any trace breakpoint (which acts before same-time sim
+  /// events, unlike crash, leave and slowdown actions).
   kLinkDegrade,
   /// Churn join at `time`: device `joined` becomes available with symmetric
   /// links of `join_bandwidth` / `join_delay` to every existing device. A
@@ -120,10 +125,16 @@ struct FaultSimResult {
   bool completed() const noexcept { return stranded.empty(); }
 };
 
-/// Replays `p` under the fault plan with the same discrete-event execution
-/// model as simulate(). With an empty plan the result's schedule is bitwise
-/// identical to simulate()'s (including the noise draw order), so the fault
-/// path is a strict superset of the benign simulator. Throws like simulate().
+/// Replays `p` under the fault plan through the same event engine as
+/// simulate(): crashes and leaves take devices down, stragglers rescale
+/// running work, and link degrades become NetworkTrace segments. Composes
+/// with noise, NIC serialization (SimOptions::serialize_transfers) and
+/// shared-link contention (SimOptions::shared_links). With an empty plan the
+/// result's schedule is bitwise identical to simulate()'s (including the
+/// noise draw order), so the fault path is a strict superset of the benign
+/// simulator. Throws like simulate(), and std::invalid_argument for an
+/// invalid plan or a non-empty SimOptions::trace (encode time-varying links
+/// as kLinkDegrade events instead). Counts as one full simulation.
 FaultSimResult simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
                                     const Placement& p, const LatencyModel& lat,
                                     const FaultPlan& plan, const SimOptions& opt = {});

@@ -34,9 +34,9 @@ class LatencyModel {
   /// The startup (bandwidth-independent) portion of comm_time: the part that
   /// does NOT scale when the link's bandwidth changes. Must be 0 when k == l
   /// and must never exceed comm_time for the same arguments. The simulator's
-  /// dynamic-network machinery (NetworkTrace, kLinkDegrade) uses this to
-  /// rescale only the wire time of in-flight transfers. The default matches
-  /// Eq. 3's DL_kl term.
+  /// dynamic-network machinery (NetworkTrace, and kLinkDegrade through it)
+  /// uses this to rescale only the wire time of in-flight transfers. The
+  /// default matches Eq. 3's DL_kl term.
   virtual double comm_startup(const TaskGraph&, const DeviceNetwork& n, int,
                               int k, int l) const {
     if (k == l) return 0.0;

@@ -49,13 +49,6 @@ double total_cost(const TaskGraph& g, const DeviceNetwork& n, const Placement& p
   return cost;
 }
 
-ScheduleObjective schedule_objective(Objective legacy) {
-  return [legacy = std::move(legacy)](const TaskGraph& g, const DeviceNetwork& n,
-                                      const Placement& p, const Schedule&) {
-    return legacy(g, n, p);
-  };
-}
-
 double evaluate_objective(const ScheduleObjective& obj, const TaskGraph& g,
                           const DeviceNetwork& n, const Placement& p,
                           const LatencyModel& lat) {

@@ -24,24 +24,13 @@ double total_cost(const TaskGraph& g, const DeviceNetwork& n, const Placement& p
 /// A performance criterion rho(M | G, N): smaller is better. The RL reward is
 /// rho(s_t) - rho(s_{t+1}).
 ///
-/// Legacy form: evaluators that carry their own simulation (or need none).
-/// Hot paths use ScheduleObjective below, which receives the schedule the
-/// caller already computed instead of re-simulating.
-using Objective =
-    std::function<double(const TaskGraph&, const DeviceNetwork&, const Placement&)>;
-
-/// Schedule-aware performance criterion: receives the noise-free Schedule the
-/// search environment just simulated for placement p, so makespan-style
-/// objectives read it instead of paying a second simulation per step. Only
-/// objectives that deliberately re-sample (e.g. noisy makespan) simulate
-/// internally.
+/// Receives the noise-free Schedule the search environment just simulated
+/// for placement p, so makespan-style objectives read it instead of paying a
+/// second simulation per step. Only objectives that deliberately re-sample
+/// (e.g. noisy makespan) or model something else (e.g. NIC contention)
+/// simulate internally, ignoring the schedule.
 using ScheduleObjective = std::function<double(
     const TaskGraph&, const DeviceNetwork&, const Placement&, const Schedule&)>;
-
-/// Adapts a legacy (g, n, p) objective to the schedule-aware signature by
-/// ignoring the schedule. The wrapped objective keeps whatever simulation
-/// cost it had, so prefer native ScheduleObjective factories on hot paths.
-ScheduleObjective schedule_objective(Objective legacy);
 
 /// Evaluates a schedule-aware objective standalone (one noise-free simulation
 /// to produce the schedule it consumes). For callers outside a search

@@ -36,7 +36,8 @@ struct LinkSchedule {
 /// bandwidth, delay, and drop probability. Consumed by simulate() /
 /// simulate_into() via SimOptions::trace; a transfer in flight when a segment
 /// boundary passes is split at the breakpoint and its remaining *wire* time
-/// rescaled, exactly the way kLinkDegrade rescales in-flight work.
+/// rescaled. simulate_with_faults() replays kLinkDegrade events as segments of
+/// exactly this kind.
 ///
 /// An empty trace (no link has any segment) is bitwise-equivalent to passing
 /// no trace at all.

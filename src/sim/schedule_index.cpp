@@ -98,11 +98,20 @@ const std::vector<double>& compute_sweep(const TaskGraph& g, const DeviceNetwork
   return ws.compute_tbl;
 }
 
-void est_sweep(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n,
-               const Placement& p, const LatencyModel& lat, EstSweepWorkspace& ws) {
+namespace {
+
+// The one body behind est_sweep and est_sweep_subset: fills the rows of the
+// tasks with in_subset[v] != 0 (every row when in_subset is null) and leaves
+// the others zeroed.
+void sweep_rows(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n,
+                const Placement& p, const LatencyModel& lat, const char* in_subset,
+                EstSweepWorkspace& ws) {
   const int nv = g.num_tasks();
   const int nd = n.num_devices();
   const int ne = g.num_edges();
+  const auto wanted = [in_subset](int v) {
+    return in_subset == nullptr || in_subset[v] != 0;
+  };
   ws.est.assign(static_cast<std::size_t>(nv) * nd, 0.0);
 
   // Comm-row cache: a row depends only on (edge, source device, model), so
@@ -121,6 +130,7 @@ void est_sweep(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n
   // (here: per task in in-edge order, matching the per-query loop anyway)
   // cannot perturb the result.
   for (int v = 0; v < nv; ++v) {
+    if (!wanted(v)) continue;
     double* row = ws.est.data() + static_cast<std::size_t>(v) * nd;
     for (int e : g.in_edges(v)) {
       const int parent = g.edge(e).src;
@@ -141,7 +151,9 @@ void est_sweep(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n
   // max finish per device. Every member of a group of equal starts reads the
   // maxes before any member's finish is folded in, which is exactly the
   // per-query "tasks starting strictly before v" rule (v never blocks
-  // itself: its own start is never strictly before itself).
+  // itself: its own start is never strictly before itself). The walk sees
+  // every task's finish (any task can block a wanted one), but only wanted
+  // rows are updated.
   ws.order.resize(nv);
   for (int v = 0; v < nv; ++v) ws.order[v] = v;
   std::sort(ws.order.begin(), ws.order.end(), [&sched](int a, int b) {
@@ -154,6 +166,7 @@ void est_sweep(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n
     const double start = sched.tasks[ws.order[i]].start;
     while (j < nv && sched.tasks[ws.order[j]].start == start) ++j;
     for (int k = i; k < j; ++k) {
+      if (!wanted(ws.order[k])) continue;
       double* row = ws.est.data() + static_cast<std::size_t>(ws.order[k]) * nd;
       for (int d = 0; d < nd; ++d) row[d] = std::max(row[d], ws.dev_max[d]);
     }
@@ -166,69 +179,19 @@ void est_sweep(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n
   }
 }
 
+}  // namespace
+
+void est_sweep(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n,
+               const Placement& p, const LatencyModel& lat, EstSweepWorkspace& ws) {
+  sweep_rows(sched, g, n, p, lat, nullptr, ws);
+}
+
 void est_sweep_subset(const Schedule& sched, const TaskGraph& g, const DeviceNetwork& n,
                       const Placement& p, const LatencyModel& lat,
                       const std::vector<int>& subset, EstSweepWorkspace& ws) {
-  const int nv = g.num_tasks();
-  const int nd = n.num_devices();
-  const int ne = g.num_edges();
-  ws.est.assign(static_cast<std::size_t>(nv) * nd, 0.0);
-  ws.in_subset.assign(nv, 0);
+  ws.in_subset.assign(g.num_tasks(), 0);
   for (int v : subset) ws.in_subset.at(v) = 1;
-
-  if (!revalidate_cache(g, n, lat, ws) ||
-      ws.comm_rows.size() != static_cast<std::size_t>(ne) * nd ||
-      ws.comm_src.size() != static_cast<std::size_t>(ne)) {
-    ws.comm_rows.assign(static_cast<std::size_t>(ne) * nd, 0.0);
-    ws.comm_src.assign(static_cast<std::size_t>(ne), -1);
-  }
-
-  // Parent-arrival terms, restricted to subset rows. Identical per-row code
-  // path (and comm-row cache) as the full sweep.
-  for (int v = 0; v < nv; ++v) {
-    if (!ws.in_subset[v]) continue;
-    double* row = ws.est.data() + static_cast<std::size_t>(v) * nd;
-    for (int e : g.in_edges(v)) {
-      const int parent = g.edge(e).src;
-      const double pf = sched.tasks[parent].finish;
-      const int k = p.device_of(parent);
-      double* crow = ws.comm_rows.data() + static_cast<std::size_t>(e) * nd;
-      if (ws.comm_src[e] != k) {
-        lat.comm_time_row(g, n, e, k, crow);
-        ws.comm_src[e] = k;
-      }
-      for (int d = 0; d < nd; ++d) {
-        row[d] = std::max(row[d], pf + crow[d]);
-      }
-    }
-  }
-
-  // Device-busy terms: the walk must still see EVERY task's finish (any task
-  // can block a subset task), but only subset rows are updated.
-  ws.order.resize(nv);
-  for (int v = 0; v < nv; ++v) ws.order[v] = v;
-  std::sort(ws.order.begin(), ws.order.end(), [&sched](int a, int b) {
-    return sched.tasks[a].start < sched.tasks[b].start;
-  });
-  ws.dev_max.assign(nd, -std::numeric_limits<double>::infinity());
-  int i = 0;
-  while (i < nv) {
-    int j = i;
-    const double start = sched.tasks[ws.order[i]].start;
-    while (j < nv && sched.tasks[ws.order[j]].start == start) ++j;
-    for (int k = i; k < j; ++k) {
-      const int v = ws.order[k];
-      if (!ws.in_subset[v]) continue;
-      double* row = ws.est.data() + static_cast<std::size_t>(v) * nd;
-      for (int d = 0; d < nd; ++d) row[d] = std::max(row[d], ws.dev_max[d]);
-    }
-    for (int k = i; k < j; ++k) {
-      const int v = ws.order[k];
-      const int d = p.device_of(v);
-      if (d >= 0) ws.dev_max[d] = std::max(ws.dev_max[d], sched.tasks[v].finish);
-    }
-    i = j;
-  }
+  sweep_rows(sched, g, n, p, lat, ws.in_subset.data(), ws);
 }
 
 }  // namespace giph

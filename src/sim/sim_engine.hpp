@@ -1,14 +1,17 @@
 #pragma once
 
-// Shared discrete-event core behind simulate_into() and simulate_delta().
-// Both entry points reconstruct a (possibly mid-run) simulator state into the
-// SimWorkspace, then drive this engine; having exactly one copy of the event
-// semantics is what makes the incremental path bitwise-identical to the full
-// one by construction. Internal header: not part of the public API.
+// Shared discrete-event core behind simulate_into(), simulate_delta(),
+// simulate_streaming() and simulate_with_faults(). Every entry point
+// reconstructs a (possibly mid-run) simulator state into the SimWorkspace,
+// then drives this engine; having exactly one copy of the event semantics is
+// what makes the incremental path bitwise-identical to the full one by
+// construction. Internal header: not part of the public API.
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 
@@ -18,6 +21,12 @@ constexpr int kTaskDone = 0;
 constexpr int kTransferDone = 1;
 constexpr int kBreakpoint = 2;
 constexpr int kFrameArrival = 3;
+constexpr int kFault = 4;
+
+/// Fault actions break time ties after every simulation event: their seqs
+/// start here, above any seq a run can reach, so a task finishing exactly at
+/// crash time counts as completed.
+constexpr long kFaultSeqBase = std::numeric_limits<long>::max() / 2;
 
 /// Streaming context for simulate_core(): the graph being simulated is F
 /// frame-copies of a base graph (virtual task id = f * base_tasks + v, no
@@ -34,6 +43,27 @@ struct StreamPlan {
   /// kFrameArrival event per frame >= 1 is pushed at init (after trace
   /// breakpoints), so an arrival coinciding with a sim event pops first.
   const std::vector<double>* arrivals = nullptr;
+};
+
+/// Fault context for simulate_core(): the device-level actions of a fault
+/// plan and the state they drive. Link degrades are not here; they reach the
+/// engine as NetworkTrace segments. A run without faults passes none, so
+/// none of this is touched.
+struct FaultContext {
+  enum Type { kCrash, kLeave, kSlowApply, kSlowRevert };
+  struct Action {
+    double time = 0.0;
+    Type type = kCrash;
+    int device = -1;
+    double factor = 1.0;  ///< slowdown actions only
+  };
+  /// Stably sorted by time; action i pops with seq kFaultSeqBase + i.
+  std::vector<Action> actions;
+  std::vector<char> up;         ///< per device: 0 once crashed or departed
+  std::vector<double> scale;    ///< per device: compute-time multiplier
+  std::vector<int> task_version;       ///< per task: stale when != the event's
+  std::vector<double> task_finish_at;  ///< per task: current predicted finish
+  std::vector<int> failed_devices;     ///< in the order they went down
 };
 
 // Later events sort before earlier ones so heap operations keep the earliest
@@ -78,6 +108,8 @@ struct SimEngine {
   /// Streaming runs only (simulate_core with a plan); null otherwise, which
   /// keeps the 12-value aggregate initializers of the one-shot paths valid.
   const StreamPlan* stream = nullptr;
+  /// Fault runs only (simulate_with_faults); null otherwise.
+  FaultContext* faults = nullptr;
 
   long seq = 0;
   int completed = 0;
@@ -88,19 +120,39 @@ struct SimEngine {
     std::push_heap(ws.heap.begin(), ws.heap.end(), EventLater{});
   }
 
+  /// Queues every fault action; action i pops with seq kFaultSeqBase + i.
+  void push_fault_actions() {
+    for (std::size_t i = 0; i < faults->actions.size(); ++i) {
+      ws.heap.push_back(SimEvent{faults->actions[i].time,
+                                 kFaultSeqBase + static_cast<long>(i), kFault,
+                                 static_cast<int>(i), 0});
+      std::push_heap(ws.heap.begin(), ws.heap.end(), EventLater{});
+    }
+  }
+
   void start_task(int v, double t) {
     const int d = p.device_of(v);
     ++ws.running[d];
     out.tasks[v].start = t;
     const double w = realize(lat.compute_time(g, n, v, d), opt);
     if (rec != nullptr) rec->task_event_seq[v] = seq;
-    push_event(t + w, kTaskDone, v);
+    if (faults == nullptr) {
+      push_event(t + w, kTaskDone, v);
+      return;
+    }
+    // A straggler stretches the duration; the version lets a later rescale
+    // or crash supersede this completion.
+    const double finish = t + w * faults->scale[d];
+    faults->task_finish_at[v] = finish;
+    push_event(finish, kTaskDone, v, faults->task_version[v]);
   }
 
   void make_runnable(int v, double t) {
+    const int d = p.device_of(v);
+    // Inputs arrived at a dead device: the task can never run (stranded).
+    if (faults != nullptr && faults->up[d] == 0) return;
     if (rec != nullptr) rec->runnable_order[v] = runnable_rank;
     ++runnable_rank;
-    const int d = p.device_of(v);
     if (ws.running[d] < n.device(d).cores && ws.fifo[d].empty()) {
       start_task(v, t);
     } else {
@@ -117,6 +169,9 @@ struct SimEngine {
       heap.pop_back();
       if (ev.kind == kTaskDone) {
         const int v = ev.id;
+        if (faults != nullptr && ev.version != faults->task_version[v]) {
+          continue;  // stale: rescaled or killed
+        }
         out.tasks[v].finish = ev.time;
         ++completed;
         const int d = p.device_of(v);
@@ -194,6 +249,8 @@ struct SimEngine {
         // device queues (or start) in base entry order, like frame 0 at t = 0.
         const int base = ev.id * stream->base_tasks;
         for (const int v : *stream->entries) make_runnable(base + v, ev.time);
+      } else if (ev.kind == kFault) {
+        apply_fault(faults->actions[ev.id], ev.time);
       } else {  // kBreakpoint
         const auto [li, si] = (*breakpoints)[ev.id];
         const TraceSegment& seg = trace->links[li].segments[si];
@@ -230,19 +287,26 @@ struct SimEngine {
     }
   }
 
-  /// Completion check, makespan, and the recorded-state epilogue.
+  /// Applies one crash, leave or slowdown action at time t (faults.cpp).
+  void apply_fault(const FaultContext::Action& a, double t);
+
+  /// Completion check, makespan, and the recorded-state epilogue. Only a
+  /// fault run may leave tasks unfinished (stranded); the makespan spans the
+  /// completed tasks (0 when none completed).
   void finalize(const char* caller) {
     const int nv = g.num_tasks();
-    if (completed != nv) {
+    if (faults == nullptr && completed != nv) {
       throw std::logic_error(std::string(caller) +
                              ": not all tasks completed (cyclic graph?)");
     }
-    double first_start = out.tasks[0].start, last_finish = out.tasks[0].finish;
+    double first_start = std::numeric_limits<double>::infinity();
+    double last_finish = -first_start;
     for (const TaskTiming& t : out.tasks) {
+      if (t.finish < 0.0) continue;
       first_start = std::min(first_start, t.start);
       last_finish = std::max(last_finish, t.finish);
     }
-    out.makespan = last_finish - first_start;
+    out.makespan = last_finish >= first_start ? last_finish - first_start : 0.0;
     if (rec != nullptr) {
       rec->total_seq = seq;
       rec->next_runnable_rank = runnable_rank;
@@ -256,15 +320,16 @@ struct SimEngine {
   }
 };
 
-/// The full init-run-finalize pipeline behind simulate_into() and
-/// simulate_streaming(): validates options, resets workspace buffers, seeds
-/// trace breakpoints / frame arrivals / entry tasks, and drives SimEngine.
-/// `plan == nullptr` is exactly simulate_into(); with a plan, `g` and `p`
-/// must be the frame-replicated instance the plan describes. `caller`
-/// prefixes every diagnostic.
+/// The full init-run-finalize pipeline behind simulate_into(),
+/// simulate_streaming() and simulate_with_faults(): validates options, resets
+/// workspace buffers, seeds trace breakpoints / frame arrivals / entry tasks /
+/// fault actions, and drives SimEngine. `plan == nullptr` and
+/// `faults == nullptr` is exactly simulate_into(); with a plan, `g` and `p`
+/// must be the frame-replicated instance the plan describes; `faults` must
+/// be sized for (g, n). `caller` prefixes every diagnostic.
 void simulate_core(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                    const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
                    const SimOptions& opt, DeltaSimState* record,
-                   const StreamPlan* plan, const char* caller);
+                   const StreamPlan* plan, FaultContext* faults, const char* caller);
 
 }  // namespace giph::detail

@@ -64,7 +64,7 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
                            const Placement& p, const LatencyModel& lat,
                            SimWorkspace& ws, Schedule& out, const SimOptions& opt,
                            DeltaSimState* record, const StreamPlan* plan,
-                           const char* caller) {
+                           FaultContext* faults, const char* caller) {
   // Validate options first: noise without an engine would dereference null
   // inside the event loop, far from the caller's mistake.
   validate_sim_options(opt, caller);
@@ -120,8 +120,8 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
   std::vector<std::pair<int, int>> breakpoints;  // (trace link, segment)
   if (shared != nullptr) ws.link_free.assign(shared->num_links, 0.0);
 
-  detail::SimEngine eng{g,      n,      p,            lat,    ws, out, opt,
-                        trace,  shared, &breakpoints, record, nd, plan};
+  detail::SimEngine eng{g,      n,      p,            lat,    ws, out,  opt,
+                        trace,  shared, &breakpoints, record, nd, plan, faults};
 
   if (trace != nullptr) {
     const int nl = static_cast<int>(trace->links.size());
@@ -174,6 +174,8 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
   // graph cannot hang the event loop.
   (void)g.topological_order();
 
+  if (faults != nullptr) eng.push_fault_actions();
+
   eng.run();
   eng.finalize(caller);
 }
@@ -181,7 +183,8 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
 void simulate_into(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                    const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
                    const SimOptions& opt, DeltaSimState* record) {
-  detail::simulate_core(g, n, p, lat, ws, out, opt, record, nullptr, "simulate");
+  detail::simulate_core(g, n, p, lat, ws, out, opt, record, nullptr, nullptr,
+                        "simulate");
 }
 
 Schedule simulate(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,

@@ -68,9 +68,9 @@ namespace detail {
 struct SimEvent {
   double time;
   long seq;     // creation order, breaks time ties deterministically
-  int kind;     // 0 = task done, 1 = transfer done, 2 = trace breakpoint
-  int id;       // task id, edge id, or breakpoint index
-  int version;  // transfer events only: stale when != the edge's version
+  int kind;     // task done, transfer done, breakpoint, frame arrival, fault
+  int id;       // task id, edge id, breakpoint, frame, or fault-action index
+  int version;  // stale when != the edge's (or, under faults, task's) version
 };
 
 }  // namespace detail

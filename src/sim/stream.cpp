@@ -110,7 +110,7 @@ void run_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
   plan.entries = &ws.entries;
   plan.arrivals = &out.frame_arrival;
   detail::simulate_core(ws.replicated, n, ws.replicated_placement, tiled, ws.sim,
-                        out.schedule, opt.sim, nullptr, &plan,
+                        out.schedule, opt.sim, nullptr, &plan, nullptr,
                         "simulate_streaming");
 
   out.frames = frames;

@@ -18,8 +18,8 @@ namespace {
 struct OracleEvent {
   double time = 0.0;
   long order = 0;
-  int kind = 0;  // 0 = task completion, 1 = edge arrival, 2 = trace breakpoint
-  int id = -1;   // task id, edge id, or breakpoint index
+  int kind = 0;  // task completion, edge arrival, breakpoint, arrival, fault
+  int id = -1;   // task id, edge id, breakpoint, frame, or incident index
 };
 
 constexpr int kTaskEvent = 0;
@@ -72,16 +72,113 @@ bool acyclic(const TaskGraph& g) {
   return visited == nv;
 }
 
-}  // namespace
+constexpr int kFaultEvent = 4;
 
-Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
-                         const LatencyModel& lat, const SimOptions& opt) {
-  validate_sim_options(opt, "oracle_simulate");
+// Fault entries order after every simulation entry at the same instant (an
+// incident interrupts; work finishing exactly then has finished).
+constexpr long kFaultOrderBase = std::numeric_limits<long>::max() / 2;
+
+// A crash, leave, or straggler start/end of a fault plan, on the timeline.
+struct OracleFault {
+  double time = 0.0;
+  FaultKind kind = FaultKind::kDeviceCrash;
+  bool revert = false;  // a transient straggler ending
+  int device = -1;
+  double factor = 1.0;
+};
+
+// The plan's device incidents on base devices, in plan order (a transient
+// straggler's end right after its start), then stably ordered by time.
+// Joined devices cannot host a fixed placement's tasks, so their events are
+// inert.
+std::vector<OracleFault> device_incidents(const FaultPlan& plan, int num_devices) {
+  std::vector<OracleFault> incidents;
+  for (const FaultEvent& e : plan.events) {
+    const bool device_event = e.kind == FaultKind::kDeviceCrash ||
+                              e.kind == FaultKind::kDeviceLeave ||
+                              e.kind == FaultKind::kSlowdown;
+    if (!device_event || e.device >= num_devices) continue;
+    incidents.push_back(OracleFault{e.time, e.kind, false, e.device, e.factor});
+    if (e.kind == FaultKind::kSlowdown && std::isfinite(e.until)) {
+      incidents.push_back(OracleFault{e.until, e.kind, true, e.device, e.factor});
+    }
+  }
+  std::stable_sort(
+      incidents.begin(), incidents.end(),
+      [](const OracleFault& a, const OracleFault& b) { return a.time < b.time; });
+  return incidents;
+}
+
+// The plan's link degrades, re-expressed as piecewise-constant link
+// conditions: per degraded base link (in order of its first degrade in the
+// plan) a condition change at each distinct instant a degrade on it starts
+// or ends. The condition in force is derived from scratch from the degrades
+// active at that instant, taken in plan order: the bandwidth shrinks by the
+// product of their factors, the startup delay grows by the sum of their
+// delays.
+NetworkTrace degrade_conditions(const FaultPlan& plan, int num_devices) {
+  NetworkTrace conditions;
+  for (const FaultEvent& e : plan.events) {
+    if (e.kind != FaultKind::kLinkDegrade) continue;
+    if (e.link_src >= num_devices || e.link_dst >= num_devices) continue;
+    bool seen = false;
+    for (const LinkSchedule& ls : conditions.links) {
+      seen = seen || (ls.src == e.link_src && ls.dst == e.link_dst);
+    }
+    if (!seen) conditions.links.push_back(LinkSchedule{e.link_src, e.link_dst, {}});
+  }
+  for (LinkSchedule& ls : conditions.links) {
+    auto on_link = [&](const FaultEvent& e) {
+      return e.kind == FaultKind::kLinkDegrade && e.link_src == ls.src &&
+             e.link_dst == ls.dst;
+    };
+    std::vector<double> instants;
+    for (const FaultEvent& e : plan.events) {
+      if (!on_link(e)) continue;
+      for (const double t : {e.time, e.until}) {
+        if (std::isfinite(t) &&
+            std::find(instants.begin(), instants.end(), t) == instants.end()) {
+          instants.push_back(t);
+        }
+      }
+    }
+    std::sort(instants.begin(), instants.end());
+    for (const double t : instants) {
+      double product = 1.0;
+      double extra_delay = 0.0;
+      for (const FaultEvent& e : plan.events) {
+        if (on_link(e) && e.time <= t && t < e.until) {
+          product *= e.factor;
+          extra_delay += e.delay_add;
+        }
+      }
+      ls.segments.push_back(TraceSegment{t, 1.0 / product, extra_delay, 0.0});
+    }
+  }
+  return conditions;
+}
+
+// One naive replay of a placement, optionally under a fault plan. Without a
+// plan every task must complete; with one, tasks that cannot are stranded.
+FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
+                             const Placement& p, const LatencyModel& lat,
+                             const SimOptions& opt, const FaultPlan* plan,
+                             const char* caller) {
+  const std::string who = caller;
+  validate_sim_options(opt, caller);
+  const bool caller_trace = opt.trace != nullptr && !opt.trace->empty();
+  if (plan != nullptr) {
+    if (caller_trace) {
+      throw std::invalid_argument(who + ": a NetworkTrace cannot be combined with a "
+                                        "fault plan");
+    }
+    validate_fault_plan(*plan, n);
+  }
   if (!placement_feasible(g, n, p)) {
-    throw std::invalid_argument("oracle_simulate: infeasible placement");
+    throw std::invalid_argument(who + ": infeasible placement");
   }
   if (!acyclic(g)) {
-    throw std::logic_error("oracle_simulate: cyclic task graph");
+    throw std::logic_error(who + ": cyclic task graph");
   }
 
   const int nv = g.num_tasks();
@@ -90,24 +187,28 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
 
   // Dynamic-network configuration, interpreted independently of the
   // production simulator: only the NetworkTrace / SharedLinkMap *data* is
-  // shared. An empty trace is no trace at all.
-  const NetworkTrace* trace =
-      (opt.trace != nullptr && !opt.trace->empty()) ? opt.trace : nullptr;
-  if (trace != nullptr) validate_network_trace(*trace, n, "oracle_simulate");
+  // shared. An empty trace is no trace at all. Under a fault plan the link
+  // conditions come from its degrades.
+  const NetworkTrace degraded =
+      plan != nullptr ? degrade_conditions(*plan, nd) : NetworkTrace{};
+  const NetworkTrace* trace = caller_trace ? opt.trace
+                              : degraded.empty() ? nullptr
+                                                 : &degraded;
+  if (trace != nullptr) validate_network_trace(*trace, n, caller);
   const SharedLinkMap* shared = opt.shared_links;
   if (shared != nullptr && shared->num_devices != nd) {
     throw std::invalid_argument(
-        "oracle_simulate: shared_links was built for " +
-        std::to_string(shared->num_devices) + " devices but the network has " +
-        std::to_string(nd));
+        who + ": shared_links was built for " + std::to_string(shared->num_devices) +
+        " devices but the network has " + std::to_string(nd));
   }
 
-  Schedule out;
+  FaultSimResult result;
+  Schedule& out = result.schedule;
   out.tasks.assign(nv, TaskTiming{-1.0, -1.0});
   out.edge_start.assign(ne, -1.0);
   out.edge_finish.assign(ne, -1.0);
   out.makespan = 0.0;
-  if (nv == 0) return out;
+  if (nv == 0) return result;
 
   std::vector<OracleEvent> pending;
   long next_order = 0;
@@ -140,6 +241,18 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
     }
   }
 
+  // Device incidents: whether each device is still up, and the factor its
+  // task durations are stretched by (1 without a straggler).
+  const std::vector<OracleFault> incidents =
+      plan != nullptr ? device_incidents(*plan, nd) : std::vector<OracleFault>{};
+  for (std::size_t i = 0; i < incidents.size(); ++i) {
+    pending.push_back(OracleEvent{incidents[i].time,
+                                  kFaultOrderBase + static_cast<long>(i), kFaultEvent,
+                                  static_cast<int>(i)});
+  }
+  std::vector<char> device_up(nd, 1);
+  std::vector<double> stretch(nd, 1.0);
+
   // The traced-link index of a device pair, found by scanning the trace
   // (links with no segments are plain links).
   auto traced_link_of = [&](int src, int dst) {
@@ -161,27 +274,38 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
 
   // Occupancy is re-derived on demand instead of kept in a counter: a device
   // is running exactly its placed tasks that have started but not finished.
+  auto is_running = [&](int v) {
+    return out.tasks[v].start >= 0.0 && out.tasks[v].finish < 0.0;
+  };
   auto tasks_running_on = [&](int d) {
     int count = 0;
     for (int v = 0; v < nv; ++v) {
-      if (p.device_of(v) == d && out.tasks[v].start >= 0.0 && out.tasks[v].finish < 0.0) {
-        ++count;
-      }
+      if (p.device_of(v) == d && is_running(v)) ++count;
     }
     return count;
+  };
+
+  // The pending completion entry of task v (it has exactly one while it runs).
+  auto completion_slot = [&](int v) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].kind == kTaskEvent && pending[i].id == v) return i;
+    }
+    throw std::logic_error(who + ": running task has no pending completion");
   };
 
   auto begin_execution = [&](int v, double t) {
     const int d = p.device_of(v);
     out.tasks[v].start = t;
     const double w = draw(lat.compute_time(g, n, v, d), opt);
-    pending.push_back(OracleEvent{t + w, next_order++, kTaskEvent, v});
+    pending.push_back(OracleEvent{t + w * stretch[d], next_order++, kTaskEvent, v});
   };
 
   // A task whose inputs have all arrived either begins immediately (free core,
-  // nobody queued ahead) or joins its device's FIFO.
+  // nobody queued ahead) or joins its device's FIFO. On a device that is no
+  // longer up it never runs.
   auto on_runnable = [&](int v, double t) {
     const int d = p.device_of(v);
+    if (!device_up[d]) return;
     if (waiting[d].empty() && tasks_running_on(d) < n.device(d).cores) {
       begin_execution(v, t);
     } else {
@@ -274,6 +398,38 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
         }
       }
       if (all_arrived) on_runnable(child, ev.time);
+    } else if (ev.kind == kFaultEvent) {
+      const OracleFault& f = incidents[static_cast<std::size_t>(ev.id)];
+      const int d = f.device;
+      if (f.kind == FaultKind::kSlowdown) {
+        // A straggler starts or ends: every task running on d finishes its
+        // remaining work at the new stretch, in ascending task-id order.
+        const double before = stretch[d];
+        stretch[d] = f.revert ? before / f.factor : before * f.factor;
+        for (int v = 0; v < nv; ++v) {
+          if (p.device_of(v) != d || !is_running(v)) continue;
+          const std::size_t slot = completion_slot(v);
+          const double finish =
+              ev.time + (pending[slot].time - ev.time) * (stretch[d] / before);
+          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(slot));
+          pending.push_back(OracleEvent{finish, next_order++, kTaskEvent, v});
+        }
+      } else if (device_up[d]) {
+        // The device goes down: its queue is never served. A crash also
+        // kills what runs there (its completion is withdrawn and its start
+        // forgotten); a graceful leave lets it finish and send its outputs.
+        device_up[d] = 0;
+        result.failed_devices.push_back(d);
+        waiting[d].clear();
+        if (f.kind == FaultKind::kDeviceCrash) {
+          for (int v = 0; v < nv; ++v) {
+            if (p.device_of(v) != d || !is_running(v)) continue;
+            pending.erase(pending.begin() +
+                          static_cast<std::ptrdiff_t>(completion_slot(v)));
+            out.tasks[v].start = -1.0;
+          }
+        }
+      }
     } else {  // kBreakpointEvent
       const int li = breakpoints[ev.id].first;
       const TraceSegment& seg = trace->links[li].segments[breakpoints[ev.id].second];
@@ -299,7 +455,7 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
           }
         }
         if (slot == pending.size()) {
-          throw std::logic_error("oracle_simulate: in-flight edge has no pending event");
+          throw std::logic_error(who + ": in-flight edge has no pending event");
         }
         const double anchor = std::max(ev.time, wire_begin[e]);
         const double remaining = pending[slot].time - anchor;
@@ -318,18 +474,35 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
   }
 
   for (int v = 0; v < nv; ++v) {
-    if (out.tasks[v].finish < 0.0) {
-      throw std::logic_error("oracle_simulate: not all tasks completed");
-    }
+    if (out.tasks[v].finish >= 0.0) continue;
+    if (plan == nullptr) throw std::logic_error(who + ": not all tasks completed");
+    result.stranded.push_back(v);
   }
+  std::sort(result.failed_devices.begin(), result.failed_devices.end());
 
-  double first_start = out.tasks[0].start, last_finish = out.tasks[0].finish;
+  // The makespan spans the tasks that completed (0 when none did).
+  double first_start = std::numeric_limits<double>::infinity();
+  double last_finish = -std::numeric_limits<double>::infinity();
   for (const TaskTiming& t : out.tasks) {
+    if (t.finish < 0.0) continue;
     first_start = std::min(first_start, t.start);
     last_finish = std::max(last_finish, t.finish);
   }
-  out.makespan = last_finish - first_start;
-  return out;
+  out.makespan = last_finish >= first_start ? last_finish - first_start : 0.0;
+  return result;
+}
+
+}  // namespace
+
+Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
+                         const LatencyModel& lat, const SimOptions& opt) {
+  return oracle_replay(g, n, p, lat, opt, nullptr, "oracle_simulate").schedule;
+}
+
+FaultSimResult oracle_simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
+                                           const Placement& p, const LatencyModel& lat,
+                                           const FaultPlan& plan, const SimOptions& opt) {
+  return oracle_replay(g, n, p, lat, opt, &plan, "oracle_simulate_with_faults");
 }
 
 namespace {

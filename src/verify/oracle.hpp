@@ -1,5 +1,6 @@
 #pragma once
 
+#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stream.hpp"
 
@@ -39,6 +40,40 @@ namespace giph {
 /// simulation_count(): the oracle is a verifier, not a production code path.
 Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                          const LatencyModel& lat, const SimOptions& opt = {});
+
+/// Reference fault-injection simulator: the oracle's flat event replay under
+/// a FaultPlan, independent of simulate_with_faults(). It shares only the
+/// plan, trace, and result data types, and interprets the fault semantics
+/// from first principles:
+///   - crash, leave, and straggler start/end entries join the flat list in
+///     time order (plan order on ties, a transient straggler's end right
+///     after its start), each ordered after every simulation entry at the
+///     same instant, so a task finishing exactly at a crash completes;
+///   - a crash or leave takes its device down for good: its queue is
+///     dropped, and tasks that become runnable there never run; a crash also
+///     withdraws the pending completions of the tasks running there and
+///     forgets their starts, while a leave lets them finish and send;
+///   - a straggler multiplies (its end divides) the device's stretch factor,
+///     which scales the duration of every task started there, and moves each
+///     running task's pending completion to t + remaining * new / old, in
+///     ascending task-id order;
+///   - link degrades become piecewise-constant link conditions that the
+///     trace machinery above interprets: per degraded link (in order of its
+///     first degrade in the plan), a condition change at each distinct
+///     instant a degrade on it starts or ends, with bandwidth_factor
+///     1 / (product of the active factors) and delay_add the sum of the
+///     active delays, both taken in plan order;
+///   - tasks left unfinished are stranded (ascending ids), failed devices
+///     are the ones taken down (ascending), and the makespan spans the
+///     completed tasks (0 when none completed).
+/// Events on devices or links joined by the plan are inert, as are joins.
+/// Output is bitwise identical to simulate_with_faults() for every input,
+/// including the noise draw sequence, NIC serialization, and shared links;
+/// throws like it (std::invalid_argument for a non-empty opt.trace).
+FaultSimResult oracle_simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
+                                           const Placement& p, const LatencyModel& lat,
+                                           const FaultPlan& plan,
+                                           const SimOptions& opt = {});
 
 /// Reference streaming simulator: the oracle's flat event replay generalized
 /// to iterated-graph execution, independent of simulate_streaming(). Frame f

@@ -263,7 +263,7 @@ TEST(SharedLinks, EmptyMapReducesBitwiseAndSizeIsChecked) {
 // ---------------------------------------------------------------------------
 // Fault-path guards
 
-TEST(Faults, RejectsTraceAndSharedLinks) {
+TEST(Faults, RejectsTraceAndComposesWithSharedLinks) {
   NetworkTrace trace;
   trace.link(0, 1).segments.push_back({1.0, 0.5, 0.0, 0.0});
   SimOptions opt;
@@ -272,12 +272,24 @@ TEST(Faults, RejectsTraceAndSharedLinks) {
                                     FaultPlan{}, opt),
                std::invalid_argument);
 
-  const SharedLinkMap map = build_shared_link_map(2, {{0, 1, 2.0, 1.0, true}});
-  SimOptions opt2;
-  opt2.shared_links = &map;
-  EXPECT_THROW(simulate_with_faults(chain3(), two_devices(), alternating3(), kLat,
-                                    FaultPlan{}, opt2),
-               std::invalid_argument);
+  // Shared-link contention runs through the same engine: an empty plan
+  // reduces bitwise to simulate() with the same map, noise, and NICs.
+  const auto c = random_case(45);
+  std::vector<PhysicalLink> phys;
+  for (int k = 1; k < c.network.num_devices(); ++k) {
+    phys.push_back({0, k, 3.0, 0.5, true});  // a star: routes share the hub links
+  }
+  DeviceNetwork n = c.network;
+  apply_topology(n, phys);
+  const SharedLinkMap map = build_shared_link_map(n.num_devices(), phys);
+  std::mt19937_64 rng_a(8), rng_b(8);
+  SimOptions opt_a{0.2, &rng_a, true, nullptr, &map};
+  SimOptions opt_b{0.2, &rng_b, true, nullptr, &map};
+  const FaultSimResult r =
+      simulate_with_faults(c.graph, n, c.placement, kLat, FaultPlan{}, opt_a);
+  ASSERT_TRUE(r.completed());
+  expect_schedules_bitwise_equal(r.schedule,
+                                 simulate(c.graph, n, c.placement, kLat, opt_b));
 }
 
 // ---------------------------------------------------------------------------

@@ -106,10 +106,11 @@ TEST(ScheduleAwareObjective, SearchMatchesLegacyObjectiveExactly) {
   const Placement init = random_placement(g, n, prng);
   const double denom = slr_denominator(g, n, kLat);
 
-  // Legacy 3-arg objective (re-simulates internally) vs the schedule-aware
-  // factory: identical values, hence identical search trajectories.
-  const Objective legacy = [](const TaskGraph& gg, const DeviceNetwork& nn,
-                              const Placement& pp) {
+  // An objective that ignores the schedule and re-simulates vs the
+  // schedule-aware factory: identical values, hence identical search
+  // trajectories.
+  const ScheduleObjective legacy = [](const TaskGraph& gg, const DeviceNetwork& nn,
+                                      const Placement& pp, const Schedule&) {
     return makespan(gg, nn, pp, kLat);
   };
   PlacementSearchEnv legacy_env(g, n, kLat, legacy, init, denom);

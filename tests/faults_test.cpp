@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/device_network_gen.hpp"
 #include "gen/task_graph_gen.hpp"
 #include "testutil.hpp"
@@ -55,10 +57,13 @@ TEST(Faults, DeterministicAcrossRuns) {
     EXPECT_EQ(describe(plan_a.events[i]), describe(plan_b.events[i]));
   }
 
-  // Same seed + same plan: bitwise-identical degraded schedules.
+  // Same seed + same plan: bitwise-identical degraded schedules. Each replay
+  // is one full simulation.
   std::mt19937_64 sim_a(5), sim_b(5);
+  const std::uint64_t runs_before = full_simulation_count();
   const FaultSimResult a =
       simulate_with_faults(g, n, p, kLat, plan_a, SimOptions{0.2, &sim_a});
+  EXPECT_EQ(full_simulation_count(), runs_before + 1);
   const FaultSimResult b =
       simulate_with_faults(g, n, p, kLat, plan_b, SimOptions{0.2, &sim_b});
   EXPECT_EQ(a.stranded, b.stranded);
@@ -169,15 +174,79 @@ TEST(Faults, LinkDegradeStretchesTransfersOnTheLink) {
   const DeviceNetwork n = two_devices();
   const Placement p = alternating3();
 
-  // Degrade link 1 -> 0 by x2 from t = 0: edge 1 (16 bytes, nominal 9) takes
-  // 18, so task 2 starts at 9 + 18 = 27. Edge 0 -> 1 is unaffected.
+  // Degrade link 1 -> 0 by x2 from t = 0: edge 1 (16 bytes, nominal 9 = 1
+  // startup + 8 wire) keeps its startup and doubles its wire time, 1 + 16 =
+  // 17, so task 2 starts at 9 + 17 = 26. Edge 0 -> 1 is unaffected.
   FaultPlan plan;
   plan.events.push_back(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = 0.0,
                                    .link_src = 1, .link_dst = 0, .factor = 2.0});
   const FaultSimResult r = simulate_with_faults(g, n, p, kLat, plan);
   ASSERT_TRUE(r.completed());
   EXPECT_DOUBLE_EQ(r.schedule.tasks[1].start, 7.0);
-  EXPECT_DOUBLE_EQ(r.schedule.tasks[2].start, 27.0);
+  EXPECT_DOUBLE_EQ(r.schedule.tasks[2].start, 26.0);
+}
+
+TEST(Faults, PermanentDegradeMatchesPostFaultNetwork) {
+  const TaskGraph g = chain3();
+  const DeviceNetwork n = two_devices();
+  const Placement p = alternating3();
+
+  // A degrade active for the whole run is the degraded link itself: replaying
+  // it matches simulating the post-fault network, with and without an extra
+  // startup delay.
+  for (const double delay_add : {0.0, 3.0}) {
+    FaultPlan plan;
+    plan.events.push_back(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = 0.0,
+                                     .link_src = 1, .link_dst = 0, .factor = 2.0,
+                                     .delay_add = delay_add});
+    const PostFaultNetwork pf = post_fault_network(n, plan);
+    const FaultSimResult r = simulate_with_faults(g, n, p, kLat, plan);
+    ASSERT_TRUE(r.completed());
+    expect_schedules_bitwise_equal(r.schedule, simulate(g, pf.network, p, kLat));
+  }
+}
+
+TEST(Faults, OverlappingDegradesMultiplyFactorsAndAddDelays) {
+  const TaskGraph g = chain3();
+  const DeviceNetwork n = two_devices();
+  const Placement p = alternating3();
+
+  // On link 1 -> 0, x2 holds from t = 0 and x3 (+2 delay) during [5, 24].
+  // Edge 1 dispatches at t = 9 under both: startup 1 + 2 = 3, wire 8 x 6 =
+  // 48, so it would arrive at 60. When x3 ends at t = 24, 36 of the
+  // stretched wire time remain and shrink by 2/6 to 12: arrival 36, task 2
+  // runs [36, 42].
+  FaultPlan plan;
+  plan.events.push_back(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = 0.0,
+                                   .link_src = 1, .link_dst = 0, .factor = 2.0});
+  plan.events.push_back(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = 5.0,
+                                   .link_src = 1, .link_dst = 0, .factor = 3.0,
+                                   .delay_add = 2.0, .until = 24.0});
+  const FaultSimResult r = simulate_with_faults(g, n, p, kLat, plan);
+  ASSERT_TRUE(r.completed());
+  EXPECT_DOUBLE_EQ(r.schedule.edge_start[1], 9.0);
+  EXPECT_DOUBLE_EQ(r.schedule.edge_finish[1], 36.0);
+  EXPECT_DOUBLE_EQ(r.schedule.tasks[2].finish, 42.0);
+}
+
+TEST(Faults, DegradesMeetingAtOneInstantFoldIntoOneSegment) {
+  const TaskGraph g = chain3();
+  const DeviceNetwork n = two_devices();
+  const Placement p = alternating3();
+
+  // x2 on link 1 -> 0 ends at t = 9 exactly when x4 starts: one condition
+  // change at t = 9, in force before edge 1 dispatches that instant. Startup
+  // 1, wire 8 x 4 = 32: arrival 42.
+  FaultPlan plan;
+  plan.events.push_back(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = 0.0,
+                                   .link_src = 1, .link_dst = 0, .factor = 2.0,
+                                   .until = 9.0});
+  plan.events.push_back(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = 9.0,
+                                   .link_src = 1, .link_dst = 0, .factor = 4.0});
+  const FaultSimResult r = simulate_with_faults(g, n, p, kLat, plan);
+  ASSERT_TRUE(r.completed());
+  EXPECT_DOUBLE_EQ(r.schedule.edge_finish[1], 42.0);
+  EXPECT_DOUBLE_EQ(r.schedule.tasks[2].start, 42.0);
 }
 
 TEST(Faults, LinkDegradeRescalesInFlightTransfer) {
@@ -253,6 +322,11 @@ TEST(Faults, ValidationRejectsBadPlans) {
   plan.events.clear();
   plan.events.push_back(FaultEvent{.kind = FaultKind::kDeviceCrash, .time = -1.0,
                                    .device = 0});
+  EXPECT_THROW(validate_fault_plan(plan, n), std::invalid_argument);
+
+  plan.events.clear();
+  plan.events.push_back(FaultEvent{.kind = FaultKind::kSlowdown, .time = 1.0,
+                                   .device = 0, .factor = 2.0, .until = std::nan("")});
   EXPECT_THROW(validate_fault_plan(plan, n), std::invalid_argument);
 
   // A device joined earlier in time may be referenced by later events.

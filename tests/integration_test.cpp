@@ -104,8 +104,8 @@ TEST(Integration, SearchUnderContentionModel) {
   DeviceNetwork n = generate_device_network(np, rng);
   ensure_all_kinds(n, np.num_hw_kinds, rng);
 
-  const Objective contended = [](const TaskGraph& gg, const DeviceNetwork& nn,
-                                 const Placement& p) {
+  const ScheduleObjective contended = [](const TaskGraph& gg, const DeviceNetwork& nn,
+                                         const Placement& p, const Schedule&) {
     SimOptions opt;
     opt.serialize_transfers = true;
     static const DefaultLatencyModel lat;

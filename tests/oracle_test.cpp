@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/topology.hpp"
 #include "testutil.hpp"
 
 namespace giph {
@@ -132,6 +133,82 @@ TEST(Oracle, DoesNotCountAsProductionSimulation) {
   const std::uint64_t before = simulation_count();
   (void)oracle_simulate(g, n, p, kLat);
   EXPECT_EQ(simulation_count(), before);
+}
+
+// The fault oracle must agree bitwise with simulate_with_faults on every
+// fault kind (crash, leave, transient/permanent stragglers, overlapping link
+// degrades with extra delay), composed with noise, NIC serialization,
+// multi-core devices, and shared-link contention.
+TEST(OracleFaults, MatchesSimulateWithFaultsOnRandomPlans) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    auto c = testutil::random_case(seed * 97, 6 + static_cast<int>(seed) % 20,
+                                   2 + static_cast<int>(seed) % 5);
+    std::mt19937_64 rng(seed);
+    if (seed % 3 == 0) {
+      for (int d = 0; d < c.network.num_devices(); ++d) {
+        c.network.device(d).cores = 1 + static_cast<int>(rng() % 3);
+      }
+    }
+    SharedLinkMap map;
+    SimOptions opt;
+    opt.serialize_transfers = seed % 4 == 1;
+    if (seed % 2 == 0) {
+      std::vector<PhysicalLink> phys;
+      for (int k = 1; k < c.network.num_devices(); ++k) {
+        phys.push_back({static_cast<int>(rng() % k), k, 4.0, 0.5, true});
+      }
+      apply_topology(c.network, phys);
+      map = build_shared_link_map(c.network.num_devices(), phys);
+      opt.shared_links = &map;
+    }
+    FaultPlanParams fp;
+    fp.horizon = simulate(c.graph, c.network, c.placement, kLat).makespan;
+    fp.crashes = static_cast<int>(seed % 2);
+    fp.leaves = static_cast<int>(seed / 2 % 2);
+    fp.slowdowns = 2;
+    fp.link_degrades = 3;
+    FaultPlan plan = generate_fault_plan(c.network, fp, rng);
+    for (FaultEvent& e : plan.events) {
+      if (e.kind == FaultKind::kLinkDegrade && rng() % 2 == 0) e.delay_add = 0.75;
+    }
+    std::mt19937_64 rng_prod(seed), rng_ref(seed);
+    opt.noise = seed % 5 == 0 ? 0.0 : 0.25;
+    opt.rng = &rng_prod;
+    const FaultSimResult prod =
+        simulate_with_faults(c.graph, c.network, c.placement, kLat, plan, opt);
+    opt.rng = &rng_ref;
+    const FaultSimResult ref =
+        oracle_simulate_with_faults(c.graph, c.network, c.placement, kLat, plan, opt);
+    expect_schedules_bitwise_equal(ref.schedule, prod.schedule);
+    EXPECT_EQ(ref.stranded, prod.stranded) << "seed " << seed;
+    EXPECT_EQ(ref.failed_devices, prod.failed_devices) << "seed " << seed;
+    EXPECT_EQ(rng_prod(), rng_ref()) << "seed " << seed;
+  }
+}
+
+TEST(OracleFaults, MatchesHandDerivedCrashAndEmptyPlan) {
+  const TaskGraph g = testutil::chain3();
+  const DeviceNetwork n = testutil::two_devices();
+  const Placement p = testutil::alternating3();
+  // Task 1 runs [7, 9] on device 1; a crash at t = 8 kills it and starves
+  // task 2 (same derivation as Faults.CrashStrandsRunningAndDownstreamTasks).
+  const FaultSimResult r =
+      oracle_simulate_with_faults(g, n, p, kLat, parse_fault_plan("crash:1@8"));
+  EXPECT_EQ(r.stranded, (std::vector<int>{1, 2}));
+  EXPECT_EQ(r.failed_devices, std::vector<int>{1});
+  EXPECT_DOUBLE_EQ(r.schedule.tasks[0].finish, 2.0);
+  EXPECT_DOUBLE_EQ(r.schedule.makespan, 2.0);
+
+  const FaultSimResult none = oracle_simulate_with_faults(g, n, p, kLat, FaultPlan{});
+  EXPECT_TRUE(none.completed());
+  expect_schedules_bitwise_equal(none.schedule, oracle_simulate(g, n, p, kLat));
+
+  NetworkTrace trace;
+  trace.link(0, 1).segments.push_back({1.0, 0.5, 0.0, 0.0});
+  SimOptions opt;
+  opt.trace = &trace;
+  EXPECT_THROW(oracle_simulate_with_faults(g, n, p, kLat, FaultPlan{}, opt),
+               std::invalid_argument);
 }
 
 }  // namespace

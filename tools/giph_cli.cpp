@@ -67,6 +67,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -103,13 +104,31 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  // Numbers must parse whole ("12x" is an error, not 12); a bad value names
+  // its flag.
   int get_int(const std::string& key, int fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoi(it->second);
+    if (it == options.end()) return fallback;
+    try {
+      std::size_t used = 0;
+      const int x = std::stoi(it->second, &used);
+      if (used == it->second.size()) return x;
+    } catch (const std::exception&) {
+    }
+    throw std::runtime_error("--" + key + ": expected an integer, got '" + it->second +
+                             "'");
   }
   double get_double(const std::string& key, double fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    try {
+      std::size_t used = 0;
+      const double x = std::stod(it->second, &used);
+      if (used == it->second.size() && std::isfinite(x)) return x;
+    } catch (const std::exception&) {
+    }
+    throw std::runtime_error("--" + key + ": expected a finite number, got '" +
+                             it->second + "'");
   }
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };

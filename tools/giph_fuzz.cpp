@@ -11,14 +11,17 @@
 //     independent oracle_simulate() agree bitwise on every time;
 //   - check_schedule() finds no invariant violation;
 //   - simulate_with_faults() with an empty plan reduces bitwise to
-//     simulate(), and with a generated plan is replay-deterministic and
-//     passes the fault-aware invariant check;
+//     simulate(), and with a generated plan is replay-deterministic, agrees
+//     bitwise with the independent oracle_simulate_with_faults() (schedule,
+//     stranded tasks, failed devices), and passes the fault-aware invariant
+//     check;
 //   - on a sampled subset, the inactive-config reductions: an empty
 //     NetworkTrace and a zero-drop LossAwareLatencyModel must leave the
 //     output bitwise identical to the plain run.
 //
-// Fault cases never carry a trace or shared links (simulate_with_faults
-// rejects the combination by design); lossy links compose with everything.
+// Fault cases never carry a NetworkTrace (simulate_with_faults rejects one:
+// the plan's link degrades already are its trace); shared links, NIC
+// serialization, noise, and lossy links compose with everything.
 //
 // With --delta, every non-fault case additionally runs a chain of random
 // one-task moves, asserting that simulate_delta() stays bitwise identical to
@@ -177,9 +180,9 @@ FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
   if (c.with_faults) {
     // Scale the fault window to this instance's actual noise-free makespan so
     // events land inside the run instead of all firing after it ends.
-    const double span = simulate(c.graph, c.network, c.placement, kLat).makespan;
+    const Schedule calm = simulate(c.graph, c.network, c.placement, kLat);
     FaultPlanParams fp;
-    fp.horizon = std::max(1e-6, span * uniform(rng, 0.1, 1.2));
+    fp.horizon = std::max(1e-6, calm.makespan * uniform(rng, 0.1, 1.2));
     fp.crashes = uniform_int(rng, 0, 2);
     fp.leaves = uniform_int(rng, 0, 1);
     fp.slowdowns = uniform_int(rng, 0, 2);
@@ -189,13 +192,32 @@ FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
     fp.link_factor = uniform(rng, 1.5, 6.0);
     fp.transient_fraction = uniform(rng, 0.0, 1.0);
     c.plan = generate_fault_plan(c.network, fp, rng);
+    // The generator draws no extra link delay; give some degrades one so the
+    // fold of overlapping degrades into trace segments sees delays too.
+    for (FaultEvent& e : c.plan.events) {
+      if (e.kind == FaultKind::kLinkDegrade && uniform(rng, 0.0, 1.0) < 0.5) {
+        e.delay_add = uniform(rng, 0.0, 2.0);
+      }
+    }
+    // Snap some events onto instants of the noise-free run (a task or a
+    // transfer finishing) so incidents and condition changes tie exactly with
+    // sim events; a transient effect keeps its duration.
+    const int nv = c.graph.num_tasks();
+    const int ne = c.graph.num_edges();
+    for (FaultEvent& e : c.plan.events) {
+      if (uniform(rng, 0.0, 1.0) >= 0.3) continue;
+      const double t = ne > 0 && uniform(rng, 0.0, 1.0) < 0.5
+                           ? calm.edge_finish[uniform_int(rng, 0, ne - 1)]
+                           : calm.tasks[uniform_int(rng, 0, nv - 1)].finish;
+      e.until = t + (e.until - e.time);
+      e.time = t;
+    }
   }
 
-  // Dynamic conditions. Fault cases never get a trace or shared links
-  // (simulate_with_faults rejects the combination); lossy links compose with
-  // everything.
+  // Dynamic conditions. Fault cases never get a trace (simulate_with_faults
+  // rejects one); shared links and lossy links compose with everything.
   const int m = c.network.num_devices();
-  if (!c.with_faults && m >= 2 && uniform(rng, 0.0, 1.0) < 0.35) {
+  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.35) {
     c.with_shared = true;
     // Random spanning tree (mostly bidirectional) plus a few chords, so most
     // pairs route through shared physical links and some may be one-way
@@ -413,8 +435,8 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
     if (!report.ok()) return "invariant violation:\n" + report.summary();
 
     // The fault path with an empty plan is a strict superset of simulate()
-    // (it rejects traces and shared links, so compare without them).
-    if (!c.with_trace && !c.with_shared) {
+    // (it rejects traces, so compare without them).
+    if (!c.with_trace) {
       opt.rng = &rng_d;
       const FaultSimResult empty =
           simulate_with_faults(c.graph, c.network, c.placement, lat, FaultPlan{}, opt);
@@ -430,21 +452,33 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
     return "";
   }
 
-  // Fault cases: replay determinism plus fault-aware invariants.
+  // Fault cases: replay determinism, agreement with the fault oracle, and
+  // fault-aware invariants.
   opt.rng = &rng_a;
   const FaultSimResult r1 =
       simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
   opt.rng = &rng_b;
   const FaultSimResult r2 =
       simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
+  opt.rng = &rng_c;
+  const FaultSimResult ref =
+      oracle_simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
   if (auto d = diff_schedules(r1.schedule, r2.schedule, "fault replay"); !d.empty()) {
     return d;
   }
   if (r1.stranded != r2.stranded || r1.failed_devices != r2.failed_devices) {
     return "fault replay: stranded/failed bookkeeping differs";
   }
+  if (auto d = diff_schedules(r1.schedule, ref.schedule, "faults vs fault oracle");
+      !d.empty()) {
+    return d;
+  }
+  if (r1.stranded != ref.stranded || r1.failed_devices != ref.failed_devices) {
+    return "faults vs fault oracle: stranded/failed bookkeeping differs";
+  }
   const CheckOptions check{.noise = c.noise,
-                           .serialize_transfers = c.serialize_transfers};
+                           .serialize_transfers = c.serialize_transfers,
+                           .shared_links = opt.shared_links};
   const InvariantReport report =
       check_fault_result(c.graph, c.network, c.placement, lat, r1, check);
   if (!report.ok()) return "fault invariant violation:\n" + report.summary();
@@ -1255,7 +1289,8 @@ int main(int argc, char** argv) {
   std::printf(
       "giph_fuzz: %llu cases ok (seed %llu, %llu noisy, %llu with fault plans, "
       "%llu traced, %llu shared-topology, %llu lossy): "
-      "simulate == simulate_into == oracle, all invariants hold\n",
+      "simulate == simulate_into == oracle, faults == fault oracle, all invariants "
+      "hold\n",
       static_cast<unsigned long long>(cases), static_cast<unsigned long long>(seed),
       static_cast<unsigned long long>(noisy_cases),
       static_cast<unsigned long long>(fault_cases),
