@@ -1,7 +1,8 @@
 // Reproduces Table 7 and Fig. 17 with google-benchmark: per-placement-sample
-// policy running time (one decide + apply step) and per-sample training time
-// (episode time / steps, including the gradient update), for each GNN
-// variant and as a function of the application graph size.
+// policy running time (one act + apply step: the forward-only path that
+// serving and evaluation run) and per-sample training time (episode time /
+// steps, through decide's tape and including the gradient update), for each
+// GNN variant and as a function of the application graph size.
 //
 // Paper expectation: GiPH-NE-Pol (no GNN) is the fastest; full-depth
 // sequential message passing (GiPH, GiPH-NE) is the slowest and grows with
@@ -80,7 +81,7 @@ void BM_PolicyRunning(benchmark::State& state) {
       policy->begin_episode();
       since = 0;
     }
-    ActionDecision d = policy->decide(env, rng, false);
+    ActionDecision d = policy->act(env, rng, false);
     benchmark::DoNotOptimize(env.apply(d.action));
     ++since;
   }

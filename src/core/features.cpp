@@ -54,12 +54,22 @@ GpNetFeatures build_gpnet_features(const GpNet& net, const TaskGraph& g,
                                    const FeatureScales& scales, bool include_potential,
                                    const ScheduleIndex* /*index*/,
                                    const EstSweepWorkspace* precomputed) {
+  GpNetFeatures f;
+  build_gpnet_features_into(f, net, g, n, placement, lat, sched, scales,
+                            include_potential, precomputed);
+  return f;
+}
+
+void build_gpnet_features_into(GpNetFeatures& f, const GpNet& net, const TaskGraph& g,
+                               const DeviceNetwork& n, const Placement& placement,
+                               const LatencyModel& lat, const Schedule& sched,
+                               const FeatureScales& scales, bool include_potential,
+                               const EstSweepWorkspace* precomputed) {
   // The start-time-potential feature needs the EST of every (task, device)
   // candidate — exactly what one est_sweep batch computes, bitwise equal to
-  // the per-node indexed queries it replaces (the ScheduleIndex parameter is
-  // kept for API compatibility but no longer consulted). A caller that
-  // already swept this step (sparse gpNet construction) passes its workspace
-  // through `precomputed` and the sweep is not repeated.
+  // per-node earliest_start_on_queued queries. A caller that already swept
+  // this step (sparse gpNet construction) passes its workspace through
+  // `precomputed` and the sweep is not repeated.
   thread_local EstSweepWorkspace local_sweep;
   const int nd = n.num_devices();
   const EstSweepWorkspace* sweep = precomputed;
@@ -67,8 +77,7 @@ GpNetFeatures build_gpnet_features(const GpNet& net, const TaskGraph& g,
     est_sweep(sched, g, n, placement, lat, local_sweep);
     sweep = &local_sweep;
   }
-  GpNetFeatures f;
-  f.node = nn::Matrix(net.num_nodes(), kNodeFeatureDim);
+  f.node.assign(net.num_nodes(), kNodeFeatureDim);
   for (int u = 0; u < net.num_nodes(); ++u) {
     const int v = net.node_task[u];
     const int d = net.node_device[u];
@@ -81,7 +90,7 @@ GpNetFeatures build_gpnet_features(const GpNet& net, const TaskGraph& g,
     }
   }
 
-  f.edge = nn::Matrix(net.num_edges(), kEdgeFeatureDim);
+  f.edge.assign(net.num_edges(), kEdgeFeatureDim);
   for (int eh = 0; eh < net.num_edges(); ++eh) {
     const auto [u1, u2] = net.view.edges[eh];
     const int ge = net.edge_task_edge[eh];
@@ -93,38 +102,41 @@ GpNetFeatures build_gpnet_features(const GpNet& net, const TaskGraph& g,
     f.edge(eh, 2) = n.delay(dk, dl) / scales.dl;
     f.edge(eh, 3) = lat.comm_time(g, n, ge, dk, dl) / scales.c;
   }
-  return f;
 }
 
 nn::Matrix append_mean_out_edge_features(const GpNet& net, const GpNetFeatures& f) {
-  const int nd = f.node.cols();
-  const int ed = f.edge.cols();
-  nn::Matrix out(net.num_nodes(), nd + ed);
-  for (int u = 0; u < net.num_nodes(); ++u) {
-    for (int j = 0; j < nd; ++j) out(u, j) = f.node(u, j);
-    const auto& oes = net.view.out_edges[u];
-    if (oes.empty()) continue;
-    for (int e : oes) {
-      for (int j = 0; j < ed; ++j) out(u, nd + j) += f.edge(e, j);
-    }
-    for (int j = 0; j < ed; ++j) out(u, nd + j) /= static_cast<double>(oes.size());
-  }
+  nn::Matrix out;
+  append_mean_out_edge_features(net.view, f.node, f.edge, out);
   return out;
 }
 
-TaskGraphFeatures build_task_graph_features(const TaskGraph& g, const DeviceNetwork& n,
-                                            const Placement& placement,
-                                            const LatencyModel& lat, const Schedule& sched,
-                                            const std::vector<std::vector<int>>& feasible,
-                                            const FeatureScales& scales,
-                                            const ScheduleIndex* /*index*/) {
+void append_mean_out_edge_features(const GraphView& view, const nn::Matrix& node,
+                                   const nn::Matrix& edge, nn::Matrix& out) {
+  const int nd = node.cols();
+  const int ed = edge.cols();
+  out.assign(view.num_nodes, nd + ed);
+  for (int u = 0; u < view.num_nodes; ++u) {
+    for (int j = 0; j < nd; ++j) out(u, j) = node(u, j);
+    const auto& oes = view.out_edges[u];
+    if (oes.empty()) continue;
+    for (int e : oes) {
+      for (int j = 0; j < ed; ++j) out(u, nd + j) += edge(e, j);
+    }
+    for (int j = 0; j < ed; ++j) out(u, nd + j) /= static_cast<double>(oes.size());
+  }
+}
+
+void build_task_graph_features_into(TaskGraphFeatures& f, const TaskGraph& g,
+                                    const DeviceNetwork& n, const Placement& placement,
+                                    const LatencyModel& lat, const Schedule& sched,
+                                    const std::vector<std::vector<int>>& feasible,
+                                    const FeatureScales& scales) {
   // One batched EST sweep replaces the per-(task, device) indexed queries;
   // see build_gpnet_features.
   thread_local EstSweepWorkspace sweep;
   const int nd = n.num_devices();
   est_sweep(sched, g, n, placement, lat, sweep);
-  TaskGraphFeatures f;
-  f.node = nn::Matrix(g.num_tasks(), 4);
+  f.node.assign(g.num_tasks(), kNodeFeatureDim);
   for (int v = 0; v < g.num_tasks(); ++v) {
     const int cur = placement.device_of(v);
     f.node(v, 0) = g.task(v).compute / scales.compute;
@@ -138,7 +150,7 @@ TaskGraphFeatures build_task_graph_features(const TaskGraph& g, const DeviceNetw
     }
     f.node(v, 3) = best / scales.w;
   }
-  f.edge = nn::Matrix(g.num_edges(), 4);
+  f.edge.assign(g.num_edges(), kEdgeFeatureDim);
   for (int e = 0; e < g.num_edges(); ++e) {
     const int dk = placement.device_of(g.edge(e).src);
     const int dl = placement.device_of(g.edge(e).dst);
@@ -147,7 +159,6 @@ TaskGraphFeatures build_task_graph_features(const TaskGraph& g, const DeviceNetw
     f.edge(e, 2) = n.delay(dk, dl) / scales.dl;
     f.edge(e, 3) = lat.comm_time(g, n, e, dk, dl) / scales.c;
   }
-  return f;
 }
 
 }  // namespace giph

@@ -58,10 +58,23 @@ GpNetFeatures build_gpnet_features(const GpNet& net, const TaskGraph& g,
                                    const ScheduleIndex* index = nullptr,
                                    const EstSweepWorkspace* sweep = nullptr);
 
+/// In-place form of build_gpnet_features: writes the same values into `out`,
+/// reusing its matrices.
+void build_gpnet_features_into(GpNetFeatures& out, const GpNet& net, const TaskGraph& g,
+                               const DeviceNetwork& n, const Placement& placement,
+                               const LatencyModel& lat, const Schedule& sched,
+                               const FeatureScales& scales, bool include_potential,
+                               const EstSweepWorkspace* sweep);
+
 /// Node features with the mean of each node's outgoing edge features appended
 /// (8 dims), used by the edge-feature-free variants GiPH-NE / GraphSAGE-NE /
 /// GiPH-NE-Pol (Appendix B.6).
 nn::Matrix append_mean_out_edge_features(const GpNet& net, const GpNetFeatures& f);
+/// The same merge over any view (the gpNet, or the task graph for
+/// GiPH-task-EFT), written into `out`: row u is `node` row u followed by the
+/// mean of `edge` over view.out_edges[u] in list order (zeros for none).
+void append_mean_out_edge_features(const GraphView& view, const nn::Matrix& node,
+                                   const nn::Matrix& edge, nn::Matrix& out);
 
 /// Per-task features over the raw task graph G for GiPH-task-EFT (which does
 /// not use gpNet): current compute requirement, current device speed, current
@@ -72,12 +85,11 @@ struct TaskGraphFeatures {
   nn::Matrix edge;  ///< |E| x 4
 };
 
-/// `index` is not consulted, as in build_gpnet_features; pass nullptr.
-TaskGraphFeatures build_task_graph_features(const TaskGraph& g, const DeviceNetwork& n,
-                                            const Placement& placement,
-                                            const LatencyModel& lat, const Schedule& sched,
-                                            const std::vector<std::vector<int>>& feasible,
-                                            const FeatureScales& scales,
-                                            const ScheduleIndex* index = nullptr);
+/// Writes the task-graph features into `out`, reusing its matrices.
+void build_task_graph_features_into(TaskGraphFeatures& out, const TaskGraph& g,
+                                    const DeviceNetwork& n, const Placement& placement,
+                                    const LatencyModel& lat, const Schedule& sched,
+                                    const std::vector<std::vector<int>>& feasible,
+                                    const FeatureScales& scales);
 
 }  // namespace giph

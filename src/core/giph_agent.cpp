@@ -5,6 +5,11 @@
 #include "heft/heft.hpp"
 
 namespace giph {
+namespace {
+
+const nn::Matrix kNoEdgeFeatures;
+
+}  // namespace
 
 bool uses_merged_edge_features(GnnKind kind) {
   return kind == GnnKind::kGiPHNE || kind == GnnKind::kGraphSAGE || kind == GnnKind::kNone;
@@ -50,8 +55,25 @@ std::string GiPHAgent::name() const {
 
 ActionDecision GiPHAgent::decide(PlacementSearchEnv& env, std::mt19937_64& rng,
                                  bool greedy) {
-  return options_.use_gpnet ? decide_gpnet(env, rng, greedy)
-                            : decide_task_eft(env, rng, greedy);
+  prepare(env);
+  const nn::Var embeddings = encoder_->encode(*step_.view, *step_.node, *step_.edge);
+  const ScorePolicy::Sample s = policy_->act(embeddings, step_.candidates, rng, greedy);
+  ActionDecision d;
+  d.action = action_of(env, s.choice);
+  d.log_prob = s.log_prob;
+  if (critic_) d.value = (*critic_)(nn::mean_rows(embeddings));
+  return d;
+}
+
+ActionDecision GiPHAgent::act(PlacementSearchEnv& env, std::mt19937_64& rng,
+                              bool greedy) {
+  prepare(env);
+  encoder_->encode_into(*step_.view, *step_.node, *step_.edge, encode_ws_, embeddings_);
+  const ScorePolicy::Choice c =
+      policy_->choose(embeddings_, step_.candidates, rng, greedy, choose_ws_);
+  ActionDecision d;
+  d.action = action_of(env, c.choice);
+  return d;
 }
 
 const FeatureScales& GiPHAgent::scales_for(const PlacementSearchEnv& env) {
@@ -65,106 +87,75 @@ const FeatureScales& GiPHAgent::scales_for(const PlacementSearchEnv& env) {
   return scales_;
 }
 
-ActionDecision GiPHAgent::decide_gpnet(PlacementSearchEnv& env, std::mt19937_64& rng,
-                                       bool greedy) {
-  // Sparse mode runs the EST sweep once and shares it between candidate
-  // selection and the potential feature; dense mode leaves feature
-  // construction to sweep for itself.
-  thread_local EstSweepWorkspace sweep;
-  const EstSweepWorkspace* shared = nullptr;
-  GpNet net;
-  if (options_.gpnet_topk > 0) {
-    est_sweep(env.schedule(), env.graph(), env.network(), env.placement(),
-              env.latency(), sweep);
-    net = build_gpnet_topk(env.graph(), env.network(), env.placement(), env.feasible(),
-                           options_.gpnet_topk, sweep.est);
-    shared = &sweep;
-  } else {
-    net = build_gpnet(env.graph(), env.network(), env.placement(), env.feasible());
-  }
-  const GpNetFeatures feats =
-      build_gpnet_features(net, env.graph(), env.network(), env.placement(),
-                           env.latency(), env.schedule(), scales_for(env),
-                           options_.include_potential, nullptr, shared);
-
-  std::vector<int> candidates;
-  candidates.reserve(net.num_nodes());
-  auto collect = [&](bool mask_noop, bool mask_repeat) {
-    candidates.clear();
-    for (int u = 0; u < net.num_nodes(); ++u) {
-      if (mask_noop && net.is_pivot[u]) continue;
-      if (mask_repeat && net.node_task[u] == env.last_moved_task()) continue;
-      candidates.push_back(u);
+void GiPHAgent::prepare(const PlacementSearchEnv& env) {
+  const TaskGraph& g = env.graph();
+  Step& st = step_;
+  std::vector<int>& candidates = st.candidates;
+  if (options_.use_gpnet) {
+    // Sparse mode ranks alternatives by EST and the potential feature reads
+    // ESTs too: one sweep per step serves both.
+    const bool sweep = options_.gpnet_topk > 0 || options_.include_potential;
+    if (sweep) {
+      est_sweep(env.schedule(), g, env.network(), env.placement(), env.latency(),
+                st.sweep);
     }
-  };
-  collect(options_.mask_noop, options_.mask_repeat);
-  if (candidates.empty()) collect(options_.mask_noop, false);
-  if (candidates.empty()) collect(false, false);
-
-  nn::Var embeddings;
-  if (uses_merged_edge_features(options_.gnn)) {
-    embeddings = encoder_->encode(net.view, append_mean_out_edge_features(net, feats),
-                                  nn::Matrix());
+    if (options_.gpnet_topk > 0) {
+      build_gpnet_into(st.net, g, env.network(), env.placement(), env.feasible(),
+                       options_.gpnet_topk, st.sweep.est);
+    } else {
+      build_gpnet_into(st.net, g, env.network(), env.placement(), env.feasible());
+    }
+    build_gpnet_features_into(st.gpnet_feats, st.net, g, env.network(), env.placement(),
+                              env.latency(), env.schedule(), scales_for(env),
+                              options_.include_potential, sweep ? &st.sweep : nullptr);
+    const GpNet& net = st.net;
+    auto collect = [&](bool mask_noop, bool mask_repeat) {
+      candidates.clear();
+      for (int u = 0; u < net.num_nodes(); ++u) {
+        if (mask_noop && net.is_pivot[u]) continue;
+        if (mask_repeat && net.node_task[u] == env.last_moved_task()) continue;
+        candidates.push_back(u);
+      }
+    };
+    collect(options_.mask_noop, options_.mask_repeat);
+    if (candidates.empty()) collect(options_.mask_noop, false);
+    if (candidates.empty()) collect(false, false);
+    st.view = &net.view;
+    st.node = &st.gpnet_feats.node;
+    st.edge = &st.gpnet_feats.edge;
   } else {
-    embeddings = encoder_->encode(net.view, feats.node, feats.edge);
+    graph_view_of(g, st.task_view);
+    build_task_graph_features_into(st.task_feats, g, env.network(), env.placement(),
+                                   env.latency(), env.schedule(), env.feasible(),
+                                   scales_for(env));
+    candidates.clear();
+    for (int v = 0; v < g.num_tasks(); ++v) {
+      if (options_.mask_repeat && v == env.last_moved_task()) continue;
+      candidates.push_back(v);
+    }
+    if (candidates.empty()) {
+      for (int v = 0; v < g.num_tasks(); ++v) candidates.push_back(v);
+    }
+    st.view = &st.task_view;
+    st.node = &st.task_feats.node;
+    st.edge = &st.task_feats.edge;
   }
-  const ScorePolicy::Sample s = policy_->act(embeddings, candidates, rng, greedy);
-  ActionDecision d;
-  d.action = SearchAction{net.node_task[s.choice], net.node_device[s.choice]};
-  d.log_prob = s.log_prob;
-  if (critic_) d.value = (*critic_)(nn::mean_rows(embeddings));
-  return d;
+  if (uses_merged_edge_features(options_.gnn)) {
+    append_mean_out_edge_features(*st.view, *st.node, *st.edge, st.merged);
+    st.node = &st.merged;
+    st.edge = &kNoEdgeFeatures;
+  }
 }
 
-ActionDecision GiPHAgent::decide_task_eft(PlacementSearchEnv& env, std::mt19937_64& rng,
-                                          bool greedy) {
-  const TaskGraph& g = env.graph();
-  const GraphView view = graph_view_of(g);
-  const TaskGraphFeatures feats = build_task_graph_features(
-      g, env.network(), env.placement(), env.latency(), env.schedule(),
-      env.feasible(), scales_for(env));
-
-  std::vector<int> candidates;
-  for (int v = 0; v < g.num_tasks(); ++v) {
-    if (options_.mask_repeat && v == env.last_moved_task()) continue;
-    candidates.push_back(v);
+SearchAction GiPHAgent::action_of(const PlacementSearchEnv& env, int choice) const {
+  if (options_.use_gpnet) {
+    return SearchAction{step_.net.node_task[choice], step_.net.node_device[choice]};
   }
-  if (candidates.empty()) {
-    for (int v = 0; v < g.num_tasks(); ++v) candidates.push_back(v);
-  }
-
-  nn::Var embeddings;
-  if (uses_merged_edge_features(options_.gnn)) {
-    // Merge edge features into node features exactly as for gpNets.
-    nn::Matrix merged(g.num_tasks(), kNodeFeatureDim + kEdgeFeatureDim);
-    for (int v = 0; v < g.num_tasks(); ++v) {
-      for (int j = 0; j < kNodeFeatureDim; ++j) merged(v, j) = feats.node(v, j);
-      const auto oes = g.out_edges(v);
-      for (int e : oes) {
-        for (int j = 0; j < kEdgeFeatureDim; ++j) {
-          merged(v, kNodeFeatureDim + j) += feats.edge(e, j);
-        }
-      }
-      if (!oes.empty()) {
-        for (int j = 0; j < kEdgeFeatureDim; ++j) {
-          merged(v, kNodeFeatureDim + j) /= static_cast<double>(oes.size());
-        }
-      }
-    }
-    embeddings = encoder_->encode(view, merged, nn::Matrix());
-  } else {
-    embeddings = encoder_->encode(view, feats.node, feats.edge);
-  }
-  const ScorePolicy::Sample s = policy_->act(embeddings, candidates, rng, greedy);
-  const int task = s.choice;
-  const int device = eft_select_device(g, env.network(), env.placement(), env.latency(),
-                                       env.schedule(), env.schedule_index(), task);
+  const int device =
+      eft_select_device(env.graph(), env.network(), env.placement(), env.latency(),
+                        env.schedule(), env.schedule_index(), choice);
   if (device < 0) throw std::logic_error("GiPHAgent: no feasible EFT device");
-  ActionDecision d;
-  d.action = SearchAction{task, device};
-  d.log_prob = s.log_prob;
-  if (critic_) d.value = (*critic_)(nn::mean_rows(embeddings));
-  return d;
+  return SearchAction{choice, device};
 }
 
 }  // namespace giph

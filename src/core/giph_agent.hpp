@@ -39,6 +39,11 @@ class GiPHAgent final : public SearchPolicy {
 
   ActionDecision decide(PlacementSearchEnv& env, std::mt19937_64& rng,
                         bool greedy) override;
+  /// decide() without the tape: the same action and RNG draws, computed by
+  /// GraphEncoder::encode_into and ScorePolicy::choose over buffers this
+  /// agent keeps. Once warm on an instance it builds no tape node and
+  /// allocates nothing. Leaves log_prob and value null.
+  ActionDecision act(PlacementSearchEnv& env, std::mt19937_64& rng, bool greedy) override;
   std::vector<nn::Var> parameters() override { return reg_.params(); }
   void begin_episode() override { scales_graph_ = scales_net_ = nullptr; }
   /// Same-architecture clone with private parameter leaves, feature-scale
@@ -56,9 +61,26 @@ class GiPHAgent final : public SearchPolicy {
   void load(const std::string& path) { reg_.load(path); }
 
  private:
-  ActionDecision decide_gpnet(PlacementSearchEnv& env, std::mt19937_64& rng, bool greedy);
-  ActionDecision decide_task_eft(PlacementSearchEnv& env, std::mt19937_64& rng,
-                                 bool greedy);
+  /// One step's encoder input and candidate set, rebuilt in place by
+  /// prepare() for decide and act alike.
+  struct Step {
+    GpNet net;            ///< the gpNet (use_gpnet)
+    GraphView task_view;  ///< the task graph (GiPH-task-EFT)
+    GpNetFeatures gpnet_feats;
+    TaskGraphFeatures task_feats;
+    nn::Matrix merged;    ///< node features with mean out-edge features appended
+    EstSweepWorkspace sweep;  ///< the gpNet's EST sweep (top-k and potential)
+    std::vector<int> candidates;  ///< gpNet nodes, or tasks for GiPH-task-EFT
+    const GraphView* view = nullptr;
+    const nn::Matrix* node = nullptr;
+    const nn::Matrix* edge = nullptr;
+  };
+
+  /// Fills step_ for the env's current state.
+  void prepare(const PlacementSearchEnv& env);
+  /// The action of candidate `choice`: its (task, device) on the gpNet, or
+  /// for GiPH-task-EFT the task and its earliest-finish device.
+  SearchAction action_of(const PlacementSearchEnv& env, int choice) const;
   const FeatureScales& scales_for(const PlacementSearchEnv& env);
 
   GiPHOptions options_;
@@ -71,6 +93,10 @@ class GiPHAgent final : public SearchPolicy {
   std::unique_ptr<GraphEncoder> encoder_;
   std::unique_ptr<ScorePolicy> policy_;
   std::unique_ptr<nn::MLP> critic_;  ///< optional value head (use_critic)
+  Step step_;
+  GraphEncoder::Workspace encode_ws_;  ///< act's encoder scratch
+  nn::Matrix embeddings_;              ///< act's embeddings
+  ScorePolicy::Workspace choose_ws_;   ///< act's policy-head scratch
 };
 
 /// True when this GNN kind consumes the 8-dim node features with appended

@@ -206,10 +206,205 @@ Var GraphEncoder::encode(const GraphView& view, const nn::Matrix& node_features,
   return concat_cols({concat_rows(fwd), concat_rows(bwd)});
 }
 
+void GraphEncoder::encode_into(const GraphView& view, const nn::Matrix& node_features,
+                               const nn::Matrix& edge_features, Workspace& ws,
+                               nn::Matrix& out) const {
+  if (node_features.rows() != view.num_nodes || node_features.cols() != cfg_.node_dim) {
+    throw std::invalid_argument("GraphEncoder::encode_into: node feature shape mismatch");
+  }
+  if (cfg_.kind == GnnKind::kNone) {
+    out = node_features;
+    return;
+  }
+  if (cfg_.kind == GnnKind::kGraphSAGE) {
+    graphsage_into(view, node_features, ws, out);
+    return;
+  }
+  if (cfg_.edge_dim > 0 && (edge_features.rows() != static_cast<int>(view.edges.size()) ||
+                            edge_features.cols() != cfg_.edge_dim)) {
+    throw std::invalid_argument("GraphEncoder::encode_into: edge feature shape mismatch");
+  }
+  const int eo = cfg_.embed_dim;
+  ws.pre.assign(view.num_nodes, eo);
+  for (int u = 0; u < view.num_nodes; ++u) {
+    pre_embed_.forward_row(
+        node_features.data() + static_cast<std::size_t>(u) * cfg_.node_dim,
+        ws.pre.data() + static_cast<std::size_t>(u) * eo, ws.mlp);
+  }
+  const int mo = fwd_.message.out_dim();
+  if (ws.row.size() < static_cast<std::size_t>(2 * mo + eo)) ws.row.resize(2 * mo + eo);
+  out.assign(view.num_nodes, out_dim_);
+  if (cfg_.kind == GnnKind::kGiPHK) {
+    k_steps_into(view, edge_features, fwd_, true, ws, out, 0);
+    k_steps_into(view, edge_features, bwd_, false, ws, out, eo);
+  } else {
+    sequential_into(view, edge_features, fwd_, true, ws, out, 0);
+    sequential_into(view, edge_features, bwd_, false, ws, out, eo);
+  }
+}
+
+void GraphEncoder::update_node(const GraphView& view, int u, const nn::Matrix& edge_feats,
+                               const Direction& dir, bool forward, Workspace& ws,
+                               double* dst) const {
+  const int eo = cfg_.embed_dim;
+  const int ed = cfg_.edge_dim;
+  const nn::Matrix& w = dir.message.weight()->value;
+  const nn::Matrix& b = dir.message.bias()->value;
+  const int mo = w.cols();
+  double* msg = ws.row.data();
+  double* agg = msg + mo;
+  double* h = agg + mo;
+  const double* self = ws.pre.data() + static_cast<std::size_t>(u) * eo;
+  const auto& incoming = forward ? view.in_edges[u] : view.out_edges[u];
+  if (incoming.empty()) {
+    std::copy(self, self + eo, dst);
+    return;
+  }
+  // The message row [h_src || f_e] sums its h_src terms first, so the
+  // source's prefix row is exactly matmul's partial sum after k = dim_o;
+  // the edge terms continue it in matmul's order. Then relu, and the
+  // segment mean's zero-initialized ascending sum and one scale.
+  std::fill(agg, agg + mo, 0.0);
+  for (int e : incoming) {
+    const int v = forward ? view.edges[e].first : view.edges[e].second;
+    const double* p = ws.prefix.data() + static_cast<std::size_t>(v) * mo;
+    std::copy(p, p + mo, msg);
+    if (ed > 0) {
+      nn::accumulate_row(edge_feats.data() + static_cast<std::size_t>(e) * ed, ed, w, eo,
+                         msg);
+    }
+    for (int j = 0; j < mo; ++j) agg[j] += std::max(0.0, msg[j] + b(0, j));
+  }
+  const double inv = 1.0 / std::max(1, static_cast<int>(incoming.size()));
+  for (int j = 0; j < mo; ++j) agg[j] *= inv;
+  dir.aggregate.forward_row(agg, h);
+  for (int j = 0; j < eo; ++j) dst[j] = std::max(0.0, h[j]) + self[j];
+}
+
+void GraphEncoder::sequential_into(const GraphView& view, const nn::Matrix& edge_feats,
+                                   const Direction& dir, bool forward, Workspace& ws,
+                                   nn::Matrix& out, int col) const {
+  const int eo = cfg_.embed_dim;
+  const nn::Matrix& w = dir.message.weight()->value;
+  const int mo = w.cols();
+  ws.prefix.assign(view.num_nodes, mo);
+  // One node at a time in processing order: every message source is final
+  // before its receivers are visited, and rows are independent, so this
+  // computes the level-batched pass's rows without level buckets.
+  auto visit = [&](int u) {
+    double* emb = out.data() + static_cast<std::size_t>(u) * out.cols() + col;
+    update_node(view, u, edge_feats, dir, forward, ws, emb);
+    if (!(forward ? view.out_edges[u] : view.in_edges[u]).empty()) {
+      nn::accumulate_row(emb, eo, w, 0,
+                         ws.prefix.data() + static_cast<std::size_t>(u) * mo);
+    }
+  };
+  if (forward) {
+    for (int u : view.topo) visit(u);
+  } else {
+    for (auto it = view.topo.rbegin(); it != view.topo.rend(); ++it) visit(*it);
+  }
+}
+
+void GraphEncoder::k_steps_into(const GraphView& view, const nn::Matrix& edge_feats,
+                                const Direction& dir, bool forward, Workspace& ws,
+                                nn::Matrix& out, int col) const {
+  const int eo = cfg_.embed_dim;
+  const nn::Matrix& w = dir.message.weight()->value;
+  const int mo = w.cols();
+  ws.cur = ws.pre;
+  for (int step = 0; step < cfg_.k_steps; ++step) {
+    // Synchronous update: every message reads the previous step's rows.
+    ws.prefix.assign(view.num_nodes, mo);
+    for (int u = 0; u < view.num_nodes; ++u) {
+      if ((forward ? view.out_edges[u] : view.in_edges[u]).empty()) continue;
+      nn::accumulate_row(ws.cur.data() + static_cast<std::size_t>(u) * eo, eo, w, 0,
+                         ws.prefix.data() + static_cast<std::size_t>(u) * mo);
+    }
+    ws.next.assign(view.num_nodes, eo);
+    for (int u = 0; u < view.num_nodes; ++u) {
+      update_node(view, u, edge_feats, dir, forward, ws,
+                  ws.next.data() + static_cast<std::size_t>(u) * eo);
+    }
+    std::swap(ws.cur, ws.next);
+  }
+  for (int u = 0; u < view.num_nodes; ++u) {
+    for (int j = 0; j < eo; ++j) out(u, col + j) = ws.cur(u, j);
+  }
+}
+
+void GraphEncoder::graphsage_into(const GraphView& view, const nn::Matrix& node_features,
+                                  Workspace& ws, nn::Matrix& out) const {
+  const int hid = sage_transform_.out_dim();
+  ws.cur.assign(view.num_nodes, hid);
+  for (int u = 0; u < view.num_nodes; ++u) {
+    double* h = ws.cur.data() + static_cast<std::size_t>(u) * hid;
+    sage_transform_.forward_row(
+        node_features.data() + static_cast<std::size_t>(u) * cfg_.node_dim, h);
+    for (int j = 0; j < hid; ++j) h[j] = std::max(0.0, h[j]);
+  }
+  if (ws.row.size() < static_cast<std::size_t>(hid)) ws.row.resize(hid);
+  double* mean = ws.row.data();
+  for (const nn::Linear& layer : sage_layers_) {
+    const nn::Matrix& w = layer.weight()->value;
+    const nn::Matrix& b = layer.bias()->value;
+    const int od = layer.out_dim();
+    ws.next.assign(view.num_nodes, od);
+    for (int u = 0; u < view.num_nodes; ++u) {
+      // segment_mean_rows with identity_single: a lone parent copies
+      // through, otherwise a zero-initialized ascending sum and one scale.
+      const auto& in = view.in_edges[u];
+      const double* neigh = mean;
+      if (in.size() == 1) {
+        neigh = ws.cur.data() + static_cast<std::size_t>(view.edges[in[0]].first) * hid;
+      } else {
+        std::fill(mean, mean + hid, 0.0);
+        for (int e : in) {
+          const double* src =
+              ws.cur.data() + static_cast<std::size_t>(view.edges[e].first) * hid;
+          for (int j = 0; j < hid; ++j) mean[j] += src[j];
+        }
+        const double inv = 1.0 / std::max(1, static_cast<int>(in.size()));
+        for (int j = 0; j < hid; ++j) mean[j] *= inv;
+      }
+      // The layer's input row is [h_u || neigh]: h_u's terms first.
+      double* y = ws.next.data() + static_cast<std::size_t>(u) * od;
+      nn::accumulate_row(ws.cur.data() + static_cast<std::size_t>(u) * hid, hid, w, 0, y);
+      nn::accumulate_row(neigh, hid, w, hid, y);
+      for (int j = 0; j < od; ++j) y[j] = std::max(0.0, y[j] + b(0, j));
+    }
+    std::swap(ws.cur, ws.next);
+  }
+  out = ws.cur;
+}
+
 ScorePolicy::ScorePolicy(nn::ParamRegistry& reg, const std::string& name, int in_dim,
                          std::mt19937_64& rng)
     : score_(reg, name, {in_dim, 16, 1}, rng, nn::Activation::kRelu,
              nn::Activation::kNone) {}
+
+namespace {
+
+/// Greedy arg-max, or one inverse-CDF draw, over k log-probabilities: the
+/// selection both act() and choose() run, so their RNG draws match.
+int select_index(const double* logp, int k, std::mt19937_64& rng, bool greedy) {
+  if (greedy) {
+    int idx = 0;
+    for (int i = 1; i < k; ++i) {
+      if (logp[i] > logp[idx]) idx = i;
+    }
+    return idx;
+  }
+  std::uniform_real_distribution<double> unif(0.0, 1.0);
+  double u = unif(rng);
+  for (int i = 0; i < k; ++i) {
+    u -= std::exp(logp[i]);
+    if (u <= 0.0) return i;
+  }
+  return k - 1;  // fallback for numeric leftovers
+}
+
+}  // namespace
 
 ScorePolicy::Sample ScorePolicy::act(const Var& embeddings,
                                      const std::vector<int>& candidates,
@@ -218,29 +413,38 @@ ScorePolicy::Sample ScorePolicy::act(const Var& embeddings,
   const Var sub = gather_rows(embeddings, candidates);
   const Var scores = score_(sub);                // k x 1
   const Var logp = log_softmax_col(scores);      // k x 1
-
-  int idx = 0;
-  if (greedy) {
-    for (int i = 1; i < logp->value.rows(); ++i) {
-      if (logp->value(i, 0) > logp->value(idx, 0)) idx = i;
-    }
-  } else {
-    std::uniform_real_distribution<double> unif(0.0, 1.0);
-    double u = unif(rng);
-    idx = logp->value.rows() - 1;  // fallback for numeric leftovers
-    for (int i = 0; i < logp->value.rows(); ++i) {
-      u -= std::exp(logp->value(i, 0));
-      if (u <= 0.0) {
-        idx = i;
-        break;
-      }
-    }
-  }
+  const int idx = select_index(logp->value.data(), logp->value.rows(), rng, greedy);
   Sample s;
   s.choice = candidates[idx];
   s.log_prob = pick(logp, idx, 0);
   s.prob = std::exp(logp->value(idx, 0));
   return s;
+}
+
+ScorePolicy::Choice ScorePolicy::choose(const nn::Matrix& embeddings,
+                                        const std::vector<int>& candidates,
+                                        std::mt19937_64& rng, bool greedy,
+                                        Workspace& ws) const {
+  if (candidates.empty()) {
+    throw std::invalid_argument("ScorePolicy::choose: no candidates");
+  }
+  const int k = static_cast<int>(candidates.size());
+  ws.scores.resize(k);
+  ws.log_probs.resize(k);
+  for (int i = 0; i < k; ++i) {
+    if (candidates[i] < 0 || candidates[i] >= embeddings.rows()) {
+      throw std::invalid_argument("ScorePolicy::choose: candidate out of range");
+    }
+    score_.forward_row(
+        embeddings.data() + static_cast<std::size_t>(candidates[i]) * embeddings.cols(),
+        &ws.scores[i], ws.mlp);
+  }
+  nn::log_softmax(ws.scores.data(), k, ws.log_probs.data());
+  const int idx = select_index(ws.log_probs.data(), k, rng, greedy);
+  Choice c;
+  c.choice = candidates[idx];
+  c.log_prob = ws.log_probs[idx];
+  return c;
 }
 
 }  // namespace giph

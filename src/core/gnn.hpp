@@ -40,6 +40,27 @@ class GraphEncoder {
   nn::Var encode(const GraphView& view, const nn::Matrix& node_features,
                  const nn::Matrix& edge_features) const;
 
+  /// Scratch rows of encode_into. Keep one per caller and reuse it: once its
+  /// buffers have grown to a graph's size, encode_into allocates nothing.
+  struct Workspace {
+    nn::Matrix pre;          ///< pre-embedded node rows
+    nn::Matrix prefix;       ///< per node: its message-layer partial sums
+    nn::Matrix cur, next;    ///< k-step and GraphSAGE rows, ping-pong
+    std::vector<double> row;  ///< per-node scratch
+    std::vector<double> mlp;  ///< MLP::forward_row scratch
+  };
+
+  /// Forward-only encode: writes into `out` the (num_nodes x out_dim) values
+  /// encode() returns, bitwise, without building a tape node. Each node is
+  /// visited once in `view.topo` order (per step for the k-step and
+  /// GraphSAGE kinds); every op repeats the tape's accumulation order and
+  /// zero-skip, and a message layer's first dim_o input terms (the source
+  /// embedding) are summed once per source node and finished per edge from
+  /// that edge's features. DESIGN.md "Forward-only inference" has the
+  /// argument. Same shape checks as encode().
+  void encode_into(const GraphView& view, const nn::Matrix& node_features,
+                   const nn::Matrix& edge_features, Workspace& ws, nn::Matrix& out) const;
+
   int out_dim() const noexcept { return out_dim_; }
   const GnnConfig& config() const noexcept { return cfg_; }
 
@@ -61,6 +82,23 @@ class GraphEncoder {
   nn::Var pass_k_steps(const GraphView& view, const nn::Var& pre,
                        const nn::Var& edge_feats, const Direction& dir,
                        bool forward) const;
+
+  /// Forward-only twins of the two passes: write this direction's dim_o
+  /// columns of `out` starting at `col`. Both read ws.pre.
+  void sequential_into(const GraphView& view, const nn::Matrix& edge_feats,
+                       const Direction& dir, bool forward, Workspace& ws,
+                       nn::Matrix& out, int col) const;
+  void k_steps_into(const GraphView& view, const nn::Matrix& edge_feats,
+                    const Direction& dir, bool forward, Workspace& ws, nn::Matrix& out,
+                    int col) const;
+  /// One node's message-passing update into `dst` (dim_o values): the mean
+  /// of its incoming messages, each finished from its source's ws.prefix
+  /// row, through the aggregate layer, plus its own ws.pre row; just that
+  /// ws.pre row when no message comes in.
+  void update_node(const GraphView& view, int u, const nn::Matrix& edge_feats,
+                   const Direction& dir, bool forward, Workspace& ws, double* dst) const;
+  void graphsage_into(const GraphView& view, const nn::Matrix& node_features,
+                      Workspace& ws, nn::Matrix& out) const;
 
   GnnConfig cfg_;
   int out_dim_ = 0;
@@ -87,6 +125,21 @@ class ScorePolicy {
   /// of `embeddings`. Throws on an empty candidate set.
   Sample act(const nn::Var& embeddings, const std::vector<int>& candidates,
              std::mt19937_64& rng, bool greedy = false) const;
+
+  struct Choice {
+    int choice = -1;        ///< element of `candidates` that was selected
+    double log_prob = 0.0;  ///< log pi(a | s), bitwise act()'s log_prob value
+  };
+
+  /// Scratch of choose(); reuse one across calls.
+  struct Workspace {
+    std::vector<double> scores, log_probs, mlp;
+  };
+
+  /// Forward-only act(): the same choice, log-probability and RNG draws,
+  /// with no tape and, once `ws` is warm, no allocation.
+  Choice choose(const nn::Matrix& embeddings, const std::vector<int>& candidates,
+                std::mt19937_64& rng, bool greedy, Workspace& ws) const;
 
  private:
   nn::MLP score_;

@@ -5,12 +5,6 @@
 
 namespace giph {
 
-int GraphView::add_node() {
-  in_edges.emplace_back();
-  out_edges.emplace_back();
-  return num_nodes++;
-}
-
 int GraphView::add_edge(int src, int dst) {
   const int e = static_cast<int>(edges.size());
   edges.emplace_back(src, dst);
@@ -19,10 +13,23 @@ int GraphView::add_edge(int src, int dst) {
   return e;
 }
 
+void GraphView::reset(int n) {
+  num_nodes = n;
+  edges.clear();
+  topo.clear();
+  in_edges.resize(n);
+  out_edges.resize(n);
+  for (int v = 0; v < n; ++v) {
+    in_edges[v].clear();
+    out_edges[v].clear();
+  }
+}
+
 void GraphView::finalize() {
   topo.clear();
   topo.reserve(num_nodes);
-  std::vector<int> indeg(num_nodes);
+  thread_local std::vector<int> indeg;
+  indeg.resize(num_nodes);
   for (int v = 0; v < num_nodes; ++v) indeg[v] = static_cast<int>(in_edges[v].size());
   for (int v = 0; v < num_nodes; ++v) {
     if (indeg[v] == 0) topo.push_back(v);
@@ -37,39 +44,78 @@ void GraphView::finalize() {
   }
 }
 
+void graph_view_of(const TaskGraph& g, GraphView& view) {
+  view.reset(g.num_tasks());
+  for (const DataLink& e : g.edges()) view.add_edge(e.src, e.dst);
+  view.finalize();
+}
+
 GraphView graph_view_of(const TaskGraph& g) {
   GraphView v;
-  for (int i = 0; i < g.num_tasks(); ++i) v.add_node();
-  for (const DataLink& e : g.edges()) v.add_edge(e.src, e.dst);
-  v.finalize();
+  graph_view_of(g, v);
   return v;
 }
 
-GpNet build_gpnet(const TaskGraph& g, const DeviceNetwork& n, const Placement& placement,
-                  const std::vector<std::vector<int>>& feasible) {
+void build_gpnet_into(GpNet& net, const TaskGraph& g, const DeviceNetwork& n,
+                      const Placement& placement,
+                      const std::vector<std::vector<int>>& feasible, int k,
+                      const std::vector<double>& est) {
   if (!is_feasible(g, n, placement)) {
     throw std::invalid_argument("build_gpnet: infeasible placement");
   }
-  GpNet net;
   const int nv = g.num_tasks();
+  const int nd = n.num_devices();
+  if (k >= 0 && est.size() != static_cast<std::size_t>(nv) * nd) {
+    throw std::invalid_argument("build_gpnet_topk: est table size mismatch");
+  }
+  net.node_task.clear();
+  net.node_device.clear();
+  net.is_pivot.clear();
+  net.edge_task_edge.clear();
   net.options.resize(nv);
+  for (std::vector<int>& o : net.options) o.clear();
   net.pivot_of_task.assign(nv, -1);
 
-  // Node generation: one node per feasible (task, device) pair; options are
-  // laid out following the task graph's topological order so that gpNet edges
-  // (which follow G's edges) always point from lower to higher layout
-  // positions, making `finalize` cheap and the layout itself topological.
+  // Node generation: one node per selected feasible (task, device) pair,
+  // tasks in the task graph's topological order and devices in feasible-list
+  // order, so gpNet edges (which follow G's edges) always point from lower
+  // to higher layout positions and the layout itself is topological. With
+  // k >= 0, `cand` ranks the non-pivot devices of one task by (EST, feasible
+  // position) and `selected` marks the surviving feasible positions; the
+  // pivot is not in `cand`, so it always survives.
+  thread_local std::vector<std::pair<double, int>> cand;
+  thread_local std::vector<char> selected;
+  int num_nodes = 0;
   for (int v : g.topological_order()) {
-    for (int d : feasible[v]) {
-      const int u = net.view.add_node();
+    const std::vector<int>& fd = feasible[v];
+    const int nf = static_cast<int>(fd.size());
+    const int pivot_device = placement.device_of(v);
+    selected.assign(fd.size(), 1);
+    if (k >= 0 && nf > k + 1) {
+      const double* row = est.data() + static_cast<std::size_t>(v) * nd;
+      cand.clear();
+      for (int i = 0; i < nf; ++i) {
+        if (fd[i] != pivot_device) cand.emplace_back(row[fd[i]], i);
+      }
+      std::nth_element(cand.begin(), cand.begin() + k, cand.end());
+      selected.assign(fd.size(), 0);
+      for (int i = 0; i < k; ++i) selected[cand[i].second] = 1;
+      for (int i = 0; i < nf; ++i) {
+        if (fd[i] == pivot_device) selected[i] = 1;
+      }
+    }
+    for (int i = 0; i < nf; ++i) {
+      if (!selected[i]) continue;
+      const int u = num_nodes++;
+      const bool pivot = fd[i] == pivot_device;
       net.node_task.push_back(v);
-      net.node_device.push_back(d);
-      const bool pivot = placement.device_of(v) == d;
+      net.node_device.push_back(fd[i]);
       net.is_pivot.push_back(pivot);
       net.options[v].push_back(u);
       if (pivot) net.pivot_of_task[v] = u;
     }
   }
+  net.view.reset(num_nodes);
 
   // Edge generation: (u1, u2) for each task edge (i, j) when u1 or u2 is a
   // pivot.
@@ -85,6 +131,12 @@ GpNet build_gpnet(const TaskGraph& g, const DeviceNetwork& n, const Placement& p
     }
   }
   net.view.finalize();
+}
+
+GpNet build_gpnet(const TaskGraph& g, const DeviceNetwork& n, const Placement& placement,
+                  const std::vector<std::vector<int>>& feasible) {
+  GpNet net;
+  build_gpnet_into(net, g, n, placement, feasible);
   return net;
 }
 
@@ -93,68 +145,8 @@ GpNet build_gpnet_topk(const TaskGraph& g, const DeviceNetwork& n,
                        const std::vector<std::vector<int>>& feasible, int k,
                        const std::vector<double>& est) {
   if (k < 0) throw std::invalid_argument("build_gpnet_topk: k must be >= 0");
-  if (!is_feasible(g, n, placement)) {
-    throw std::invalid_argument("build_gpnet_topk: infeasible placement");
-  }
-  const int nv = g.num_tasks();
-  const int nd = n.num_devices();
-  if (est.size() != static_cast<std::size_t>(nv) * nd) {
-    throw std::invalid_argument("build_gpnet_topk: est table size mismatch");
-  }
-
   GpNet net;
-  net.options.resize(nv);
-  net.pivot_of_task.assign(nv, -1);
-
-  // Same node layout discipline as build_gpnet: tasks in topological order,
-  // selected devices in feasible-list order. `cand` ranks the non-pivot
-  // devices of one task by (EST, feasible position); `selected` marks the
-  // surviving feasible positions.
-  std::vector<std::pair<double, int>> cand;
-  std::vector<char> selected;
-  for (int v : g.topological_order()) {
-    const std::vector<int>& fd = feasible[v];
-    const int nf = static_cast<int>(fd.size());
-    const double* row = est.data() + static_cast<std::size_t>(v) * nd;
-    selected.assign(fd.size(), 1);
-    if (nf > k + 1) {
-      cand.clear();
-      for (int i = 0; i < nf; ++i) {
-        if (fd[i] != placement.device_of(v)) cand.emplace_back(row[fd[i]], i);
-      }
-      std::nth_element(cand.begin(), cand.begin() + k, cand.end());
-      selected.assign(fd.size(), 0);
-      for (int i = 0; i < k; ++i) selected[cand[i].second] = 1;
-      // The pivot is not in `cand`, so it always survives.
-      for (int i = 0; i < nf; ++i) {
-        if (fd[i] == placement.device_of(v)) selected[i] = 1;
-      }
-    }
-    for (int i = 0; i < nf; ++i) {
-      if (!selected[i]) continue;
-      const int d = fd[i];
-      const int u = net.view.add_node();
-      net.node_task.push_back(v);
-      net.node_device.push_back(d);
-      const bool pivot = placement.device_of(v) == d;
-      net.is_pivot.push_back(pivot);
-      net.options[v].push_back(u);
-      if (pivot) net.pivot_of_task[v] = u;
-    }
-  }
-
-  for (int e = 0; e < g.num_edges(); ++e) {
-    const DataLink& link = g.edge(e);
-    for (int u1 : net.options[link.src]) {
-      for (int u2 : net.options[link.dst]) {
-        if (net.is_pivot[u1] || net.is_pivot[u2]) {
-          net.view.add_edge(u1, u2);
-          net.edge_task_edge.push_back(e);
-        }
-      }
-    }
-  }
-  net.view.finalize();
+  build_gpnet_into(net, g, n, placement, feasible, k, est);
   return net;
 }
 

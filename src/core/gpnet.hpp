@@ -17,14 +17,19 @@ struct GraphView {
   std::vector<std::vector<int>> out_edges;   ///< per node: outgoing edge ids
   std::vector<int> topo;                     ///< topological node order
 
-  int add_node();
   int add_edge(int src, int dst);
+  /// Empties the view down to `n` nodes and no edges, keeping the inner
+  /// edge lists' capacity, so an in-place rebuild of a same-shape graph
+  /// allocates nothing.
+  void reset(int n);
   /// Computes `topo` with Kahn's algorithm; throws std::logic_error on cycles.
   void finalize();
 };
 
 /// Builds a GraphView mirroring a task graph (edge ids match g's edge ids).
 GraphView graph_view_of(const TaskGraph& g);
+/// In-place form of graph_view_of: rebuilds `view` reusing its buffers.
+void graph_view_of(const TaskGraph& g, GraphView& view);
 
 /// The gpNet representation H of a placement P = (G, N, M) (Section 4.2.1,
 /// Algorithm B.1). Node u = (task, device) is one feasible placement option
@@ -43,6 +48,19 @@ struct GpNet {
   int num_nodes() const noexcept { return view.num_nodes; }
   int num_edges() const noexcept { return static_cast<int>(view.edges.size()); }
 };
+
+/// The one gpNet emitter: rebuilds `net` in place as the gpNet of (g, n,
+/// placement), reusing every buffer `net` already holds, so a warm rebuild
+/// on a same-shape instance allocates nothing. With k < 0 every feasible
+/// (task, device) pair becomes a node (build_gpnet); with k >= 0 only the
+/// pivot plus the k most promising alternatives do (build_gpnet_topk, which
+/// documents the ranking and `est`). The result equals the by-value builders'
+/// field for field, edge order included. Throws std::invalid_argument on an
+/// infeasible placement or, for k >= 0, an est table of the wrong size.
+void build_gpnet_into(GpNet& net, const TaskGraph& g, const DeviceNetwork& n,
+                      const Placement& placement,
+                      const std::vector<std::vector<int>>& feasible, int k = -1,
+                      const std::vector<double>& est = {});
 
 /// Constructs the gpNet for (g, n, placement) with the given per-task
 /// feasible device sets. Node counts satisfy |V_H| = sum_i |D_i| and

@@ -442,7 +442,7 @@ SearchTrace run_search_anytime(SearchPolicy& policy, PlacementSearchEnv& env, in
       policy.begin_episode();
       since_reset = 0;
     }
-    ActionDecision d = policy.decide(env, rng, greedy);
+    ActionDecision d = policy.act(env, rng, greedy);
     if (d.full) {
       // Count every task whose device changed as a move.
       for (int v = 0; v < env.graph().num_tasks(); ++v) {

@@ -122,7 +122,8 @@ struct SearchTrace {
 
 /// Runs `policy` on `env` for `steps` steps, restarting the search (reset to
 /// the initial placement) whenever the policy's episode_limit is reached,
-/// e.g. every |V| steps for Placeto.
+/// e.g. every |V| steps for Placeto. Steps through SearchPolicy::act, the
+/// tape-free path, since a search does not learn.
 SearchTrace run_search(SearchPolicy& policy, PlacementSearchEnv& env, int steps,
                        std::mt19937_64& rng, bool greedy = false);
 

@@ -36,6 +36,15 @@ class SearchPolicy {
   virtual ActionDecision decide(PlacementSearchEnv& env, std::mt19937_64& rng,
                                 bool greedy) = 0;
 
+  /// Inference-only decide: the same action and RNG draws, for search loops
+  /// that never learn (serving, evaluation, the hierarchical coarse search,
+  /// all through run_search_anytime). A learned policy may leave log_prob
+  /// and value null and skip the autograd tape; the REINFORCE rollout keeps
+  /// calling decide. Default: decide.
+  virtual ActionDecision act(PlacementSearchEnv& env, std::mt19937_64& rng, bool greedy) {
+    return decide(env, rng, greedy);
+  }
+
   /// Trainable parameters (empty for heuristics).
   virtual std::vector<nn::Var> parameters() { return {}; }
 

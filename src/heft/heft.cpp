@@ -109,11 +109,15 @@ HeftResult heft_schedule(const TaskGraph& g, const DeviceNetwork& n,
   return res;
 }
 
+// Both overloads walk feasible_devices(g, n, v)'s ascending order without
+// materializing it, so a warm search step (GiPH-task-EFT's act) allocates
+// nothing here.
 int eft_select_device(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                       const LatencyModel& lat, const Schedule& sched, int v) {
   double best_eft = std::numeric_limits<double>::infinity();
   int best_dev = -1;
-  for (int d : feasible_devices(g, n, v)) {
+  for (int d = 0; d < n.num_devices(); ++d) {
+    if (!device_feasible(g, n, v, d)) continue;
     const double est = earliest_start_on_queued(sched, g, n, p, lat, v, d);
     const double eft = est + lat.compute_time(g, n, v, d);
     if (eft < best_eft) {
@@ -129,7 +133,8 @@ int eft_select_device(const TaskGraph& g, const DeviceNetwork& n, const Placemen
                       const ScheduleIndex& index, int v) {
   double best_eft = std::numeric_limits<double>::infinity();
   int best_dev = -1;
-  for (int d : feasible_devices(g, n, v)) {
+  for (int d = 0; d < n.num_devices(); ++d) {
+    if (!device_feasible(g, n, v, d)) continue;
     const double est = earliest_start_on_queued(sched, g, n, p, lat, index, v, d);
     const double eft = est + lat.compute_time(g, n, v, d);
     if (eft < best_eft) {

@@ -426,14 +426,8 @@ Var softmax_col(const Var& a) {
 
 Var log_softmax_col(const Var& a) {
   if (a->value.cols() != 1) throw std::invalid_argument("log_softmax_col: expects k x 1");
-  const int k = a->value.rows();
-  double mx = a->value(0, 0);
-  for (int i = 1; i < k; ++i) mx = std::max(mx, a->value(i, 0));
-  double z = 0.0;
-  for (int i = 0; i < k; ++i) z += std::exp(a->value(i, 0) - mx);
-  const double lse = mx + std::log(z);
-  Matrix v(k, 1);
-  for (int i = 0; i < k; ++i) v(i, 0) = a->value(i, 0) - lse;
+  Matrix v(a->value.rows(), 1);
+  log_softmax(a->value.data(), a->value.rows(), v.data());
   return make_node(std::move(v), {a}, [](const Node& n) {
     Matrix& g = n.inputs[0]->ensure_grad();
     double gsum = 0.0;

@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -106,10 +107,27 @@ Var apply_activation(const Var& x, Activation act) {
   throw std::logic_error("apply_activation: unknown activation");
 }
 
+double apply_activation(double x, Activation act) {
+  switch (act) {
+    case Activation::kNone: return x;
+    case Activation::kRelu: return std::max(0.0, x);
+    case Activation::kTanh: return std::tanh(x);
+    case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-x));
+  }
+  throw std::logic_error("apply_activation: unknown activation");
+}
+
 Linear::Linear(ParamRegistry& reg, const std::string& name, int in, int out,
                std::mt19937_64& rng) {
   W_ = reg.create(name + ".W", xavier_uniform(in, out, rng));
   b_ = reg.create(name + ".b", Matrix::zeros(1, out));
+}
+
+void Linear::forward_row(const double* x, double* y) const {
+  const Matrix& b = b_->value;
+  std::fill(y, y + b.cols(), 0.0);
+  accumulate_row(x, in_dim(), W_->value, 0, y);
+  for (int j = 0; j < b.cols(); ++j) y[j] += b(0, j);
 }
 
 MLP::MLP(ParamRegistry& reg, const std::string& name, const std::vector<int>& dims,
@@ -128,6 +146,22 @@ Var MLP::operator()(Var x) const {
     x = apply_activation(x, i + 1 == layers_.size() ? output_ : hidden_);
   }
   return x;
+}
+
+void MLP::forward_row(const double* x, double* y, std::vector<double>& scratch) const {
+  // Hidden layers ping-pong between the two halves of `scratch`.
+  int width = 0;
+  for (const Linear& l : layers_) width = std::max(width, l.out_dim());
+  if (scratch.size() < 2 * static_cast<std::size_t>(width)) scratch.resize(2 * width);
+  const double* in = x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const bool last = i + 1 == layers_.size();
+    double* out = last ? y : scratch.data() + (i % 2) * width;
+    layers_[i].forward_row(in, out);
+    const Activation act = last ? output_ : hidden_;
+    for (int j = 0; j < layers_[i].out_dim(); ++j) out[j] = apply_activation(out[j], act);
+    in = out;
+  }
 }
 
 LSTMCell::LSTMCell(ParamRegistry& reg, const std::string& name, int input_dim,

@@ -48,6 +48,8 @@ class ParamRegistry {
 enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 
 Var apply_activation(const Var& x, Activation act);
+/// The same activation on one value, as the tape op computes it.
+double apply_activation(double x, Activation act);
 
 /// Affine layer y = x W + b with x of shape (n x in).
 class Linear {
@@ -58,8 +60,15 @@ class Linear {
 
   Var operator()(const Var& x) const { return add_rowvec(matmul(x, W_), b_); }
 
+  /// Forward-only y = x W + b for one row of in_dim() values: matmul's
+  /// accumulation from zero, then add_rowvec's bias add, so y is bitwise the
+  /// matching row of operator()(x), without a tape node.
+  void forward_row(const double* x, double* y) const;
+
   const Var& weight() const { return W_; }
   const Var& bias() const { return b_; }
+  int in_dim() const { return W_->value.rows(); }
+  int out_dim() const { return W_->value.cols(); }
 
  private:
   Var W_, b_;
@@ -75,6 +84,11 @@ class MLP {
       Activation output = Activation::kNone);
 
   Var operator()(Var x) const;
+
+  /// Forward-only pass of one row (see Linear::forward_row): y gets
+  /// output_dim() values, bitwise the matching row of operator()(x).
+  /// `scratch` holds the hidden activations; it grows on first use only.
+  void forward_row(const double* x, double* y, std::vector<double>& scratch) const;
 
   int output_dim() const { return out_dim_; }
 

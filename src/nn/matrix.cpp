@@ -2,18 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace giph::nn {
+
+void accumulate_row(const double* x, int n, const Matrix& w, int k0, double* acc) {
+  assert(k0 >= 0 && k0 + n <= w.rows());
+  const int cols = w.cols();
+  for (int k = 0; k < n; ++k) {
+    const double xk = x[k];
+    if (xk == 0.0) continue;
+    const double* wk = w.data() + static_cast<std::size_t>(k0 + k) * cols;
+    for (int j = 0; j < cols; ++j) acc[j] += xk * wk[j];
+  }
+}
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
   Matrix c(a.rows(), b.cols());
   for (int i = 0; i < a.rows(); ++i) {
-    for (int k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      for (int j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
-    }
+    accumulate_row(a.data() + static_cast<std::size_t>(i) * a.cols(), a.cols(), b, 0,
+                   c.data() + static_cast<std::size_t>(i) * c.cols());
   }
   return c;
 }
@@ -79,13 +88,32 @@ Matrix operator*(const Matrix& a, double s) {
   return c;
 }
 
+void log_softmax(const double* x, int k, double* out) {
+  double mx = x[0];
+  for (int i = 1; i < k; ++i) mx = std::max(mx, x[i]);
+  double z = 0.0;
+  for (int i = 0; i < k; ++i) z += std::exp(x[i] - mx);
+  const double lse = mx + std::log(z);
+  for (int i = 0; i < k; ++i) out[i] = x[i] - lse;
+}
+
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   assert(a.same_shape(b));
   double m = 0.0;
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < a.cols(); ++j) m = std::max(m, std::abs(a(i, j) - b(i, j)));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double x = a.data()[i];
+    const double y = b.data()[i];
+    if (x == y) continue;
+    const double d = std::abs(x - y);
+    if (std::isnan(d)) return d;
+    m = std::max(m, d);
   }
   return m;
+}
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  if (!a.same_shape(b)) return false;
+  return a.size() == 0 || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 }  // namespace giph::nn

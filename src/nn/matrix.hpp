@@ -55,6 +55,16 @@ class Matrix {
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
+  /// Reshapes to rows x cols, every entry `fill`, keeping the allocation when
+  /// it is large enough: the reused buffers of the forward-only inference
+  /// path stop allocating once they have grown to an instance's size.
+  void assign(int rows, int cols, double fill = 0.0) {
+    assert(rows >= 0 && cols >= 0);
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(static_cast<std::size_t>(rows) * cols, fill);
+  }
+
   Matrix& operator+=(const Matrix& o) {
     assert(same_shape(o));
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
@@ -76,7 +86,14 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// C = A * B.
+/// acc[j] += x[k] * w(k0 + k, j) for k = 0, 1, ..., n - 1 in ascending
+/// order, skipping x[k] == 0.0: matmul's loop for one output row. Splitting a
+/// row's k range over several calls resumes the partial sums, so the
+/// forward-only GNN path (which finishes a per-node prefix per edge)
+/// performs matmul's additions in matmul's order.
+void accumulate_row(const double* x, int n, const Matrix& w, int k0, double* acc);
+
+/// C = A * B; row i is accumulate_row over A's row i from zero.
 Matrix matmul(const Matrix& a, const Matrix& b);
 /// C = A^T * B (avoids materializing the transpose).
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
@@ -88,7 +105,18 @@ Matrix operator-(const Matrix& a, const Matrix& b);
 Matrix hadamard(const Matrix& a, const Matrix& b);
 Matrix operator*(const Matrix& a, double s);
 
-/// Max-norm of the difference; used by tests and gradient checks.
+/// out[i] = x[i] - (max x + log sum_j exp(x[j] - max x)) for i < k: the
+/// numerically stabilized log-softmax of a k-vector, shared by the tape's
+/// log_softmax_col and the forward-only policy head.
+void log_softmax(const double* x, int k, double* out);
+
+/// Max-norm of the difference; used by tests and gradient checks. Equal
+/// entries (infinities included) differ by 0; a NaN on either side makes the
+/// result NaN, so `max_abs_diff(a, b) <= tol` fails on NaN.
 double max_abs_diff(const Matrix& a, const Matrix& b);
+
+/// Same shape and byte-identical entries, so the sign of zero and NaN
+/// payloads count. The check behind every "bitwise equal" test.
+bool bitwise_equal(const Matrix& a, const Matrix& b);
 
 }  // namespace giph::nn

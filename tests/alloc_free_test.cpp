@@ -1,0 +1,107 @@
+// The serving path allocates nothing once warm. This binary replaces the
+// global operator new with a counting one (hence its own executable), warms a
+// GiPHAgent up with one act() on an instance, and then demands that further
+// act() calls on it make zero allocations. Every autograd node is a
+// make_shared, so zero allocations also means no tape was built.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <random>
+#include <string>
+
+#include "agent_variants.hpp"
+#include "core/giph_agent.hpp"
+#include "gen/device_network_gen.hpp"
+#include "gen/task_graph_gen.hpp"
+
+namespace {
+
+std::atomic<long> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace giph {
+namespace {
+
+long allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+TEST(CountingNew, SeesAllocations) {
+  const long before = allocations();
+  void* p = ::operator new(16);
+  ::operator delete(p);
+  EXPECT_EQ(allocations() - before, 1);
+}
+
+class ActAllocations : public ::testing::TestWithParam<int> {};
+
+TEST_P(ActAllocations, WarmActAllocatesNothing) {
+  const AgentVariant v = agent_variants()[GetParam()];
+  std::mt19937_64 gen(20260808);
+  TaskGraphParams gp;
+  gp.num_tasks = 16;
+  NetworkParams np;
+  np.num_devices = 12;  // top-k = 8 prunes
+  np.num_hw_kinds = gp.num_hw_kinds;
+  const TaskGraph g = generate_task_graph(gp, gen);
+  DeviceNetwork n = generate_device_network(np, gen);
+  ensure_feasible(g, n, gen);
+  const DefaultLatencyModel lat;
+  PlacementSearchEnv env(g, n, lat, makespan_objective(lat), random_placement(g, n, gen));
+  env.apply(SearchAction{0, env.feasible()[0].back()});  // a last-moved task to mask
+
+  GiPHAgent agent(v.options);
+  for (const bool greedy : {true, false}) {
+    std::mt19937_64 rng(greedy ? 1 : 2);
+    agent.act(env, rng, greedy);  // warm-up
+    const long before = allocations();
+    for (int i = 0; i < 8; ++i) agent.act(env, rng, greedy);
+    EXPECT_EQ(allocations() - before, 0) << (greedy ? "greedy" : "sampled");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, ActAllocations,
+    ::testing::Range(0, static_cast<int>(agent_variants().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return agent_variants()[info.param].name;
+    });
+
+// The tape path, for contrast: decide() allocates (its tape nodes at least).
+TEST(DecideAllocations, TapePathAllocates) {
+  std::mt19937_64 gen(3);
+  TaskGraphParams gp;
+  gp.num_tasks = 8;
+  NetworkParams np;
+  np.num_devices = 4;
+  np.num_hw_kinds = gp.num_hw_kinds;
+  const TaskGraph g = generate_task_graph(gp, gen);
+  DeviceNetwork n = generate_device_network(np, gen);
+  ensure_feasible(g, n, gen);
+  const DefaultLatencyModel lat;
+  PlacementSearchEnv env(g, n, lat, makespan_objective(lat), random_placement(g, n, gen));
+  GiPHAgent agent(GiPHOptions{});
+  std::mt19937_64 rng(1);
+  agent.decide(env, rng, true);
+  const long before = allocations();
+  agent.decide(env, rng, true);
+  EXPECT_GT(allocations() - before, 100);
+}
+
+}  // namespace
+}  // namespace giph

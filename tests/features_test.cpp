@@ -151,8 +151,8 @@ TEST(TaskGraphFeatures, ShapesAndBestImprovement) {
   Fixture f;
   const Schedule sched = simulate(f.g, f.n, f.m, kLat);
   const FeatureScales s = compute_feature_scales(f.g, f.n, kLat);
-  const TaskGraphFeatures feats =
-      build_task_graph_features(f.g, f.n, f.m, kLat, sched, f.feasible, s);
+  TaskGraphFeatures feats;
+  build_task_graph_features_into(feats, f.g, f.n, f.m, kLat, sched, f.feasible, s);
   ASSERT_EQ(feats.node.rows(), 2);
   ASSERT_EQ(feats.edge.rows(), 1);
   // Task 1's best start improvement is 3 (moving to d0), normalized by s.w.

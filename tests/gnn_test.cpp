@@ -87,7 +87,7 @@ TEST(GraphEncoder, DeterministicForward) {
   const GraphEncoder enc(reg, cfg, rng);
   const nn::Var a = enc.encode(inst.net.view, inst.feats.node, inst.feats.edge);
   const nn::Var b = enc.encode(inst.net.view, inst.feats.node, inst.feats.edge);
-  EXPECT_EQ(nn::max_abs_diff(a->value, b->value), 0.0);
+  EXPECT_TRUE(nn::bitwise_equal(a->value, b->value));
 }
 
 TEST(GraphEncoder, EmbeddingDependsOnGraphStructure) {
@@ -208,7 +208,8 @@ TEST(ScorePolicy, SamplingFrequenciesMatchProbabilities) {
 // The encoder batches each level/step/layer through one matrix-matrix matmul;
 // the references below re-implement the per-node matrix-vector passes that the
 // batching replaced, straight from the registry parameters, and the test
-// demands bitwise-equal embeddings for every GNN kind.
+// demands bitwise-equal embeddings for every GNN kind, from the tape encode
+// and from the forward-only encode_into alike.
 
 nn::Var ref_param(const nn::ParamRegistry& reg, const std::string& name) {
   const auto& names = reg.names();
@@ -320,7 +321,8 @@ TEST_P(EncoderBitwise, BatchedEncodeMatchesPerNodeReference) {
   const GnnKind kind = GetParam();
   GnnConfig cfg;
   cfg.kind = kind;
-  const bool merged = kind == GnnKind::kGiPHNE || kind == GnnKind::kGraphSAGE;
+  const bool merged = kind == GnnKind::kGiPHNE || kind == GnnKind::kGraphSAGE ||
+                      kind == GnnKind::kNone;
   cfg.node_dim = merged ? 8 : 4;
   cfg.edge_dim = merged ? 0 : 4;
 
@@ -337,7 +339,9 @@ TEST_P(EncoderBitwise, BatchedEncodeMatchesPerNodeReference) {
   const nn::Var edges = nn::constant(edge_feats);
   const bool use_edges = !merged;
   nn::Var ref;
-  if (kind == GnnKind::kGraphSAGE) {
+  if (kind == GnnKind::kNone) {
+    ref = nodes;
+  } else if (kind == GnnKind::kGraphSAGE) {
     ref = ref_sage(reg, inst.net.view, nodes, cfg.k_steps);
   } else {
     const nn::Var pre = ref_pre(reg, nodes);
@@ -356,13 +360,63 @@ TEST_P(EncoderBitwise, BatchedEncodeMatchesPerNodeReference) {
 
   ASSERT_EQ(emb->value.rows(), ref->value.rows());
   ASSERT_EQ(emb->value.cols(), ref->value.cols());
-  EXPECT_EQ(nn::max_abs_diff(emb->value, ref->value), 0.0)
+  EXPECT_TRUE(nn::bitwise_equal(emb->value, ref->value))
       << "batched encode must be bitwise-identical to the per-node pass";
+
+  // The forward-only path, twice through one workspace (the second call
+  // runs on warm buffers), and once more after a different graph has
+  // resized them.
+  GraphEncoder::Workspace ws;
+  nn::Matrix out;
+  enc.encode_into(inst.net.view, node_feats, edge_feats, ws, out);
+  EXPECT_TRUE(nn::bitwise_equal(out, ref->value))
+      << "encode_into must be bitwise-identical to the tape encode";
+  enc.encode_into(inst.net.view, node_feats, edge_feats, ws, out);
+  EXPECT_TRUE(nn::bitwise_equal(out, ref->value));
+  const GraphView task_view = graph_view_of(inst.g);
+  const nn::Matrix task_nodes(task_view.num_nodes, cfg.node_dim, 0.25);
+  const nn::Matrix task_edges(static_cast<int>(task_view.edges.size()), cfg.edge_dim,
+                              -0.5);
+  enc.encode_into(task_view, task_nodes, task_edges, ws, out);
+  EXPECT_TRUE(
+      nn::bitwise_equal(out, enc.encode(task_view, task_nodes, task_edges)->value));
+  enc.encode_into(inst.net.view, node_feats, edge_feats, ws, out);
+  EXPECT_TRUE(nn::bitwise_equal(out, ref->value));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, EncoderBitwise,
                          ::testing::Values(GnnKind::kGiPH, GnnKind::kGiPHK,
-                                           GnnKind::kGiPHNE, GnnKind::kGraphSAGE));
+                                           GnnKind::kGiPHNE, GnnKind::kGraphSAGE,
+                                           GnnKind::kNone));
+
+// The forward-only head makes the same choice with the same RNG draws, and
+// its log-probability is the tape's bytes.
+TEST(ScorePolicy, ChooseMatchesActBitwise) {
+  Instance inst;
+  GnnConfig cfg;
+  std::mt19937_64 rng(5);
+  nn::ParamRegistry reg;
+  const GraphEncoder enc(reg, cfg, rng);
+  const ScorePolicy pol(reg, "policy", enc.out_dim(), rng);
+  const nn::Var emb = enc.encode(inst.net.view, inst.feats.node, inst.feats.edge);
+  std::vector<int> candidates;
+  for (int u = 0; u < inst.net.num_nodes(); ++u) {
+    if (!inst.net.is_pivot[u]) candidates.push_back(u);
+  }
+  ScorePolicy::Workspace ws;
+  for (const bool greedy : {true, false}) {
+    std::mt19937_64 tape_rng(41), choose_rng(41);
+    for (int i = 0; i < 200; ++i) {
+      const ScorePolicy::Sample s = pol.act(emb, candidates, tape_rng, greedy);
+      const ScorePolicy::Choice c =
+          pol.choose(emb->value, candidates, choose_rng, greedy, ws);
+      ASSERT_EQ(s.choice, c.choice) << "draw " << i;
+      EXPECT_TRUE(nn::bitwise_equal(s.log_prob->value, nn::Matrix::scalar(c.log_prob)));
+      ASSERT_TRUE(tape_rng == choose_rng) << "draw " << i;
+    }
+  }
+  EXPECT_THROW(pol.choose(emb->value, {}, rng, false, ws), std::invalid_argument);
+}
 
 TEST(ScorePolicy, LogProbGradientReachesScoreParams) {
   std::mt19937_64 rng(9);

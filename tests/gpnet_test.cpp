@@ -176,10 +176,79 @@ TEST(GpNet, CountsHoldOnRandomInstances) {
   }
 }
 
+// Field by field, so a failure names the field; edge order is part of the
+// contract (it fixes the segment mean's accumulation order).
+void expect_same_view(const GraphView& a, const GraphView& b) {
+  EXPECT_EQ(a.num_nodes, b.num_nodes);
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.in_edges, b.in_edges);
+  EXPECT_EQ(a.out_edges, b.out_edges);
+  EXPECT_EQ(a.topo, b.topo);
+}
+
+void expect_same_gpnet(const GpNet& a, const GpNet& b) {
+  expect_same_view(a.view, b.view);
+  EXPECT_EQ(a.node_task, b.node_task);
+  EXPECT_EQ(a.node_device, b.node_device);
+  EXPECT_EQ(a.is_pivot, b.is_pivot);
+  EXPECT_EQ(a.options, b.options);
+  EXPECT_EQ(a.pivot_of_task, b.pivot_of_task);
+  EXPECT_EQ(a.edge_task_edge, b.edge_task_edge);
+}
+
+// One GpNet and one GraphView rebuilt in place across random one-task move
+// chains on a stream of instances that grow and shrink, dense and top-k
+// (k = 0, 1, 2, with EST ties), must equal a fresh by-value build every time.
+TEST(GpNetRebuild, InPlaceRebuildEqualsFreshBuildAcrossMovesAndInstances) {
+  std::mt19937_64 rng(2026);
+  GpNet net;
+  GraphView view;
+  const int sizes[][2] = {{6, 3}, {14, 8}, {9, 5}, {20, 10}, {4, 2}, {12, 6}, {17, 9}};
+  int checks = 0;
+  for (const auto& [tasks, devices] : sizes) {
+    TaskGraphParams gp;
+    gp.num_tasks = tasks;
+    gp.p_task_requires = 0.4;
+    NetworkParams np;
+    np.num_devices = devices;
+    const TaskGraph g = generate_task_graph(gp, rng);
+    DeviceNetwork n = generate_device_network(np, rng);
+    ensure_all_kinds(n, np.num_hw_kinds, rng);
+    const auto feasible = feasible_sets(g, n);
+    Placement m = random_placement(g, n, rng);
+
+    graph_view_of(g, view);
+    expect_same_view(view, graph_view_of(g));
+
+    // EST-like table on a coarse grid, so top-k ranking meets ties.
+    std::vector<double> est(static_cast<std::size_t>(tasks) * devices);
+    std::uniform_int_distribution<int> grid(0, 4);
+    for (double& x : est) x = 0.5 * grid(rng);
+
+    std::uniform_int_distribution<int> pick_task(0, tasks - 1);
+    for (int step = 0; step < 25; ++step) {
+      const int v = pick_task(rng);
+      std::uniform_int_distribution<int> pick_dev(
+          0, static_cast<int>(feasible[v].size()) - 1);
+      m.set(v, feasible[v][pick_dev(rng)]);
+      const int k = step % 4 - 1;  // -1 = dense, then k = 0, 1, 2
+      if (k < 0) {
+        build_gpnet_into(net, g, n, m, feasible);
+        expect_same_gpnet(net, build_gpnet(g, n, m, feasible));
+      } else {
+        build_gpnet_into(net, g, n, m, feasible, k, est);
+        expect_same_gpnet(net, build_gpnet_topk(g, n, m, feasible, k, est));
+      }
+      ++checks;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_EQ(checks, 7 * 25);
+}
+
 TEST(GraphView, FinalizeDetectsCycle) {
   GraphView v;
-  v.add_node();
-  v.add_node();
+  v.reset(2);
   v.add_edge(0, 1);
   v.add_edge(1, 0);
   EXPECT_THROW(v.finalize(), std::logic_error);

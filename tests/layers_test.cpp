@@ -45,7 +45,7 @@ TEST(ParamRegistry, SaveLoadRoundTrip) {
   Linear lb(b, "lin", 3, 4, rng2);
   EXPECT_GT(max_abs_diff(lb.weight()->value, w_before), 0.0);
   b.load(path);
-  EXPECT_EQ(max_abs_diff(lb.weight()->value, w_before), 0.0);
+  EXPECT_TRUE(bitwise_equal(lb.weight()->value, w_before));
   std::remove(path.c_str());
 }
 

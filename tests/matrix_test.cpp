@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 namespace giph::nn {
 namespace {
 
@@ -57,8 +61,52 @@ TEST(Matrix, MatmulVariantsMatchExplicitTranspose) {
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 2; ++j) c(i, j) = i * j + 1;
   }
-  EXPECT_EQ(max_abs_diff(matmul_tn(a, b), matmul(transpose(a), b)), 0.0);
-  EXPECT_EQ(max_abs_diff(matmul_nt(a, c), matmul(a, transpose(c))), 0.0);
+  EXPECT_TRUE(bitwise_equal(matmul_tn(a, b), matmul(transpose(a), b)));
+  EXPECT_TRUE(bitwise_equal(matmul_nt(a, c), matmul(a, transpose(c))));
+}
+
+TEST(Matrix, MaxAbsDiffPropagatesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(std::isnan(max_abs_diff(Matrix::from_row({nan}), Matrix::from_row({1.0}))));
+  EXPECT_TRUE(std::isnan(max_abs_diff(Matrix::from_row({1.0}), Matrix::from_row({nan}))));
+  EXPECT_TRUE(std::isnan(
+      max_abs_diff(Matrix::from_row({5.0, nan}), Matrix::from_row({1.0, nan}))));
+  EXPECT_EQ(max_abs_diff(Matrix::from_row({inf, -2.0}), Matrix::from_row({inf, 1.0})),
+            3.0);
+  EXPECT_EQ(max_abs_diff(Matrix::from_row({-0.0}), Matrix::from_row({0.0})), 0.0);
+}
+
+TEST(Matrix, BitwiseEqualSeesSignOfZeroAndNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(
+      bitwise_equal(Matrix::from_row({1.0, -0.0}), Matrix::from_row({1.0, -0.0})));
+  EXPECT_FALSE(bitwise_equal(Matrix::from_row({-0.0}), Matrix::from_row({0.0})));
+  EXPECT_FALSE(bitwise_equal(Matrix::from_row({nan}), Matrix::from_row({1.0})));
+  EXPECT_TRUE(bitwise_equal(Matrix::from_row({nan}), Matrix::from_row({nan})));
+  EXPECT_FALSE(bitwise_equal(Matrix(1, 2), Matrix(2, 1)));
+  EXPECT_TRUE(bitwise_equal(Matrix(0, 3), Matrix(0, 3)));
+}
+
+TEST(Matrix, AccumulateRowResumesMatmulPartialSums) {
+  Matrix w(5, 3);
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < 3; ++j) w(i, j) = 0.1 * (i + 1) - 0.37 * j;
+  }
+  const Matrix x = Matrix::from_row({0.3, 0.0, -1.7, 2.9, 0.0});
+  const Matrix full = matmul(x, w);
+  std::vector<double> acc(3, 0.0);
+  accumulate_row(x.data(), 2, w, 0, acc.data());
+  accumulate_row(x.data() + 2, 3, w, 2, acc.data());
+  EXPECT_TRUE(bitwise_equal(full, Matrix::from_row(acc)));
+}
+
+TEST(Matrix, AssignReshapesAndFills) {
+  Matrix m(4, 4, 2.0);
+  m.assign(2, 3, 0.5);
+  EXPECT_EQ(m.rows(), 2);
+  EXPECT_EQ(m.cols(), 3);
+  EXPECT_TRUE(bitwise_equal(m, Matrix(2, 3, 0.5)));
 }
 
 TEST(Matrix, ElementwiseOps) {
