@@ -3,8 +3,12 @@
 //
 //  1. sims/sec  - simulate() (allocating) vs simulate_into() with a reused
 //                 SimWorkspace, plus simulate_delta() over chained random
-//                 one-task moves (the incremental search hot path, with its
-//                 replay hit rate and a bitwise spot check);
+//                 one-task moves (the incremental search hot path, with a
+//                 bitwise spot check). That instance is shallow, so nearly
+//                 every move falls back to a full run; the two replay hit
+//                 rates (a raw simulate_delta chain, and search-environment
+//                 steps of Random-task-eft) are measured on a deep, sparse
+//                 instance of the same size instead, where replays fire;
 //  2. steps/sec - search steps through the refactored environment (one
 //                 incremental re-simulation per step, batched est_sweep) vs a
 //                 pre-refactor cost emulation (legacy (g,n,p) makespan
@@ -106,9 +110,7 @@ class GreedySweepPolicy final : public SearchPolicy {
 };
 
 /// Total search steps/sec of `policy` on fresh environments built with
-/// `objective`, `rounds` searches of 2|V| steps each. When `delta_hits` /
-/// `delta_total` are non-null they accumulate the environments' incremental
-/// re-simulation counters (replayed applies / all applies).
+/// `objective`, `rounds` searches of 2|V| steps each.
 ///
 /// The rounds are split into a few equal repetitions and the fastest one is
 /// reported: scheduler preemptions and frequency dips are strictly additive
@@ -116,9 +118,7 @@ class GreedySweepPolicy final : public SearchPolicy {
 /// code actually costs (same convention as timeit's min-of-repeats).
 template <typename MakeEnv>
 double measure_steps_per_sec(SearchPolicy& policy, const TaskGraph& g,
-                             const MakeEnv& make_env, int rounds,
-                             std::uint64_t* delta_hits = nullptr,
-                             std::uint64_t* delta_total = nullptr) {
+                             const MakeEnv& make_env, int rounds) {
   const int steps = 2 * g.num_tasks();
   // Warmup round: touch caches, size workspaces.
   {
@@ -136,10 +136,6 @@ double measure_steps_per_sec(SearchPolicy& policy, const TaskGraph& g,
       std::mt19937_64 rng(100 + r);
       PlacementSearchEnv env = make_env(rng);
       run_search(policy, env, steps, rng);
-      if (delta_hits != nullptr) *delta_hits += env.delta_simulations_run();
-      if (delta_total != nullptr) {
-        *delta_total += env.delta_simulations_run() + env.delta_fallbacks();
-      }
     }
     best = std::max(best, static_cast<double>(per_rep) * steps / seconds_since(t0));
   }
@@ -201,26 +197,27 @@ int main() {
 
   // Incremental path: chained random one-task moves, each re-simulated with
   // simulate_delta against the previous schedule (the search hot path of
-  // PlacementSearchEnv::apply). A spot check every 64 moves keeps the run
+  // PlacementSearchEnv::try_move). A spot check every 64 moves keeps the run
   // honest about bitwise equality with the full path.
-  const auto run_delta_moves = [&](Placement& pd, Schedule& prev, Schedule& next,
+  const auto run_delta_moves = [&](const TaskGraph& mg, const DeviceNetwork& mn,
+                                   Placement& pd, Schedule& prev, Schedule& next,
                                    DeltaSimState& dstate, std::mt19937_64& mrng,
                                    int reps, std::uint64_t* hits, bool* bitwise) {
-    const std::vector<std::vector<int>> feas = feasible_sets(g, n);
+    const std::vector<std::vector<int>> feas = feasible_sets(mg, mn);
     SimWorkspace check_ws;
     Schedule check;
     for (int i = 0; i < reps; ++i) {
-      const int v = static_cast<int>(mrng() % g.num_tasks());
+      const int v = static_cast<int>(mrng() % mg.num_tasks());
       const int d = feas[v][mrng() % feas[v].size()];
       pd.set(v, d);
-      if (simulate_delta(g, n, pd, v, lat, ws, prev, dstate, next) ==
+      if (simulate_delta(mg, mn, pd, v, lat, ws, prev, dstate, next) ==
               DeltaSimResult::kReplayed &&
           hits != nullptr) {
         ++*hits;
       }
       guard += next.makespan;
       if (bitwise != nullptr && i % 64 == 0) {
-        simulate_into(g, n, pd, lat, check_ws, check, {});
+        simulate_into(mg, mn, pd, lat, check_ws, check, {});
         for (std::size_t t = 0; t < check.tasks.size(); ++t) {
           *bitwise = *bitwise && next.tasks[t].start == check.tasks[t].start &&
                      next.tasks[t].finish == check.tasks[t].finish;
@@ -234,14 +231,40 @@ int main() {
   DeltaSimState dstate;
   std::mt19937_64 mrng(11);
   simulate_into(g, n, pd, lat, ws, prev, {}, &dstate);
-  run_delta_moves(pd, prev, next, dstate, mrng, 200, nullptr, nullptr);  // warmup
-  std::uint64_t delta_hits = 0;
+  run_delta_moves(g, n, pd, prev, next, dstate, mrng, 200, nullptr, nullptr);  // warmup
+  std::uint64_t shallow_hits = 0;
   bool delta_bitwise = true;
   const double delta_sps = best_of(sim_reps, [&](int per) {
-    run_delta_moves(pd, prev, next, dstate, mrng, per, &delta_hits, &delta_bitwise);
+    run_delta_moves(g, n, pd, prev, next, dstate, mrng, per, &shallow_hits,
+                    &delta_bitwise);
   });
-  const double delta_hit_rate =
-      static_cast<double>(delta_hits) / (5 * (sim_reps / 5));
+  const double shallow_hit_rate =
+      static_cast<double>(shallow_hits) / (5 * (sim_reps / 5));
+
+  // The deep instance of the hit rates: same size and network parameters,
+  // alpha 0.3 (mean depth sqrt(50) / 0.3 ~ 24 levels) and sparse extra edges
+  // (p_connect 2/|V|, as perf_scale's dataflow graphs: with the default 0.25
+  // most tasks hang off the entry task, whose finish bounds every replay's
+  // unaffected prefix to one task). Its own generator seed keeps every other
+  // measurement's inputs.
+  std::mt19937_64 deep_rng(4343);
+  TaskGraphParams deep_gp = gp;
+  deep_gp.alpha = 0.3;
+  deep_gp.p_connect = 2.0 / gp.num_tasks;
+  const Dataset deep = generate_dataset({deep_gp}, {np}, 1, 1, deep_rng);
+  const TaskGraph& dg = deep.graphs.front();
+  const DeviceNetwork& dn = deep.networks.front();
+  const int hit_moves = 4000;
+  std::uint64_t delta_hits = 0;
+  {
+    Placement dp = random_placement(dg, dn, deep_rng);
+    Schedule dprev, dnext;
+    DeltaSimState dds;
+    simulate_into(dg, dn, dp, lat, ws, dprev, {}, &dds);
+    run_delta_moves(dg, dn, dp, dprev, dnext, dds, deep_rng, hit_moves, &delta_hits,
+                    &delta_bitwise);
+  }
+  const double delta_hit_rate = static_cast<double>(delta_hits) / hit_moves;
 
   print_header("simulator throughput (50 tasks, 20 devices)");
   std::printf("%-32s %14.0f sims/sec\n", "simulate (allocating)", alloc_sps);
@@ -249,7 +272,8 @@ int main() {
   std::printf("%-32s %13.2fx\n", "workspace speedup", ws_sps / alloc_sps);
   std::printf("%-32s %14.0f moves/sec\n", "simulate_delta (incremental)", delta_sps);
   std::printf("%-32s %13.2fx\n", "delta speedup vs simulate_into", delta_sps / ws_sps);
-  std::printf("%-32s %14.3f\n", "delta hit rate", delta_hit_rate);
+  std::printf("%-32s %14.3f\n", "delta hit rate (this instance)", shallow_hit_rate);
+  std::printf("%-32s %14.3f\n", "delta hit rate (deep instance)", delta_hit_rate);
   std::printf("%-32s %14s\n", "delta bitwise identical", delta_bitwise ? "yes" : "NO");
 
   // ---- 2. search steps/sec: refactored vs pre-refactor emulation ---------
@@ -275,18 +299,29 @@ int main() {
 
   GreedySweepPolicy sweep_policy(/*batched=*/true);
   GreedySweepPolicy legacy_sweep_policy(/*batched=*/false);
-  std::uint64_t env_delta_hits = 0, env_delta_total = 0;
-  const double sweep_steps = measure_steps_per_sec(sweep_policy, g, make_new_env,
-                                                   rounds, &env_delta_hits,
-                                                   &env_delta_total);
+  const double sweep_steps = measure_steps_per_sec(sweep_policy, g, make_new_env, rounds);
   const double legacy_sweep_steps =
       measure_steps_per_sec(legacy_sweep_policy, g, make_legacy_env, rounds);
   const double step_speedup = sweep_steps / legacy_sweep_steps;
   const double eft_speedup = eft_steps / legacy_eft_steps;
+  // Random-task-eft searches on the deep instance, untimed: the share of
+  // environment steps that took the delta path. (The sweep policy's greedy
+  // move goes to an early task, whose replay has no prefix worth reusing: its
+  // rate reads 0 on this instance too.)
+  std::uint64_t env_delta_hits = 0, env_delta_total = 0;
+  {
+    const double deep_denom = slr_denominator(dg, dn, lat);
+    for (int r = 0; r < 10; ++r) {
+      std::mt19937_64 rng(300 + r);
+      PlacementSearchEnv env(dg, dn, lat, makespan_objective(lat),
+                             random_placement(dg, dn, rng), deep_denom);
+      run_search(eft_policy, env, 2 * dg.num_tasks(), rng);
+      env_delta_hits += env.delta_simulations_run();
+      env_delta_total += env.delta_simulations_run() + env.delta_fallbacks();
+    }
+  }
   const double env_hit_rate =
-      env_delta_total > 0
-          ? static_cast<double>(env_delta_hits) / static_cast<double>(env_delta_total)
-          : 0.0;
+      static_cast<double>(env_delta_hits) / static_cast<double>(env_delta_total);
 
   print_header("search steps/sec (2|V| steps per search)");
   std::printf("%-34s %12.0f steps/sec\n", "Random-task-eft, pre-refactor", legacy_eft_steps);
@@ -296,7 +331,7 @@ int main() {
   std::printf("%-34s %12.0f steps/sec\n", "feature sweep, delta+batched-est", sweep_steps);
   std::printf("%-34s %11.2fx %s\n", "  speedup", step_speedup,
               step_speedup >= 2.0 ? "(>= 2x target met)" : "(BELOW 2x target)");
-  std::printf("%-34s %12.3f (env applies taking the delta path)\n",
+  std::printf("%-34s %12.3f (deep instance: env steps taking the delta path)\n",
               "  delta hit rate", env_hit_rate);
 
   // ---- 3. parallel evaluation layer --------------------------------------

@@ -12,10 +12,14 @@
 //                    instance;
 //  3. subset EST   - est_sweep_subset vs the full est_sweep on one cluster
 //                    (the refinement inner loop's query);
-//  4. end-to-end   - HierarchicalPlacer::place with an untrained GiPHAgent
-//                    (sparse gpNet on the coarse stage), reporting tasks/sec
-//                    and the makespan ratio vs flat HEFT, with the
-//                    never-worsen refinement contract checked in-run.
+//  4. end-to-end   - HierarchicalPlacer's three stages (place_clusters,
+//                    expand, refine: what place() runs) with an untrained
+//                    GiPHAgent (sparse gpNet on the coarse stage), reporting
+//                    tasks/sec and the makespan ratio vs flat HEFT, with the
+//                    never-worsen refinement contract checked in-run, and the
+//                    process simulation counter read around refine: the run
+//                    fails unless refinement ran exactly one simulation per
+//                    try plus the initial one.
 //
 // Results go to BENCH_scale.json (gated in bench-smoke via check_bench.py;
 // the noisy end-to-end key carries a per-key _max_regress override).
@@ -227,11 +231,17 @@ int main() {
   HierarchicalStats stats;
   std::mt19937_64 place_rng(5);
   const auto t0 = Clock::now();
-  const Placement hier = placer.place(agent, place_rng, &stats);
+  Placement hier =
+      placer.expand(placer.place_clusters(agent, place_rng, &stats.coarse_objective));
+  const std::uint64_t sims0 = simulation_count();
+  placer.refine(hier, &stats);
+  const std::uint64_t refine_sims = simulation_count() - sims0;
   const double hier_sec = seconds_since(t0);
   const bool monotone = stats.refined_objective <= stats.expanded_objective;
   const bool hier_feasible = is_feasible(g, n, hier);
-  ok = ok && monotone && hier_feasible;
+  const auto tries = static_cast<std::uint64_t>(stats.refine_moves_tried);
+  const bool one_sim_per_try = refine_sims == tries + 1;
+  ok = ok && monotone && hier_feasible && one_sim_per_try;
   const double heft_slr = placer.objective_of(p0);
   const double vs_heft = stats.refined_objective / heft_slr;
   print_header("end-to-end hierarchical placement");
@@ -243,6 +253,14 @@ int main() {
   std::printf("%-36s %12lld kept / %lld tried\n", "refinement moves",
               static_cast<long long>(stats.refine_moves_kept),
               static_cast<long long>(stats.refine_moves_tried));
+  std::printf("%-36s %12llu (tries + 1 = %llu)\n", "refinement simulations",
+              static_cast<unsigned long long>(refine_sims),
+              static_cast<unsigned long long>(tries + 1));
+  std::printf("%-36s %12.4f\n", "simulations per try",
+              tries == 0 ? 0.0
+                         : static_cast<double>(refine_sims) / static_cast<double>(tries));
+  std::printf("%-36s %12s\n", "one simulation per try",
+              one_sim_per_try ? "yes" : "NO");
   std::printf("%-36s %12.4f SLR\n", "flat HEFT", heft_slr);
   std::printf("%-36s %12.3f (< 1 beats HEFT)\n", "hier / HEFT", vs_heft);
   std::printf("%-36s %12s\n", "refinement monotone", monotone ? "yes" : "NO");

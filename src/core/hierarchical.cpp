@@ -62,7 +62,7 @@ double HierarchicalPlacer::refine(Placement& fine, HierarchicalStats* stats) {
       // One subset sweep per cluster ranks this cluster's candidate devices;
       // it may go stale after a kept move, but staleness only affects the
       // candidate ORDER — every acceptance decision below uses the exact
-      // objective from apply().
+      // objective from try_move().
       est_sweep_subset(env.schedule(), *g_, *n_, env.placement(), *lat_, members, sweep);
       for (int v : members) {
         const int cur = env.placement().device_of(v);
@@ -75,18 +75,16 @@ double HierarchicalPlacer::refine(Placement& fine, HierarchicalStats* stats) {
         const int k = std::min<int>(opt_.refine_topk, static_cast<int>(cand.size()));
         std::partial_sort(cand.begin(), cand.begin() + k, cand.end());
         for (int i = 0; i < k; ++i) {
-          const double prev = env.objective();
-          env.apply(SearchAction{v, cand[i].second});
+          // One simulation per try: a rejected trial is simply dropped, so
+          // the incumbent schedule and objective are never touched by it.
+          const double tried = env.try_move(SearchAction{v, cand[i].second});
           if (stats) ++stats->refine_moves_tried;
-          if (env.objective() < prev) {
+          if (tried < env.objective()) {
+            env.commit();
             if (stats) ++stats->refine_moves_kept;
             any_kept = true;
             break;
           }
-          // Reverting restores the exact previous placement; the simulation
-          // is a pure function of it, so the objective returns to `prev`
-          // bitwise and the incumbent never worsens.
-          env.apply(SearchAction{v, cur});
         }
       }
     }

@@ -48,9 +48,11 @@ struct HierarchicalStats {
 /// Guarantees (test- and fuzz-enforced):
 ///  - the returned placement is feasible on (g, n);
 ///  - refine() never worsens the incumbent objective: every candidate move
-///    runs through PlacementSearchEnv::apply (delta simulation, bitwise-equal
-///    to full re-simulation) and is reverted unless it strictly improves, so
-///    the objective is monotone non-increasing across refinement;
+///    is evaluated with PlacementSearchEnv::try_move (delta simulation,
+///    bitwise-equal to full re-simulation) and committed only when it
+///    strictly improves; a rejected trial is dropped without touching the
+///    incumbent, so the objective is monotone non-increasing across
+///    refinement and each try costs exactly one simulation;
 ///  - the whole run is a pure function of (g, n, lat, options, policy
 ///    parameters, rng state).
 class HierarchicalPlacer {
@@ -79,9 +81,10 @@ class HierarchicalPlacer {
 
   /// Stage 3: per-cluster hill-climb refinement of `fine` in place. For each
   /// cluster, each member task tries its refine_topk best feasible devices by
-  /// EFT proxy (subset EST sweep + compute time); moves are kept only when
-  /// the exact objective strictly improves, otherwise reverted exactly.
-  /// Returns the final fine SLR.
+  /// EFT proxy (subset EST sweep + compute time); each try is one try_move()
+  /// simulation, committed only when the exact objective strictly improves
+  /// and otherwise dropped. One call runs exactly refine_moves_tried + 1
+  /// simulations (the +1 is the initial one). Returns the final fine SLR.
   double refine(Placement& fine, HierarchicalStats* stats = nullptr);
 
   /// All three stages; fills `stats` when non-null.

@@ -37,38 +37,68 @@ void PlacementSearchEnv::refresh() {
   // The single simulation per state transition: the objective consumes
   // sched_ instead of re-simulating, and the workspace makes the call
   // allocation-free in steady state. Recording delta_ lets the next one-task
-  // move (apply) take the incremental path.
+  // move (try_move) take the incremental path.
   simulate_into(*g_, *n_, current_, *lat_, ws_, sched_, {}, &delta_);
   ++sims_;
   index_dirty_ = true;
+  trial_pending_ = false;
   obj_ = objective_(*g_, *n_, current_, sched_) / normalizer_;
 }
 
 double PlacementSearchEnv::apply(const SearchAction& a) {
+  try_move(a);
+  return commit();
+}
+
+double PlacementSearchEnv::try_move(const SearchAction& a) {
+  trial_pending_ = false;
   if (a.task < 0 || a.task >= g_->num_tasks()) {
-    throw std::invalid_argument("PlacementSearchEnv::apply: bad task");
+    throw std::invalid_argument("PlacementSearchEnv::try_move: bad task");
   }
   const auto& devs = feasible_[a.task];
   if (std::find(devs.begin(), devs.end(), a.device) == devs.end()) {
-    throw std::invalid_argument("PlacementSearchEnv::apply: infeasible device");
+    throw std::invalid_argument("PlacementSearchEnv::try_move: infeasible device");
   }
-  const double before = obj_;
+  // One-task move: replay it incrementally from sched_ (bitwise identical to
+  // a full simulation) into the trial buffers. simulate_delta rewrites the
+  // state it replays from, so the trial replays from a copy; copy-assignment
+  // reuses trial_delta_'s capacity. current_ carries the move only while the
+  // trial is simulated and scored.
+  trial_delta_ = delta_;
+  const int from = current_.device_of(a.task);
   current_.set(a.task, a.device);
-  // One-task move: re-simulate incrementally against the previous schedule
-  // (bitwise identical to a full refresh; swap keeps sched_ valid as the
-  // delta's baseline without copying).
-  std::swap(sched_, sched_prev_);
-  const DeltaSimResult dr = simulate_delta(*g_, *n_, current_, a.task, *lat_, ws_,
-                                           sched_prev_, delta_, sched_);
-  ++sims_;
-  if (dr == DeltaSimResult::kReplayed) {
-    ++delta_sims_;
-  } else {
-    ++delta_fallbacks_;
+  try {
+    const DeltaSimResult dr = simulate_delta(*g_, *n_, current_, a.task, *lat_, ws_,
+                                             sched_, trial_delta_, trial_sched_);
+    ++sims_;
+    if (dr == DeltaSimResult::kReplayed) {
+      ++delta_sims_;
+    } else {
+      ++delta_fallbacks_;
+    }
+    trial_obj_ = objective_(*g_, *n_, current_, trial_sched_) / normalizer_;
+  } catch (...) {
+    current_.set(a.task, from);
+    throw;
   }
+  current_.set(a.task, from);
+  trial_move_ = a;
+  trial_pending_ = true;
+  return trial_obj_;
+}
+
+double PlacementSearchEnv::commit() {
+  if (!trial_pending_) {
+    throw std::logic_error("PlacementSearchEnv::commit: no pending try_move");
+  }
+  trial_pending_ = false;
+  const double before = obj_;
+  current_.set(trial_move_.task, trial_move_.device);
+  std::swap(sched_, trial_sched_);
+  std::swap(delta_, trial_delta_);
   index_dirty_ = true;
-  obj_ = objective_(*g_, *n_, current_, sched_) / normalizer_;
-  last_moved_ = a.task;
+  obj_ = trial_obj_;
+  last_moved_ = trial_move_.task;
   ++steps_;
   if (obj_ < best_obj_) {
     best_obj_ = obj_;

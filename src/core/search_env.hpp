@@ -57,23 +57,26 @@ class PlacementSearchEnv {
   double objective() const noexcept { return obj_; }
 
   /// Number of noise-free simulations this environment has run (construction,
-  /// apply, reset, rebase). The core invariant is one per apply(); objectives
-  /// that deliberately re-simulate (noisy makespan) are not counted here —
-  /// use giph::simulation_count() for the process-wide total.
+  /// try_move, reset, rebase). The core invariant is one per try_move(), so
+  /// one per apply(); objectives that deliberately re-simulate (noisy
+  /// makespan) are not counted here — use giph::simulation_count() for the
+  /// process-wide total.
   std::uint64_t simulations_run() const noexcept { return sims_; }
 
-  /// Of simulations_run(), how many were incremental delta replays (apply()
-  /// routes one-task moves through simulate_delta). The remainder ran the
-  /// full event loop: construction / reset / rebase / apply_placement
+  /// Of simulations_run(), how many were incremental delta replays
+  /// (try_move() routes one-task moves through simulate_delta). The remainder
+  /// ran the full event loop: construction / reset / rebase / apply_placement
   /// refreshes plus delta fallbacks.
   std::uint64_t delta_simulations_run() const noexcept { return delta_sims_; }
 
-  /// apply() calls whose simulate_delta fell back to a full simulation.
+  /// try_move() calls whose simulate_delta fell back to a full simulation.
   std::uint64_t delta_fallbacks() const noexcept { return delta_fallbacks_; }
 
   /// Tuning knob forwarded to simulate_delta (see
   /// DeltaSimState::min_prefix_fraction); mainly for tests and benchmarks.
-  void set_delta_min_prefix_fraction(double f) { delta_.min_prefix_fraction = f; }
+  void set_delta_min_prefix_fraction(double f) {
+    delta_.min_prefix_fraction = trial_delta_.min_prefix_fraction = f;
+  }
 
   const Placement& best_placement() const noexcept { return best_; }
   double best_objective() const noexcept { return best_obj_; }
@@ -84,9 +87,26 @@ class PlacementSearchEnv {
   int steps_taken() const noexcept { return steps_; }
 
   /// Applies a feasible action and returns the reward
-  /// rho(s_t) - rho(s_{t+1}) (positive = improvement). Throws on infeasible
-  /// actions.
+  /// rho(s_t) - rho(s_{t+1}) (positive = improvement): try_move(a), then
+  /// commit(). Throws on infeasible actions.
   double apply(const SearchAction& a);
+
+  /// Evaluates a one-task move without taking it: checks `a` like apply(),
+  /// replays the move from schedule() into a trial schedule (simulate_delta
+  /// on a copy of the delta state) and returns the objective the move would
+  /// reach, bitwise what apply(a) leaves in objective(). The placement,
+  /// schedule, objective, best-so-far record, steps_taken() and
+  /// last_moved_task() are unchanged; only the simulation counters count the
+  /// try. The trial stays pending until commit(), the next try_move() (even
+  /// one that throws), or a state reset (apply_placement, reset_to_initial,
+  /// rebase, reinit) drops it. A replay that throws damages only the trial.
+  double try_move(const SearchAction& a);
+
+  /// Takes the pending try without simulating: its schedule and delta state
+  /// are swapped in, and the placement, objective, best-so-far record,
+  /// steps_taken() and last_moved_task() advance as for any step. Returns the
+  /// reward. Throws std::logic_error when no try is pending.
+  double commit();
 
   /// Replaces the whole placement (used by the random-sampling baseline,
   /// which draws a fresh placement per step). Returns the reward.
@@ -138,8 +158,14 @@ class PlacementSearchEnv {
   Placement current_;
   SimWorkspace ws_;
   Schedule sched_;
-  Schedule sched_prev_;  ///< double buffer: previous schedule, feeds the delta
   DeltaSimState delta_;
+  // The pending try: its move, schedule, delta state and objective. commit()
+  // swaps the buffers with sched_ / delta_, so both pairs keep their capacity.
+  SearchAction trial_move_;
+  Schedule trial_sched_;
+  DeltaSimState trial_delta_;
+  double trial_obj_ = 0.0;
+  bool trial_pending_ = false;
   mutable ScheduleIndex index_;
   mutable bool index_dirty_ = true;
   std::uint64_t sims_ = 0;

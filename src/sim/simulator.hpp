@@ -111,7 +111,12 @@ struct SimWorkspace {
 ///
 /// One state belongs to one (graph, network, options) chain of schedules: a
 /// full recording run seeds it, and each simulate_delta() call both consumes
-/// and refreshes it, so single-move steps chain indefinitely.
+/// and refreshes it, so single-move steps chain indefinitely. Evaluating a
+/// move without taking it branches the chain by copying the state: replay
+/// into the copy, then keep the copy (the move is taken) or drop it (the
+/// original still describes the unchanged schedule), as
+/// PlacementSearchEnv::try_move / commit do. Copy-assignment reuses the
+/// target's capacity.
 struct DeltaSimState {
   bool valid = false;  ///< false until a recording run completes
   /// Per task: position in the run's make_runnable() order. Strictly

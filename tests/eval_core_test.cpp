@@ -156,6 +156,22 @@ TEST(SearchEnvSimCount, ExactlyOneSimulationPerStep) {
   EXPECT_EQ(simulation_count() - before, 1u + static_cast<std::uint64_t>(steps));
   EXPECT_EQ(full_simulation_count() - full_before, 1u + env.delta_fallbacks());
   EXPECT_EQ(delta_simulation_count() - delta_before, env.delta_simulations_run());
+
+  // A try is one simulation too, counted whether or not it is committed, and
+  // commit() simulates nothing.
+  const int tries = g.num_tasks();
+  for (int i = 0; i < tries; ++i) {
+    const int v = static_cast<int>(rng() % g.num_tasks());
+    const std::vector<int>& devs = env.feasible()[v];
+    env.try_move(SearchAction{v, devs[rng() % devs.size()]});
+    if (i % 3 == 0) env.commit();
+  }
+  const auto total = 1u + static_cast<std::uint64_t>(steps + tries);
+  EXPECT_EQ(env.simulations_run(), total);
+  EXPECT_EQ(env.delta_simulations_run() + env.delta_fallbacks(), total - 1u);
+  EXPECT_EQ(simulation_count() - before, total);
+  EXPECT_EQ(full_simulation_count() - full_before, 1u + env.delta_fallbacks());
+  EXPECT_EQ(delta_simulation_count() - delta_before, env.delta_simulations_run());
 }
 
 TEST(EvalParallel, PolicyFinalsBitwiseIdenticalForAnyThreadCount) {

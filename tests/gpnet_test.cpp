@@ -36,10 +36,12 @@ struct Fig1Fixture {
       for (int d : devs) need |= HwMask{1} << d;
       return need;
     };
+    // Bits 0-3 are the devices' own; each allow() call takes the next fresh
+    // one of this fixture (4-8), so every fixture builds the same masks.
+    int next_bit = 4;
     auto allow = [&](int task, std::initializer_list<int> devs) {
       // A task requiring any listed device: use a dedicated bit scheme where
       // the task requires a fresh bit supported exactly by those devices.
-      static int next_bit = 4;
       const HwMask bit = HwMask{1} << next_bit++;
       g.task(task).requires_hw = bit;
       for (int d : devs) n.device(d).supports_hw |= bit;

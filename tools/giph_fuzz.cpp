@@ -59,9 +59,13 @@
 // coarse placement yields a feasible fine placement constant on clusters,
 // that a full HierarchicalPlacer run returns a feasible placement whose
 // refined objective never exceeds the expanded one and agrees BITWISE with an
-// independent flat simulation of the returned placement, that the sparse
-// gpNet at k >= D is structurally identical to the dense one, and that the
-// subset EST sweep reproduces the full sweep's rows bitwise.
+// independent flat simulation of the returned placement, that refine()
+// (try_move, commit on improvement) matches the apply/revert
+// reference_refine() byte for byte (placement, objective, moves tried and
+// kept) while running exactly one simulation per try plus the initial one,
+// that the sparse gpNet at k >= D is structurally identical to the dense
+// one, and that the subset EST sweep reproduces the full sweep's rows
+// bitwise.
 //
 // Usage: giph_fuzz [--cases N] [--seed S] [--start K] [--delta] [--parse]
 //                  [--hier] [--stream] [--verbose]
@@ -92,6 +96,7 @@
 #include "util/checked_file.hpp"
 #include "verify/invariants.hpp"
 #include "verify/oracle.hpp"
+#include "verify/reference_refine.hpp"
 
 namespace {
 
@@ -848,6 +853,7 @@ std::string run_hier_case(std::uint64_t base_seed, std::uint64_t index, HierStat
 
   HierarchicalPlacer placer(g, n, kLat, hopt);
   HierarchicalStats st;
+  std::mt19937_64 replay_rng = rng;  // replays the coarse stage below
   const Placement fine = placer.place(agent, rng, &st);
   if (hs) hs->refine_kept += st.refine_moves_kept;
   if (!is_feasible(g, n, fine)) return "hier: returned placement infeasible";
@@ -867,6 +873,51 @@ std::string run_hier_case(std::uint64_t base_seed, std::uint64_t index, HierStat
   }
   if (placer.objective_of(fine) != st.refined_objective) {
     return "hier: objective_of differs from refine's report";
+  }
+
+  // Refinement of the same expansion, once more through refine() with the
+  // process simulation counter read around it, and once through the
+  // apply/revert reference: identical results, one simulation per try.
+  {
+    const Placement expanded = placer.expand(placer.place_clusters(agent, replay_rng));
+    Placement tried = expanded;
+    HierarchicalStats ts;
+    const std::uint64_t sims0 = simulation_count();
+    const double obj = placer.refine(tried, &ts);
+    const std::uint64_t sims = simulation_count() - sims0;
+    if (tried != fine || obj != st.refined_objective ||
+        ts.refine_moves_tried != st.refine_moves_tried ||
+        ts.refine_moves_kept != st.refine_moves_kept) {
+      return "hier: refining the replayed expansion differs from place()";
+    }
+    if (sims != static_cast<std::uint64_t>(ts.refine_moves_tried) + 1) {
+      std::snprintf(buf, sizeof(buf),
+                    "refine: %llu simulations for %lld tries (want tries + 1)",
+                    static_cast<unsigned long long>(sims),
+                    static_cast<long long>(ts.refine_moves_tried));
+      return buf;
+    }
+    Placement ref = expanded;
+    HierarchicalStats rs;
+    const double ref_obj = reference_refine(placer, g, n, kLat, ref, &rs);
+    if (ref.assignments() != tried.assignments()) {
+      return "refine: placement differs from the apply/revert reference";
+    }
+    if (std::memcmp(&ref_obj, &obj, sizeof obj) != 0) {
+      std::snprintf(buf, sizeof(buf),
+                    "refine: objective %.17g != reference %.17g", obj, ref_obj);
+      return buf;
+    }
+    if (rs.refine_moves_tried != ts.refine_moves_tried ||
+        rs.refine_moves_kept != ts.refine_moves_kept) {
+      std::snprintf(buf, sizeof(buf),
+                    "refine: %lld tried / %lld kept, reference %lld / %lld",
+                    static_cast<long long>(ts.refine_moves_tried),
+                    static_cast<long long>(ts.refine_moves_kept),
+                    static_cast<long long>(rs.refine_moves_tried),
+                    static_cast<long long>(rs.refine_moves_kept));
+      return buf;
+    }
   }
 
   // Sparse gpNet at k >= D is node-for-node the dense gpNet, and the subset
@@ -927,7 +978,8 @@ int run_hier_mode(std::uint64_t cases, std::uint64_t seed, std::uint64_t start,
   std::printf(
       "giph_fuzz: %llu hier cases ok (seed %llu, %llu with pins, %llu with forced "
       "extra clusters, %llu refine moves kept): partition invariants hold, "
-      "hierarchical objectives match flat simulation bitwise, sparse gpNet (k >= D) "
+      "hierarchical objectives match flat simulation bitwise, refine == "
+      "apply/revert reference at one simulation per try, sparse gpNet (k >= D) "
       "== dense, subset EST sweep == full sweep\n",
       static_cast<unsigned long long>(cases), static_cast<unsigned long long>(seed),
       static_cast<unsigned long long>(hs.pinned_cases),
