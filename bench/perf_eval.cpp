@@ -2,28 +2,22 @@
 // figure). Three measurements on one 50-task / 20-device instance:
 //
 //  1. sims/sec  - simulate() (allocating) vs simulate_into() with a reused
-//                 SimWorkspace, plus simulate_delta() over chained random
-//                 one-task moves (the incremental search hot path, with a
-//                 bitwise spot check). That instance is shallow, so nearly
-//                 every move falls back to a full run; the two replay hit
-//                 rates (a raw simulate_delta chain, and search-environment
-//                 steps of Random-task-eft) are measured on a deep, sparse
-//                 instance of the same size instead, where replays fire;
-//  2. steps/sec - search steps through the refactored environment (one
-//                 incremental re-simulation per step, batched est_sweep) vs a
-//                 pre-refactor cost emulation (legacy (g,n,p) makespan
-//                 objective that re-simulates inside the objective, plus
-//                 unindexed O(V)-scan EST queries). Measured for two
-//                 policies: Random-task-eft (D est queries per step) and a
-//                 sweep policy that performs the full per-(task, device) est
-//                 sweep gpNet feature construction performs, with the NN
-//                 forward excluded — the NN is untouched by the refactor and
-//                 would only dilute the measurement;
+//                 SimWorkspace. That instance is shallow, so nearly every
+//                 one-task move would fall back to a full run; the two
+//                 simulate_delta replay hit rates (a raw chain of random
+//                 one-task moves with a bitwise spot check, and
+//                 search-environment steps of Random-task-eft) are measured
+//                 on a deep, sparse instance of the same size instead, where
+//                 replays fire;
+//  2. steps/sec - search steps through the environment (one incremental
+//                 re-simulation per step) for two policies: Random-task-eft
+//                 (D est queries per step) and a sweep policy that performs
+//                 the full per-(task, device) batched est sweep gpNet feature
+//                 construction performs, with the NN forward excluded;
 //  3. parallel  - eval::policy_finals over a batch of cases, serial vs all
 //                 hardware threads, with a bitwise-equality check.
 //
-// Results go to BENCH_eval.json in the working directory. The refactor's
-// acceptance bar is steps/sec speedup >= 2x.
+// Results go to BENCH_eval.json in the working directory.
 
 #include <chrono>
 #include <cmath>
@@ -33,7 +27,7 @@
 
 #include "baselines/random_policies.hpp"
 #include "bench/common.hpp"
-#include "heft/heft.hpp"
+#include "sim/schedule_index.hpp"
 #include "util/parallel_for.hpp"
 
 using namespace giph;
@@ -47,53 +41,25 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Pre-refactor cost model of Random-task-eft: identical decisions, but EFT
-/// device selection pays the unindexed O(V) est scan per candidate device.
-class UnindexedRandomTaskEft final : public SearchPolicy {
- public:
-  ActionDecision decide(PlacementSearchEnv& env, std::mt19937_64& rng, bool) override {
-    std::uniform_int_distribution<int> pick(0, env.graph().num_tasks() - 1);
-    const int task = pick(rng);
-    const int device = eft_select_device(env.graph(), env.network(), env.placement(),
-                                         env.latency(), env.schedule(), task);
-    return ActionDecision{SearchAction{task, device}, nullptr, std::nullopt};
-  }
-  std::string name() const override { return "Random-task-eft(unindexed)"; }
-};
-
 /// The evaluation-core work of a GiPH search step with the NN excluded: per
-/// step, compute est(v, d) for every feasible (task, device) pair — the
-/// start-time-potential sweep gpNet feature construction performs — and move
-/// the pair minimizing est + compute time. `batched` selects the refactored
-/// (est_sweep, one batched pass per step) or pre-refactor (per-pair O(V)
-/// scan) est path.
+/// step, one batched est_sweep computes est(v, d) for every feasible (task,
+/// device) pair — the start-time-potential sweep gpNet feature construction
+/// performs — and the policy moves the pair minimizing est + compute time.
 class GreedySweepPolicy final : public SearchPolicy {
  public:
-  explicit GreedySweepPolicy(bool batched) : batched_(batched) {}
-
   ActionDecision decide(PlacementSearchEnv& env, std::mt19937_64&, bool) override {
     const TaskGraph& g = env.graph();
     const DeviceNetwork& n = env.network();
     const Placement& p = env.placement();
-    const LatencyModel& lat = env.latency();
-    const Schedule& sched = env.schedule();
     const int nd = n.num_devices();
-    const double* compute_tbl = nullptr;
-    if (batched_) {
-      est_sweep(sched, g, n, p, lat, sweep_);
-      compute_tbl = compute_sweep(g, n, lat, sweep_).data();
-    }
+    est_sweep(env.schedule(), g, n, p, env.latency(), sweep_);
+    const double* compute_tbl = compute_sweep(g, n, env.latency(), sweep_).data();
     SearchAction best{0, p.device_of(0)};
     double best_eft = std::numeric_limits<double>::infinity();
     for (int v = 0; v < g.num_tasks(); ++v) {
       const std::size_t off = static_cast<std::size_t>(v) * nd;
-      const double* est_row = batched_ ? sweep_.est.data() + off : nullptr;
       for (const int d : env.feasible()[v]) {
-        const double est = batched_ ? est_row[d]
-                                    : earliest_start_on_queued(sched, g, n, p,
-                                                               lat, v, d);
-        const double eft =
-            est + (batched_ ? compute_tbl[off + d] : lat.compute_time(g, n, v, d));
+        const double eft = sweep_.est[off + d] + compute_tbl[off + d];
         if (d != p.device_of(v) && eft < best_eft) {
           best_eft = eft;
           best = SearchAction{v, d};
@@ -102,10 +68,9 @@ class GreedySweepPolicy final : public SearchPolicy {
     }
     return ActionDecision{best, nullptr, std::nullopt};
   }
-  std::string name() const override { return batched_ ? "sweep" : "sweep(unindexed)"; }
+  std::string name() const override { return "sweep"; }
 
  private:
-  bool batched_;
   EstSweepWorkspace sweep_;
 };
 
@@ -195,52 +160,6 @@ int main() {
     }
   });
 
-  // Incremental path: chained random one-task moves, each re-simulated with
-  // simulate_delta against the previous schedule (the search hot path of
-  // PlacementSearchEnv::try_move). A spot check every 64 moves keeps the run
-  // honest about bitwise equality with the full path.
-  const auto run_delta_moves = [&](const TaskGraph& mg, const DeviceNetwork& mn,
-                                   Placement& pd, Schedule& prev, Schedule& next,
-                                   DeltaSimState& dstate, std::mt19937_64& mrng,
-                                   int reps, std::uint64_t* hits, bool* bitwise) {
-    const std::vector<std::vector<int>> feas = feasible_sets(mg, mn);
-    SimWorkspace check_ws;
-    Schedule check;
-    for (int i = 0; i < reps; ++i) {
-      const int v = static_cast<int>(mrng() % mg.num_tasks());
-      const int d = feas[v][mrng() % feas[v].size()];
-      pd.set(v, d);
-      if (simulate_delta(mg, mn, pd, v, lat, ws, prev, dstate, next) ==
-              DeltaSimResult::kReplayed &&
-          hits != nullptr) {
-        ++*hits;
-      }
-      guard += next.makespan;
-      if (bitwise != nullptr && i % 64 == 0) {
-        simulate_into(mg, mn, pd, lat, check_ws, check, {});
-        for (std::size_t t = 0; t < check.tasks.size(); ++t) {
-          *bitwise = *bitwise && next.tasks[t].start == check.tasks[t].start &&
-                     next.tasks[t].finish == check.tasks[t].finish;
-        }
-      }
-      std::swap(prev, next);
-    }
-  };
-  Placement pd = p;
-  Schedule prev, next;
-  DeltaSimState dstate;
-  std::mt19937_64 mrng(11);
-  simulate_into(g, n, pd, lat, ws, prev, {}, &dstate);
-  run_delta_moves(g, n, pd, prev, next, dstate, mrng, 200, nullptr, nullptr);  // warmup
-  std::uint64_t shallow_hits = 0;
-  bool delta_bitwise = true;
-  const double delta_sps = best_of(sim_reps, [&](int per) {
-    run_delta_moves(g, n, pd, prev, next, dstate, mrng, per, &shallow_hits,
-                    &delta_bitwise);
-  });
-  const double shallow_hit_rate =
-      static_cast<double>(shallow_hits) / (5 * (sim_reps / 5));
-
   // The deep instance of the hit rates: same size and network parameters,
   // alpha 0.3 (mean depth sqrt(50) / 0.3 ~ 24 levels) and sparse extra edges
   // (p_connect 2/|V|, as perf_scale's dataflow graphs: with the default 0.25
@@ -254,15 +173,38 @@ int main() {
   const Dataset deep = generate_dataset({deep_gp}, {np}, 1, 1, deep_rng);
   const TaskGraph& dg = deep.graphs.front();
   const DeviceNetwork& dn = deep.networks.front();
+  // Chained random one-task moves, each re-simulated with simulate_delta
+  // against the previous schedule (the search hot path of
+  // PlacementSearchEnv::try_move). A spot check every 64 moves keeps the run
+  // honest about bitwise equality with the full path.
   const int hit_moves = 4000;
   std::uint64_t delta_hits = 0;
+  bool delta_bitwise = true;
   {
+    const std::vector<std::vector<int>> feas = feasible_sets(dg, dn);
     Placement dp = random_placement(dg, dn, deep_rng);
-    Schedule dprev, dnext;
+    Schedule prev, next, check;
     DeltaSimState dds;
-    simulate_into(dg, dn, dp, lat, ws, dprev, {}, &dds);
-    run_delta_moves(dg, dn, dp, dprev, dnext, dds, deep_rng, hit_moves, &delta_hits,
-                    &delta_bitwise);
+    SimWorkspace check_ws;
+    simulate_into(dg, dn, dp, lat, ws, prev, {}, &dds);
+    for (int i = 0; i < hit_moves; ++i) {
+      const int v = static_cast<int>(deep_rng() % dg.num_tasks());
+      const int d = feas[v][deep_rng() % feas[v].size()];
+      dp.set(v, d);
+      if (simulate_delta(dg, dn, dp, v, lat, ws, prev, dds, next) ==
+          DeltaSimResult::kReplayed) {
+        ++delta_hits;
+      }
+      guard += next.makespan;
+      if (i % 64 == 0) {
+        simulate_into(dg, dn, dp, lat, check_ws, check, {});
+        for (std::size_t t = 0; t < check.tasks.size(); ++t) {
+          delta_bitwise = delta_bitwise && next.tasks[t].start == check.tasks[t].start &&
+                          next.tasks[t].finish == check.tasks[t].finish;
+        }
+      }
+      std::swap(prev, next);
+    }
   }
   const double delta_hit_rate = static_cast<double>(delta_hits) / hit_moves;
 
@@ -270,40 +212,19 @@ int main() {
   std::printf("%-32s %14.0f sims/sec\n", "simulate (allocating)", alloc_sps);
   std::printf("%-32s %14.0f sims/sec\n", "simulate_into (workspace)", ws_sps);
   std::printf("%-32s %13.2fx\n", "workspace speedup", ws_sps / alloc_sps);
-  std::printf("%-32s %14.0f moves/sec\n", "simulate_delta (incremental)", delta_sps);
-  std::printf("%-32s %13.2fx\n", "delta speedup vs simulate_into", delta_sps / ws_sps);
-  std::printf("%-32s %14.3f\n", "delta hit rate (this instance)", shallow_hit_rate);
   std::printf("%-32s %14.3f\n", "delta hit rate (deep instance)", delta_hit_rate);
   std::printf("%-32s %14s\n", "delta bitwise identical", delta_bitwise ? "yes" : "NO");
 
-  // ---- 2. search steps/sec: refactored vs pre-refactor emulation ---------
+  // ---- 2. search steps/sec -----------------------------------------------
   const int rounds = scale.full ? 200 : 40;
-  const ScheduleObjective legacy_makespan = [&lat](const TaskGraph& gg,
-                                                   const DeviceNetwork& nn,
-                                                   const Placement& pp, const Schedule&) {
-    return makespan(gg, nn, pp, lat);  // re-simulates: the pre-refactor cost
-  };
-  const auto make_new_env = [&](std::mt19937_64& rng) {
+  const auto make_env = [&](std::mt19937_64& rng) {
     return PlacementSearchEnv(g, n, lat, makespan_objective(lat),
                               random_placement(g, n, rng), denom);
   };
-  const auto make_legacy_env = [&](std::mt19937_64& rng) {
-    return PlacementSearchEnv(g, n, lat, legacy_makespan,
-                              random_placement(g, n, rng), denom);
-  };
   RandomTaskEftPolicy eft_policy;
-  UnindexedRandomTaskEft legacy_eft_policy;
-  const double eft_steps = measure_steps_per_sec(eft_policy, g, make_new_env, rounds);
-  const double legacy_eft_steps =
-      measure_steps_per_sec(legacy_eft_policy, g, make_legacy_env, rounds);
-
-  GreedySweepPolicy sweep_policy(/*batched=*/true);
-  GreedySweepPolicy legacy_sweep_policy(/*batched=*/false);
-  const double sweep_steps = measure_steps_per_sec(sweep_policy, g, make_new_env, rounds);
-  const double legacy_sweep_steps =
-      measure_steps_per_sec(legacy_sweep_policy, g, make_legacy_env, rounds);
-  const double step_speedup = sweep_steps / legacy_sweep_steps;
-  const double eft_speedup = eft_steps / legacy_eft_steps;
+  const double eft_steps = measure_steps_per_sec(eft_policy, g, make_env, rounds);
+  GreedySweepPolicy sweep_policy;
+  const double sweep_steps = measure_steps_per_sec(sweep_policy, g, make_env, rounds);
   // Random-task-eft searches on the deep instance, untimed: the share of
   // environment steps that took the delta path. (The sweep policy's greedy
   // move goes to an early task, whose replay has no prefix worth reusing: its
@@ -324,13 +245,8 @@ int main() {
       static_cast<double>(env_delta_hits) / static_cast<double>(env_delta_total);
 
   print_header("search steps/sec (2|V| steps per search)");
-  std::printf("%-34s %12.0f steps/sec\n", "Random-task-eft, pre-refactor", legacy_eft_steps);
-  std::printf("%-34s %12.0f steps/sec\n", "Random-task-eft, single-sim+index", eft_steps);
-  std::printf("%-34s %11.2fx\n", "  speedup", eft_speedup);
-  std::printf("%-34s %12.0f steps/sec\n", "feature sweep, pre-refactor", legacy_sweep_steps);
-  std::printf("%-34s %12.0f steps/sec\n", "feature sweep, delta+batched-est", sweep_steps);
-  std::printf("%-34s %11.2fx %s\n", "  speedup", step_speedup,
-              step_speedup >= 2.0 ? "(>= 2x target met)" : "(BELOW 2x target)");
+  std::printf("%-34s %12.0f steps/sec\n", "Random-task-eft", eft_steps);
+  std::printf("%-34s %12.0f steps/sec\n", "feature sweep (batched est)", sweep_steps);
   std::printf("%-34s %12.3f (deep instance: env steps taking the delta path)\n",
               "  delta hit rate", env_hit_rate);
 
@@ -374,16 +290,11 @@ int main() {
                  "  \"simulate_sims_per_sec\": %.1f,\n"
                  "  \"simulate_into_sims_per_sec\": %.1f,\n"
                  "  \"workspace_speedup\": %.3f,\n"
-                 "  \"delta_steps_per_sec\": %.1f,\n"
                  "  \"delta_hit_rate\": %.4f,\n"
                  "  \"delta_bitwise_identical\": %s,\n"
                  "  \"env_delta_hit_rate\": %.4f,\n"
-                 "  \"eft_legacy_steps_per_sec\": %.1f,\n"
                  "  \"eft_steps_per_sec\": %.1f,\n"
-                 "  \"eft_steps_speedup\": %.3f,\n"
-                 "  \"legacy_steps_per_sec\": %.1f,\n"
                  "  \"steps_per_sec\": %.1f,\n"
-                 "  \"steps_speedup\": %.3f,\n"
                  "  \"parallel_finals\": {\n"
                  "    \"cases\": %d,\n"
                  "    \"threads\": %d,\n"
@@ -394,14 +305,13 @@ int main() {
                  "  }\n"
                  "}\n",
                  g.num_tasks(), n.num_devices(), alloc_sps, ws_sps, ws_sps / alloc_sps,
-                 delta_sps, delta_hit_rate, delta_bitwise ? "true" : "false",
-                 env_hit_rate, legacy_eft_steps, eft_steps, eft_speedup,
-                 legacy_sweep_steps, sweep_steps, step_speedup,
+                 delta_hit_rate, delta_bitwise ? "true" : "false", env_hit_rate,
+                 eft_steps, sweep_steps,
                  static_cast<int>(cases.size()), threads, serial_sec, parallel_sec,
                  serial_sec / parallel_sec, bitwise ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote BENCH_eval.json\n");
   }
   if (!std::isfinite(guard)) std::printf("guard %f\n", guard);
-  return bitwise && delta_bitwise && step_speedup >= 2.0 ? 0 : 1;
+  return bitwise && delta_bitwise ? 0 : 1;
 }

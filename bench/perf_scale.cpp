@@ -1,7 +1,7 @@
-// Scale-tier benchmark (ROADMAP item 4): hierarchical placement on 1k-5k-task
-// graphs over 100+ device sparse topologies. Quick mode (CI bench-smoke) runs
-// 1000 tasks / 100 devices; GIPH_BENCH_SCALE=full (nightly) runs 5000 tasks /
-// 150 devices. Measurements:
+// Scale-tier benchmark: hierarchical placement on 1k-5k-task graphs over
+// 100+ device sparse topologies. Quick mode runs 1000 tasks / 100 devices;
+// GIPH_BENCH_SCALE=full (the nightly CI tier) runs 5000 tasks / 150 devices.
+// Measurements:
 //
 //  1. partitioner  - partition_tasks throughput plus in-run invariant checks
 //                    (every task in exactly one cluster, coarse DAG, conserved
@@ -21,8 +21,9 @@
 //                    fails unless refinement ran exactly one simulation per
 //                    try plus the initial one.
 //
-// Results go to BENCH_scale.json (gated in bench-smoke via check_bench.py;
-// the noisy end-to-end key carries a per-key _max_regress override).
+// Results go to BENCH_scale.json, which the nightly run uploads ungated; the
+// exit code fails on any broken in-run check. Per-PR CI gates the 1000-task
+// tier through perfbench's scale1000 workload instead.
 
 #include <chrono>
 #include <cmath>
@@ -272,14 +273,11 @@ int main() {
                  "{\n"
                  "  \"case\": {\"tasks\": %d, \"devices\": %d, \"clusters\": %d},\n"
                  "  \"partition_tasks_per_sec\": %.1f,\n"
-                 "  \"partition_tasks_per_sec_max_regress\": 0.5,\n"
                  "  \"partition_invariants_ok\": %s,\n"
                  "  \"sparse_gpnet_builds_per_sec\": %.3f,\n"
-                 "  \"sparse_gpnet_builds_per_sec_max_regress\": 0.5,\n"
                  "  \"sparse_gpnet_bitwise_identical\": %s,\n"
                  "  \"subset_est_speedup\": %.2f,\n"
                  "  \"hier_tasks_per_sec\": %.1f,\n"
-                 "  \"hier_tasks_per_sec_max_regress\": 0.5,\n"
                  "  \"hier_refined_slr\": %.4f,\n"
                  "  \"hier_vs_heft_ratio\": %.4f,\n"
                  "  \"refine_monotone_bitwise_identical\": %s\n"

@@ -72,12 +72,6 @@ class PlacementSearchEnv {
   /// try_move() calls whose simulate_delta fell back to a full simulation.
   std::uint64_t delta_fallbacks() const noexcept { return delta_fallbacks_; }
 
-  /// Tuning knob forwarded to simulate_delta (see
-  /// DeltaSimState::min_prefix_fraction); mainly for tests and benchmarks.
-  void set_delta_min_prefix_fraction(double f) {
-    delta_.min_prefix_fraction = trial_delta_.min_prefix_fraction = f;
-  }
-
   const Placement& best_placement() const noexcept { return best_; }
   double best_objective() const noexcept { return best_obj_; }
 

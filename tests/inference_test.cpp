@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <random>
 #include <string>
 
@@ -15,9 +14,12 @@
 #include "gen/device_network_gen.hpp"
 #include "gen/task_graph_gen.hpp"
 #include "sim/metrics.hpp"
+#include "testutil.hpp"
 
 namespace giph {
 namespace {
+
+using testutil::bytes_equal;
 
 struct Instance {
   TaskGraph graph;
@@ -59,13 +61,6 @@ SearchTrace decide_search(GiPHAgent& agent, PlacementSearchEnv& env, int steps,
   return trace;
 }
 
-bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-bool same_bytes(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
-
 class ActMatchesDecide : public ::testing::TestWithParam<int> {};
 
 TEST_P(ActMatchesDecide, SearchIsByteIdentical) {
@@ -91,12 +86,12 @@ TEST_P(ActMatchesDecide, SearchIsByteIdentical) {
           decide_search(tape_agent, tape_env, steps, tape_rng, greedy);
       const SearchTrace got = run_search(act_agent, act_env, steps, act_rng, greedy);
 
-      EXPECT_TRUE(same_bytes(got.initial, expected.initial));
-      EXPECT_TRUE(same_bytes(got.best_so_far, expected.best_so_far));
+      EXPECT_TRUE(bytes_equal(got.initial, expected.initial));
+      EXPECT_TRUE(bytes_equal(got.best_so_far, expected.best_so_far));
       EXPECT_EQ(got.move_counts, expected.move_counts);
       EXPECT_EQ(got.best_placement, expected.best_placement);
       EXPECT_EQ(act_env.placement(), tape_env.placement());
-      EXPECT_TRUE(same_bytes(act_env.objective(), tape_env.objective()));
+      EXPECT_TRUE(bytes_equal(act_env.objective(), tape_env.objective()));
       EXPECT_TRUE(act_rng == tape_rng) << "act and decide consumed different draws";
     }
   }

@@ -5,16 +5,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <random>
 
 #include "core/hierarchical.hpp"
 #include "gen/device_network_gen.hpp"
 #include "gen/task_graph_gen.hpp"
+#include "testutil.hpp"
 #include "verify/reference_refine.hpp"
 
 namespace giph {
 namespace {
+
+using testutil::bytes_equal;
 
 const DefaultLatencyModel kLat;
 
@@ -57,8 +59,6 @@ RefineCase make_case(std::uint64_t seed) {
   c.opt.refine_rounds = 1 + static_cast<int>(seed % 3);
   return c;
 }
-
-bool bytes_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 TEST(RefineReference, TryCommitRefineMatchesApplyRevertReference) {
   int with_pins = 0, with_forced_cuts = 0, with_rejects = 0, with_kept = 0;

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -202,6 +206,61 @@ TEST(RolloutDeterminism, NonCloneablePolicyTrainsSequentially) {
   EXPECT_EQ(s1.episode_initial, s2.episode_initial);
   EXPECT_EQ(s1.episode_final, s2.episode_final);
   EXPECT_EQ(s1.episode_best, s2.episode_best);
+}
+
+TEST(RolloutDeterminism, BatchEpisodesRunConcurrently) {
+  // Two rollout workers run a batch's two episodes at the same time. Each
+  // policy copy (the caller's and its clone) waits on its first decide until
+  // the other has arrived, for at most 30 s: episodes run one after another
+  // would leave the first waiting alone until it times out.
+  struct Rendezvous {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    int timeouts = 0;
+  };
+  class MeetingPolicy final : public SearchPolicy {
+   public:
+    explicit MeetingPolicy(std::shared_ptr<Rendezvous> r) : r_(std::move(r)) {}
+    ActionDecision decide(PlacementSearchEnv& env, std::mt19937_64& rng, bool) override {
+      if (!met_) {
+        met_ = true;
+        std::unique_lock<std::mutex> lock(r_->mu);
+        ++r_->arrived;
+        r_->cv.notify_all();
+        if (!r_->cv.wait_for(lock, std::chrono::seconds(30),
+                             [this] { return r_->arrived >= 2; })) {
+          ++r_->timeouts;
+        }
+      }
+      std::uniform_int_distribution<int> pick(0, env.graph().num_tasks() - 1);
+      const int task = pick(rng);
+      const auto& devs = env.feasible()[task];
+      std::uniform_int_distribution<int> dpick(0, static_cast<int>(devs.size()) - 1);
+      return ActionDecision{SearchAction{task, devs[dpick(rng)]}, nullptr, std::nullopt};
+    }
+    std::unique_ptr<SearchPolicy> clone_for_rollout() const override {
+      return std::make_unique<MeetingPolicy>(r_);
+    }
+    std::string name() const override { return "meeting"; }
+
+   private:
+    std::shared_ptr<Rendezvous> r_;
+    bool met_ = false;
+  };
+
+  const Dataset ds = small_dataset();
+  TrainOptions topt;
+  topt.episodes = 2;
+  topt.batch_episodes = 2;
+  topt.rollout_workers = 2;
+  const auto rendezvous = std::make_shared<Rendezvous>();
+  MeetingPolicy policy(rendezvous);
+  const TrainStats stats = train_reinforce(policy, kLat, sampler_for(ds), topt);
+  EXPECT_EQ(stats.episode_final.size(), 2u);
+  std::lock_guard<std::mutex> lock(rendezvous->mu);
+  EXPECT_EQ(rendezvous->arrived, 2);
+  EXPECT_EQ(rendezvous->timeouts, 0);
 }
 
 TEST(RolloutDeterminism, ResumeFromV1CheckpointExplainsFormatChange) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -13,9 +12,13 @@
 #include "core/search_env.hpp"
 #include "gen/device_network_gen.hpp"
 #include "gen/task_graph_gen.hpp"
+#include "testutil.hpp"
 
 namespace giph {
 namespace {
+
+using testutil::bytes_equal;
+using testutil::schedule_bytes_equal;
 
 const DefaultLatencyModel kLat;
 
@@ -43,19 +46,6 @@ Instance make_instance(std::uint64_t seed) {
   ensure_feasible(in.g, in.n, rng);
   in.init = random_placement(in.g, in.n, rng);
   return in;
-}
-
-template <typename T>
-bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-bool bytes_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
-bool schedule_bytes_equal(const Schedule& a, const Schedule& b) {
-  return bytes_equal(a.tasks, b.tasks) && bytes_equal(a.edge_start, b.edge_start) &&
-         bytes_equal(a.edge_finish, b.edge_finish) && bytes_equal(a.makespan, b.makespan);
 }
 
 /// Everything a try must leave alone and a commit must make equal to apply.

@@ -366,51 +366,65 @@ TEST(ServeServer, PoisonRequestBecomesErrorResponseAndServingContinues) {
 // queue capacity Q and one request in flight, exactly Q - 1 more are admitted
 // and the rest shed — an exact, machine-independent count.
 TEST(ServeServer, OverloadShedsDeterministicallyAtCapacity) {
-  SnapshotStore store;
-  FaultInjector faults;
-  faults.hold_request("stall");
-  ServerOptions opt;
-  opt.workers = 2;  // one background worker to park on the stall
-  opt.queue_capacity = 4;
-  PlacementServer server(opt, store, faults.hooks());
-  const Instance in = make_instance(11, /*tasks=*/6);
-
-  std::mutex mu;
-  std::vector<PlacementResponse> responses;
-  const auto sink = [&](const PlacementResponse& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    responses.push_back(r);
+  // With one worker parked on a stalled request, a queue of capacity Q admits
+  // Q - 1 of the requests submitted behind it and sheds the rest: the shed
+  // count is a closed form of the queue bound, not of machine speed.
+  struct Overload {
+    int capacity;
+    int submits;
+    int shed;
+    double shed_rate;
   };
+  for (const Overload& c : {Overload{4, 8, 5, 0.625}, Overload{8, 16, 9, 0.5625}}) {
+    SCOPED_TRACE("capacity " + std::to_string(c.capacity));
+    SnapshotStore store;
+    FaultInjector faults;
+    faults.hold_request("stall");
+    ServerOptions opt;
+    opt.workers = 2;  // one background worker to park on the stall
+    opt.queue_capacity = c.capacity;
+    PlacementServer server(opt, store, faults.hooks());
+    const Instance in = make_instance(11, /*tasks=*/6);
 
-  ASSERT_TRUE(server.submit(make_request(in, "stall"), sink));
-  faults.wait_for_awaiting(1);  // the worker is parked inside the stall
+    std::mutex mu;
+    std::vector<PlacementResponse> responses;
+    const auto sink = [&](const PlacementResponse& r) {
+      std::lock_guard<std::mutex> lock(mu);
+      responses.push_back(r);
+    };
 
-  int admitted = 0, shed = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (server.submit(make_request(in, "q-" + std::to_string(i)), sink)) {
-      ++admitted;
-    } else {
-      ++shed;
+    ASSERT_TRUE(server.submit(make_request(in, "stall"), sink));
+    faults.wait_for_awaiting(1);  // the worker is parked inside the stall
+
+    int admitted = 0, shed = 0;
+    for (int i = 0; i < c.submits; ++i) {
+      if (server.submit(make_request(in, "q-" + std::to_string(i)), sink)) {
+        ++admitted;
+      } else {
+        ++shed;
+      }
     }
-  }
-  EXPECT_EQ(admitted, 3);  // capacity 4 minus the stalled in-flight request
-  EXPECT_EQ(shed, 5);
+    EXPECT_EQ(admitted, c.capacity - 1);  // minus the stalled in-flight request
+    EXPECT_EQ(shed, c.shed);
+    EXPECT_EQ(static_cast<double>(shed) / c.submits, c.shed_rate);
 
-  faults.release_all();
-  server.stop_and_drain();
-  EXPECT_EQ(responses.size(), 9u);  // 4 ok + 5 shed, each delivered once
+    faults.release_all();
+    server.stop_and_drain();
+    // Every submit, admitted or shed, and the stall get exactly one response.
+    EXPECT_EQ(responses.size(), static_cast<std::size_t>(c.submits + 1));
 
-  int ok = 0, shed_responses = 0;
-  for (const auto& r : responses) {
-    if (r.status == ResponseStatus::kOk) ++ok;
-    if (r.status == ResponseStatus::kShed) {
-      ++shed_responses;
-      EXPECT_NE(r.error.find("queue at capacity"), std::string::npos);
+    int ok = 0, shed_responses = 0;
+    for (const auto& r : responses) {
+      if (r.status == ResponseStatus::kOk) ++ok;
+      if (r.status == ResponseStatus::kShed) {
+        ++shed_responses;
+        EXPECT_NE(r.error.find("queue at capacity"), std::string::npos);
+      }
     }
+    EXPECT_EQ(ok, c.capacity);  // the stall plus the admitted requests
+    EXPECT_EQ(shed_responses, c.shed);
+    EXPECT_EQ(server.stats().shed, static_cast<std::uint64_t>(c.shed));
   }
-  EXPECT_EQ(ok, 4);
-  EXPECT_EQ(shed_responses, 5);
-  EXPECT_EQ(server.stats().shed, 5u);
 }
 
 TEST(ServeServer, SubmitAfterDrainDeliversErrorResponse) {

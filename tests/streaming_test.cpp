@@ -21,9 +21,13 @@
 #include "sim/metrics.hpp"
 #include "sim/stream.hpp"
 #include "sim/trace.hpp"
+#include "testutil.hpp"
 
 namespace giph {
 namespace {
+
+using testutil::bytes_equal;
+using testutil::schedule_bytes_equal;
 
 const DefaultLatencyModel kLat;
 
@@ -95,6 +99,43 @@ TEST(Streaming, SingleFrameIsBitwiseTheOneShotSimulator) {
     EXPECT_EQ(r.schedule.makespan, flat.makespan);
     EXPECT_EQ(r.frames, 1);
     EXPECT_EQ(r.frame_latency[0], r.p99_latency);
+  }
+}
+
+TEST(Streaming, ReusedWorkspaceIsBitwiseTheAllocatingPath) {
+  // simulate_streaming_into caches the frame-replicated graph on (graph
+  // stamp, frames). One workspace carried across instances and frame counts,
+  // back and forth, must reproduce the allocating path byte for byte.
+  std::vector<RandomInstance> instances;
+  instances.emplace_back(41, 12, 3);
+  instances.emplace_back(42, 50, 20);
+  instances.emplace_back(43, 20, 5);
+  StreamWorkspace ws;
+  StreamResult reused;
+  for (const bool nic : {false, true}) {
+    for (const RandomInstance& in : instances) {
+      const double one_shot = simulate(in.g, in.n, in.p, kLat).makespan;
+      for (const int frames : {1, 32, 8}) {
+        SCOPED_TRACE("tasks " + std::to_string(in.g.num_tasks()) + ", frames " +
+                     std::to_string(frames) + ", nic " + std::to_string(nic));
+        StreamOptions opt;
+        opt.frames = frames;
+        opt.interval = one_shot / 4.0;  // frames overlap on the devices
+        opt.sim.serialize_transfers = nic;
+        const StreamResult fresh = simulate_streaming(in.g, in.n, in.p, kLat, opt);
+        simulate_streaming_into(in.g, in.n, in.p, kLat, ws, reused, opt);
+        EXPECT_TRUE(schedule_bytes_equal(fresh.schedule, reused.schedule));
+        EXPECT_TRUE(bytes_equal(fresh.frame_arrival, reused.frame_arrival));
+        EXPECT_TRUE(bytes_equal(fresh.frame_finish, reused.frame_finish));
+        EXPECT_TRUE(bytes_equal(fresh.frame_latency, reused.frame_latency));
+        EXPECT_EQ(fresh.frames, reused.frames);
+        EXPECT_EQ(fresh.steady_frame, reused.steady_frame);
+        EXPECT_TRUE(bytes_equal(fresh.throughput, reused.throughput));
+        EXPECT_TRUE(bytes_equal(fresh.p50_latency, reused.p50_latency));
+        EXPECT_TRUE(bytes_equal(fresh.p99_latency, reused.p99_latency));
+        EXPECT_TRUE(bytes_equal(fresh.makespan, reused.makespan));
+      }
+    }
   }
 }
 

@@ -2,13 +2,15 @@
 
 // Shared test fixtures: the hand-computed two-device network / three-task
 // chain used across the simulator-layer tests, seeded random problem
-// builders, and the bitwise schedule comparison. Kept header-only so every
+// builders, and the bitwise schedule comparisons. Kept header-only so every
 // test file (and the sanitize subset) can use them without extra link deps.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include "gen/device_network_gen.hpp"
 #include "gen/task_graph_gen.hpp"
@@ -88,6 +90,21 @@ inline void expect_schedules_bitwise_equal(const Schedule& a, const Schedule& b)
     EXPECT_EQ(a.edge_start[e], b.edge_start[e]) << "edge " << e;
     EXPECT_EQ(a.edge_finish[e], b.edge_finish[e]) << "edge " << e;
   }
+}
+
+/// Byte-for-byte equality: unlike ==, it tells -0.0 from 0.0 and equates a
+/// NaN with the same NaN.
+template <typename T>
+bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+inline bool bytes_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+inline bool schedule_bytes_equal(const Schedule& a, const Schedule& b) {
+  return bytes_equal(a.tasks, b.tasks) && bytes_equal(a.edge_start, b.edge_start) &&
+         bytes_equal(a.edge_finish, b.edge_finish) && bytes_equal(a.makespan, b.makespan);
 }
 
 }  // namespace testutil

@@ -4,19 +4,19 @@
 Usage: check_bench.py BASELINE.json CURRENT.json [--tolerance 0.30]
        check_bench.py --self-test
 
-Compares every throughput metric (keys ending in ``_per_sec``, recursively)
-and every ratio metric (keys ending in ``_rate``, in [0, 1] by convention,
-e.g. the delta-simulation hit rate) and fails when the current value has
-regressed more than the tolerance below the baseline. Also fails when any
-``bitwise_identical`` flag that is true in the baseline turned false, and
-when a gated baseline metric is missing from the current run entirely — a
-benchmark that silently stops emitting a metric must not pass the gate.
+Compares every throughput metric (keys ending in ``_per_sec`` or ``_per_s``,
+recursively) and every ratio metric (keys ending in ``_rate``, in [0, 1] by
+convention, e.g. the delta-simulation hit rate) and fails when the current
+value has regressed more than the tolerance below the baseline. Also fails
+when any ``bitwise_identical`` flag that is true in the baseline turned
+false, and when a gated baseline metric is missing from the current run
+entirely — a benchmark that silently stops emitting a metric must not pass
+the gate.
 
-A baseline may override the global tolerance per metric with a sibling key
-``<metric>_max_regress`` (e.g. ``"hier_tasks_per_sec": 290.0,
-"hier_tasks_per_sec_max_regress": 0.5``): that metric then tolerates the
-given fractional drop instead of ``--tolerance``. Override keys themselves
-are never gated.
+A perfbench metric record ``{"value": v, "unit": u}`` reads as the leaf
+``v``, so a file of perfbench result lines keyed by workload (``{"serve16":
+{"metrics": {"throughput_per_s": {"value": 989.0, "unit": "1/s"}}}}``) gates
+against a baseline that writes ``"throughput_per_s": 989.0``.
 
 Only stdlib is used, and absolute wall times are deliberately ignored:
 runner machines differ, so the gate is a relative one against numbers
@@ -30,12 +30,14 @@ import argparse
 import json
 import sys
 
-MAX_REGRESS_SUFFIX = "_max_regress"
+FLOOR_SUFFIXES = ("_per_sec", "_per_s", "_rate")
 
 
 def walk(obj, prefix=""):
     """Yields (dotted_path, value) for every leaf of a nested dict."""
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and set(obj) == {"value", "unit"}:
+        yield prefix.rstrip("."), obj["value"]  # a perfbench metric record
+    elif isinstance(obj, dict):
         for key, value in obj.items():
             yield from walk(value, f"{prefix}{key}." if prefix else f"{key}.")
     else:
@@ -44,13 +46,8 @@ def walk(obj, prefix=""):
 
 def is_gated(path, base_value):
     """True when a baseline leaf participates in the gate."""
-    if path.endswith(MAX_REGRESS_SUFFIX):
-        return False  # per-metric tolerance overrides, not metrics
-    return (
-        path.endswith("_per_sec")
-        or path.endswith("_rate")
-        or (path.endswith("bitwise_identical") and base_value is True)
-    )
+    return path.endswith(FLOOR_SUFFIXES) or (
+        path.endswith("bitwise_identical") and base_value is True)
 
 
 def run_check(baseline, current, tolerance):
@@ -71,19 +68,17 @@ def run_check(baseline, current, tolerance):
             failures.append(f"{path}: gated in baseline but missing from current run")
             continue
         cur_value = current[path]
-        if path.endswith("_per_sec") or path.endswith("_rate"):
+        if path.endswith(FLOOR_SUFFIXES):
             checked += 1
-            tol = baseline.get(path + MAX_REGRESS_SUFFIX, tolerance)
-            floor = (1.0 - tol) * base_value
+            floor = (1.0 - tolerance) * base_value
             status = "ok" if cur_value >= floor else "REGRESSED"
-            precision = 3 if path.endswith("_rate") else 1
             lines.append(
-                f"{path}: {base_value:.{precision}f} -> {cur_value:.{precision}f} "
-                f"(floor {floor:.{precision}f}, tol {tol:.0%}) {status}")
+                f"{path}: {base_value:.6g} -> {cur_value:.6g} "
+                f"(floor {floor:.6g}, tol {tolerance:.0%}) {status}")
             if cur_value < floor:
                 failures.append(
-                    f"{path}: {cur_value:.{precision}f} is more than "
-                    f"{tol:.0%} below baseline {base_value:.{precision}f}")
+                    f"{path}: {cur_value:.6g} is more than "
+                    f"{tolerance:.0%} below baseline {base_value:.6g}")
         else:  # bitwise_identical flag, true in baseline
             checked += 1
             lines.append(f"{path}: {cur_value}")
@@ -128,28 +123,22 @@ def self_test():
             self.assertEqual(failures, [])
             self.assertEqual(checked, 1)
 
-        def test_max_regress_override_loosens(self):
-            # 50% drop fails the default 30% gate but passes a 60% override.
-            _, failures, _ = self.check(
-                {"x_per_sec": 100.0, "x_per_sec_max_regress": 0.6},
-                {"x_per_sec": 50.0})
-            self.assertEqual(failures, [])
-
-        def test_max_regress_override_tightens(self):
-            # 20% drop passes the default gate but fails a 10% override.
-            _, failures, _ = self.check(
-                {"x_per_sec": 100.0, "x_per_sec_max_regress": 0.1},
-                {"x_per_sec": 80.0})
-            self.assertEqual(len(failures), 1)
-
-        def test_max_regress_keys_are_not_gated(self):
-            # The override key itself is neither checked nor required in the
-            # current run, even though it ends in a gated-looking suffix.
+        def test_perfbench_records_gate_per_s_keys(self):
+            # perfbench result lines keyed by workload: the throughput record
+            # is gated by its value, at a tolerance under the default (a 30%
+            # drop would pass at 0.30).
+            run = {"correct": True, "metrics": {
+                "setup_s": {"value": 0.001, "unit": "s"},
+                "throughput_per_s": {"value": 70.0, "unit": "1/s"}}}
+            base = {"serve16": {"metrics": {"throughput_per_s": 100.0}}}
             _, failures, checked = self.check(
-                {"x_per_sec": 100.0, "x_per_sec_max_regress": 0.5},
-                {"x_per_sec": 100.0})
-            self.assertEqual(failures, [])
+                base, {"serve16": run}, tolerance=0.25)
             self.assertEqual(checked, 1)
+            self.assertEqual(len(failures), 1)
+            self.assertIn("serve16.metrics.throughput_per_s", failures[0])
+            run["metrics"]["throughput_per_s"]["value"] = 76.0
+            _, failures, _ = self.check(base, {"serve16": run}, tolerance=0.25)
+            self.assertEqual(failures, [])
 
         def test_bitwise_flag_flip_fails(self):
             _, failures, _ = self.check(
@@ -169,9 +158,10 @@ def self_test():
 
         def test_nested_paths(self):
             _, failures, checked = self.check(
-                {"case": {"a": {"x_per_sec": 100.0, "x_per_sec_max_regress": 0.5}}},
+                {"case": {"a": {"x_per_sec": 100.0}}},
                 {"case": {"a": {"x_per_sec": 60.0}}})
-            self.assertEqual(failures, [])
+            self.assertEqual(len(failures), 1)
+            self.assertIn("case.a.x_per_sec", failures[0])
             self.assertEqual(checked, 1)
 
         def test_no_gated_metrics_is_reported(self):
