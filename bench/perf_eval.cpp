@@ -186,7 +186,7 @@ int main() {
     Schedule prev, next, check;
     DeltaSimState dds;
     SimWorkspace check_ws;
-    simulate_into(dg, dn, dp, lat, ws, prev, {}, &dds);
+    simulate_into(dg, dn, dp, lat, ws, prev, dds);
     for (int i = 0; i < hit_moves; ++i) {
       const int v = static_cast<int>(deep_rng() % dg.num_tasks());
       const int d = feas[v][deep_rng() % feas[v].size()];
@@ -197,7 +197,7 @@ int main() {
       }
       guard += next.makespan;
       if (i % 64 == 0) {
-        simulate_into(dg, dn, dp, lat, check_ws, check, {});
+        simulate_into(dg, dn, dp, lat, check_ws, check);
         for (std::size_t t = 0; t < check.tasks.size(); ++t) {
           delta_bitwise = delta_bitwise && next.tasks[t].start == check.tasks[t].start &&
                           next.tasks[t].finish == check.tasks[t].finish;

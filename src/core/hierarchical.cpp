@@ -46,7 +46,7 @@ Placement HierarchicalPlacer::place_clusters(SearchPolicy& policy, std::mt19937_
 double HierarchicalPlacer::refine(Placement& fine, HierarchicalStats* stats) {
   PlacementSearchEnv env(*g_, *n_, *lat_, makespan_objective(*lat_), fine, norm_);
   if (stats) stats->expanded_objective = env.objective();
-  if (!opt_.refine || g_->num_tasks() == 0) {
+  if (opt_.refine_rounds == 0 || g_->num_tasks() == 0) {
     if (stats) stats->refined_objective = env.objective();
     return env.objective();
   }

@@ -19,11 +19,10 @@ struct HierarchicalOptions {
   /// Greedy coarse search (evaluation default); false samples the policy.
   bool coarse_greedy = true;
   /// Refinement sweeps over all clusters; each stops early when a full sweep
-  /// keeps no move.
+  /// keeps no move. 0 skips refinement (the expansion is returned as is).
   int refine_rounds = 2;
   /// EFT-ranked device candidates tried per task during refinement (>= 1).
   int refine_topk = 4;
-  bool refine = true;
 };
 
 /// Per-run observability of the three hierarchical stages. Objectives are

@@ -38,7 +38,7 @@ void PlacementSearchEnv::refresh() {
   // sched_ instead of re-simulating, and the workspace makes the call
   // allocation-free in steady state. Recording delta_ lets the next one-task
   // move (try_move) take the incremental path.
-  simulate_into(*g_, *n_, current_, *lat_, ws_, sched_, {}, &delta_);
+  simulate_into(*g_, *n_, current_, *lat_, ws_, sched_, delta_);
   ++sims_;
   index_dirty_ = true;
   trial_pending_ = false;

@@ -1,4 +1,6 @@
-// simulate_delta(): incremental re-simulation of a single-task move.
+// simulate_delta(): incremental re-simulation of a single-task move under the
+// static model (default SimOptions: no noise, trace, NIC serialization or
+// shared links).
 //
 // Correctness rests on one structural fact about the event core: a task that
 // is runnable but not yet started is inert. It displaces nothing — pops ahead
@@ -25,20 +27,28 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "sim/sim_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace giph {
+namespace {
+
+// Replays whose unaffected prefix covers less than this fraction of the tasks
+// fall back to a full simulation: a tiny prefix saves nothing over the full
+// run, and the reconstruction itself costs O(V + E).
+constexpr double kMinPrefixFraction = 0.05;
+
+// The replayed model: what the recording simulate_into() overload runs.
+const SimOptions kStaticModel{};
+
+}  // namespace
 
 DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
                               const Placement& p, int moved_task,
                               const LatencyModel& lat, SimWorkspace& ws,
-                              const Schedule& prev, DeltaSimState& ds, Schedule& out,
-                              const SimOptions& opt) {
-  validate_sim_options(opt, "simulate_delta");
+                              const Schedule& prev, DeltaSimState& ds, Schedule& out) {
   const int nv = g.num_tasks();
   const int ne = g.num_edges();
   const int nd = n.num_devices();
@@ -51,27 +61,16 @@ DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
   // Only the moved task can have changed device; the rest of the placement
   // was validated by the run that produced `prev`.
   if (!device_feasible(g, n, moved_task, p.device_of(moved_task))) {
-    throw std::invalid_argument("simulate: infeasible placement");
-  }
-  const SharedLinkMap* shared = opt.shared_links;
-  if (shared != nullptr && shared->num_devices != nd) {
-    throw std::invalid_argument(
-        "simulate: shared_links was built for " +
-        std::to_string(shared->num_devices) + " devices but the network has " +
-        std::to_string(nd));
+    throw std::invalid_argument("simulate_delta: infeasible placement");
   }
 
   const auto fall_back = [&]() {
     detail::bump_delta_fallback_count();
-    simulate_into(g, n, p, lat, ws, out, opt, &ds);
+    simulate_into(g, n, p, lat, ws, out, ds);
     return DeltaSimResult::kFellBack;
   };
 
-  // With noise, realized durations are drawn in event order from one stream:
-  // a replay cannot reposition the stream, so only the full path reproduces
-  // the draw order.
-  if (!ds.valid || opt.noise > 0.0) return fall_back();
-  if (static_cast<int>(prev.tasks.size()) != nv ||
+  if (!ds.valid || static_cast<int>(prev.tasks.size()) != nv ||
       static_cast<int>(prev.edge_start.size()) != ne ||
       static_cast<int>(prev.edge_finish.size()) != ne ||
       static_cast<int>(ds.runnable_order.size()) != nv ||
@@ -87,39 +86,12 @@ DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
   for (int e : g.in_edges(moved_task)) {
     t0 = std::min(t0, prev.tasks[g.edge(e).src].finish);
   }
-  if (!(t0 > 0.0)) return fall_back();
-
-  const NetworkTrace* trace =
-      (opt.trace != nullptr && !opt.trace->empty()) ? opt.trace : nullptr;
-  if (trace != nullptr) {
-    validate_network_trace(*trace, n, "simulate_delta");
-    if (!ds.trace_recorded ||
-        static_cast<int>(ds.edge_final_version.size()) != ne) {
-      return fall_back();
-    }
-    // Breakpoint rescales do not move the NIC / link reservations made at
-    // dispatch, so those timelines cannot be rebuilt from finish times once a
-    // trace is active alongside a contention model.
-    if (opt.serialize_transfers || shared != nullptr) return fall_back();
-    // A breakpoint inside the replayed window would have to re-fire with its
-    // original seq against a partially replayed in-flight set; not worth
-    // modeling. (Segments at time <= 0 seed state and never become events.)
-    for (const LinkSchedule& ls : trace->links) {
-      for (const TraceSegment& seg : ls.segments) {
-        if (seg.time > 0.0 && seg.time >= t0) return fall_back();
-      }
-    }
-  } else if (ds.trace_recorded) {
-    return fall_back();  // options changed mid-chain; ds cannot be trusted
-  }
-
-  // Count the unaffected prefix; a tiny one is not worth the O(V + E)
-  // reconstruction below.
+  // Count the unaffected prefix (empty when T0 = 0).
   int completed = 0;
   for (const TaskTiming& t : prev.tasks) {
     if (t.finish < t0) ++completed;
   }
-  if (completed < ds.min_prefix_fraction * nv) return fall_back();
+  if (completed < kMinPrefixFraction * nv) return fall_back();
 
   detail::bump_delta_simulation_count();
   ds.valid = false;  // a mid-replay throw leaves ds unusable
@@ -148,12 +120,10 @@ DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
   // task never lands here: its previous start is >= T0 by construction, so
   // its (possibly changed) device assignment is never consulted for the
   // prefix.
-  int running_total = 0;
   for (int v = 0; v < nv; ++v) {
     const TaskTiming& t = prev.tasks[v];
     if (t.start < t0 && t.finish >= t0) {
       ++ws.running[p.device_of(v)];
-      ++running_total;
       ws.heap.push_back(detail::SimEvent{t.finish, ds.task_event_seq[v],
                                          detail::kTaskDone, v, 0});
     }
@@ -173,78 +143,20 @@ DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
   std::sort(seed.begin(), seed.end());
   for (const auto& [rank, v] : seed) ws.fifo[p.device_of(v)].push_back(v);
 
-  // NIC / shared-link reservations: each dispatch reserves until start + dur
-  // == the transfer's finish (no trace here, so finishes never move), and
-  // reservations only grow, so the running max over prefix-dispatched
-  // transfers is the exact timeline state. A transfer is prefix-dispatched
-  // iff its producer finished before T0.
-  ws.nic_free.assign(nd, 0.0);
-  if (shared != nullptr) ws.link_free.assign(shared->num_links, 0.0);
-  if (opt.serialize_transfers || shared != nullptr) {
-    for (int e = 0; e < ne; ++e) {
-      if (prev.tasks[g.edge(e).src].finish >= t0) continue;
-      const int k = p.device_of(g.edge(e).src);
-      const int l = p.device_of(g.edge(e).dst);
-      if (k == l) continue;
-      if (opt.serialize_transfers) {
-        ws.nic_free[k] = std::max(ws.nic_free[k], prev.edge_finish[e]);
-      }
-      if (shared != nullptr) {
-        for (const int li : shared->links_on(k, l)) {
-          ws.link_free[li] = std::max(ws.link_free[li], prev.edge_finish[e]);
-        }
-      }
-    }
-  }
-
-  if (trace != nullptr) {
-    const int nl = static_cast<int>(trace->links.size());
-    ws.trace_link.assign(static_cast<std::size_t>(nd) * nd, -1);
-    ws.trace_cur.assign(nl, TraceSegment{});
-    ws.trace_factor.assign(nl, 1.0);
-    // Every breakpoint fired in the prefix (checked above), so each link's
-    // state is simply its last segment, and the recorded end-of-run versions
-    // are the versions at T0.
-    ws.edge_version.assign(ds.edge_final_version.begin(),
-                           ds.edge_final_version.end());
-    ws.edge_finish_at.assign(ne, -1.0);
-    ws.edge_wire_begin.assign(ne, 0.0);
-    ws.edge_wire_factor.assign(ne, 1.0);
-    ws.edge_inflight.assign(ne, 0);
-    for (int li = 0; li < nl; ++li) {
-      const LinkSchedule& ls = trace->links[li];
-      if (ls.segments.empty()) continue;
-      ws.trace_link[static_cast<std::size_t>(ls.src) * nd + ls.dst] = li;
-      for (const TraceSegment& seg : ls.segments) {
-        ws.trace_cur[li] = seg;
-        ws.trace_factor[li] = wire_factor(seg);
-      }
-    }
-  }
-
-  // Transfers in flight at T0: dispatched in the prefix, arriving in the
-  // suffix. Their transfer-done events cross the boundary with their recorded
-  // seqs (and, under a trace, their surviving versions; superseded stale
-  // events are dropped — popping one is a no-op anyway).
+  // Transfers in flight at T0: dispatched in the prefix (the producer
+  // finished before T0), arriving in the suffix. Their transfer-done events
+  // cross the boundary with their recorded seqs.
   for (int e = 0; e < ne; ++e) {
     if (prev.tasks[g.edge(e).src].finish < t0 && prev.edge_finish[e] >= t0) {
-      if (trace != nullptr) {
-        ws.edge_inflight[e] = 1;
-        ws.edge_finish_at[e] = prev.edge_finish[e];
-        // wire_begin / wire_factor are only read at breakpoints, none of
-        // which remain; keep them deterministic regardless.
-        ws.edge_wire_begin[e] = prev.edge_start[e];
-      }
-      ws.heap.push_back(detail::SimEvent{
-          prev.edge_finish[e], ds.edge_event_seq[e], detail::kTransferDone, e,
-          trace != nullptr ? ws.edge_version[e] : 0});
+      ws.heap.push_back(detail::SimEvent{prev.edge_finish[e], ds.edge_event_seq[e],
+                                         detail::kTransferDone, e, 0});
     }
   }
   std::make_heap(ws.heap.begin(), ws.heap.end(), detail::EventLater{});
 
   // ---- replay the suffix --------------------------------------------------
-  detail::SimEngine eng{g,     n,      p,       lat, ws, out, opt,
-                        trace, shared, nullptr, &ds, nd};
+  detail::SimEngine eng{g,       n,       p,       lat, ws, out, kStaticModel,
+                        nullptr, nullptr, nullptr, &ds, nd};
   eng.seq = ds.total_seq;
   eng.completed = completed;
   eng.runnable_rank = ds.next_runnable_rank;

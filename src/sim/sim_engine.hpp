@@ -98,11 +98,12 @@ struct SimEngine {
   const SimOptions& opt;
   const NetworkTrace* trace;    ///< collapsed: nullptr when absent or empty
   const SharedLinkMap* shared;  ///< nullptr when absent
-  /// (trace link, segment) per kBreakpoint event id. Full runs only: a delta
-  /// replay refuses windows containing breakpoints, so it passes nullptr.
+  /// (trace link, segment) per kBreakpoint event id. Traced full runs only;
+  /// a delta replay runs the static model and passes nullptr.
   const std::vector<std::pair<int, int>>* breakpoints;
-  /// Optional bookkeeping for simulate_delta(): event seqs, runnable ranks,
-  /// and edge versions recorded as the run unfolds. May be null.
+  /// Bookkeeping for simulate_delta(): event seqs and runnable ranks recorded
+  /// as the run unfolds. Non-null only on static-model runs (the recording
+  /// simulate_into() overload and delta replays); null otherwise.
   DeltaSimState* rec;
   int nd = 0;
   /// Streaming runs only (simulate_core with a plan); null otherwise, which
@@ -280,7 +281,6 @@ struct SimEngine {
           }
           ws.edge_finish_at[e] = anchor + remaining * (f_new / ws.edge_wire_factor[e]);
           ws.edge_wire_factor[e] = f_new;
-          if (rec != nullptr) rec->edge_event_seq[e] = seq;
           push_event(ws.edge_finish_at[e], kTransferDone, e, ++ws.edge_version[e]);
         }
       }
@@ -310,11 +310,6 @@ struct SimEngine {
     if (rec != nullptr) {
       rec->total_seq = seq;
       rec->next_runnable_rank = runnable_rank;
-      rec->trace_recorded = trace != nullptr;
-      if (trace != nullptr) {
-        rec->edge_final_version.assign(ws.edge_version.begin(),
-                                       ws.edge_version.begin() + g.num_edges());
-      }
       rec->valid = true;
     }
   }
@@ -326,7 +321,9 @@ struct SimEngine {
 /// fault actions, and drives SimEngine. `plan == nullptr` and
 /// `faults == nullptr` is exactly simulate_into(); with a plan, `g` and `p`
 /// must be the frame-replicated instance the plan describes; `faults` must
-/// be sized for (g, n). `caller` prefixes every diagnostic.
+/// be sized for (g, n). `record` is non-null only from the recording
+/// simulate_into() overload, which passes default (static) options.
+/// `caller` prefixes every diagnostic.
 void simulate_core(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                    const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
                    const SimOptions& opt, DeltaSimState* record,

@@ -182,9 +182,16 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
 
 void simulate_into(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                    const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
-                   const SimOptions& opt, DeltaSimState* record) {
-  detail::simulate_core(g, n, p, lat, ws, out, opt, record, nullptr, nullptr,
+                   const SimOptions& opt) {
+  detail::simulate_core(g, n, p, lat, ws, out, opt, nullptr, nullptr, nullptr,
                         "simulate");
+}
+
+void simulate_into(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
+                   const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
+                   DeltaSimState& record) {
+  detail::simulate_core(g, n, p, lat, ws, out, SimOptions{}, &record, nullptr,
+                        nullptr, "simulate");
 }
 
 Schedule simulate(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,

@@ -109,14 +109,16 @@ struct SimWorkspace {
 /// seqs and runnable ranks preserve the full run's deterministic tie-breaking,
 /// which is what makes the incremental path bitwise-identical.
 ///
-/// One state belongs to one (graph, network, options) chain of schedules: a
-/// full recording run seeds it, and each simulate_delta() call both consumes
-/// and refreshes it, so single-move steps chain indefinitely. Evaluating a
-/// move without taking it branches the chain by copying the state: replay
-/// into the copy, then keep the copy (the move is taken) or drop it (the
-/// original still describes the unchanged schedule), as
-/// PlacementSearchEnv::try_move / commit do. Copy-assignment reuses the
-/// target's capacity.
+/// Only the recording simulate_into() overload fills a state, and it always
+/// runs the static model (no noise, trace, NIC serialization or shared
+/// links), the only model simulate_delta() replays. One state belongs to one
+/// (graph, network) chain of schedules: a recording run seeds it, and each
+/// simulate_delta() call both consumes and refreshes it, so single-move steps
+/// chain indefinitely. Evaluating a move without taking it branches the chain
+/// by copying the state: replay into the copy, then keep the copy (the move
+/// is taken) or drop it (the original still describes the unchanged
+/// schedule), as PlacementSearchEnv::try_move / commit do. Copy-assignment
+/// reuses the target's capacity.
 struct DeltaSimState {
   bool valid = false;  ///< false until a recording run completes
   /// Per task: position in the run's make_runnable() order. Strictly
@@ -124,15 +126,9 @@ struct DeltaSimState {
   /// recorded one, so relative order stays exact across chained deltas.
   std::vector<long> runnable_order;
   std::vector<long> task_event_seq;  ///< per task: seq of its task-done event
-  std::vector<long> edge_event_seq;  ///< per edge: seq of its live transfer event
-  std::vector<int> edge_final_version;  ///< per edge: version at run end (trace only)
+  std::vector<long> edge_event_seq;  ///< per edge: seq of its transfer event
   long total_seq = 0;            ///< seq counter at run end
   long next_runnable_rank = 0;   ///< rank counter at run end
-  bool trace_recorded = false;  ///< the recording run had an active trace
-  /// Replays whose unaffected prefix covers less than this fraction of tasks
-  /// fall back to a full simulation (a tiny prefix saves nothing over the
-  /// full run and the reconstruction itself costs O(V + E)).
-  double min_prefix_fraction = 0.05;
   /// Reconstruction scratch (sorted (rank, task) pairs); not part of the
   /// recorded state.
   std::vector<std::pair<long, int>> runnable_scratch;
@@ -152,7 +148,8 @@ enum class DeltaSimResult { kReplayed, kFellBack };
 /// have arrived at its device. Entry tasks are runnable at t = 0.
 /// SimOptions::serialize_transfers / shared_links add NIC / physical-link
 /// contention, and SimOptions::trace adds time-varying link conditions; all
-/// three default off, reproducing the paper's model bitwise.
+/// three default off, reproducing the paper's model bitwise. Default options
+/// are the static model, the one simulate_delta() replays.
 ///
 /// Throws std::invalid_argument for infeasible placements and std::logic_error
 /// for cyclic graphs.
@@ -162,17 +159,25 @@ Schedule simulate(const TaskGraph& g, const DeviceNetwork& n, const Placement& p
 /// Allocation-free core of simulate(): writes the schedule into `out` reusing
 /// both the workspace buffers and `out`'s own vectors. Output is bitwise
 /// identical to simulate() for the same inputs, regardless of what the
-/// workspace or `out` previously held. When `record` is non-null the run
-/// additionally fills it with the bookkeeping simulate_delta() needs (a few
-/// percent of extra work; the output schedule is unaffected).
+/// workspace or `out` previously held.
 void simulate_into(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                    const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
-                   const SimOptions& opt = {}, DeltaSimState* record = nullptr);
+                   const SimOptions& opt = {});
 
-/// Incremental re-simulation of a one-task move: `p` must differ from the
-/// placement that produced `prev` at most at `moved_task`, `prev` must be the
-/// schedule of a run that recorded (or refreshed) `ds` under the same graph,
-/// network, latency model, and options, and `out` must not alias `prev`.
+/// Recording run of the static model: simulate_into() with default
+/// SimOptions that additionally fills `record` with the bookkeeping
+/// simulate_delta() needs (a few percent of extra work; the output schedule
+/// is unaffected). The only way to fill a DeltaSimState.
+void simulate_into(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
+                   const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
+                   DeltaSimState& record);
+
+/// Incremental re-simulation of a one-task move under the static model (the
+/// noise-free, contention-free simulator of Appendix B.5, which is what the
+/// search scores moves with): `p` must differ from the placement that
+/// produced `prev` at most at `moved_task`, `prev` must be the schedule of a
+/// run that recorded (or refreshed) `ds` under the same graph, network and
+/// latency model, and `out` must not alias `prev`.
 ///
 /// Computes the earliest dirty time T0 = min(previous start of the moved
 /// task, earliest previous finish among its parents): before T0 the two runs
@@ -183,19 +188,15 @@ void simulate_into(const TaskGraph& g, const DeviceNetwork& n, const Placement& 
 /// affected suffix instead of the whole graph.
 ///
 /// Falls back to a full recording simulation (same output, DeltaSimResult::
-/// kFellBack) whenever the replay could diverge or is not worth it: invalid /
-/// mismatched `ds`, noise > 0 (the draw order spans the whole run), a moved
-/// entry task (dirty from t = 0), a trace breakpoint at or after T0, a trace
-/// combined with NIC serialization or shared links (reservations are not
-/// reconstructible once rescales detach finish times from them), or an
-/// unaffected prefix below ds.min_prefix_fraction. Either way `out` and `ds`
-/// end bitwise identical to what simulate_into(..., &ds) would produce, so
-/// single-move steps chain indefinitely.
+/// kFellBack) when the replay cannot or need not run: invalid or mismatched
+/// `ds`, a moved entry task (dirty from t = 0), or an unaffected prefix
+/// below 5% of the tasks. Either way `out` and `ds` end bitwise identical to
+/// what the recording simulate_into() would produce, so single-move steps
+/// chain indefinitely.
 DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
                               const Placement& p, int moved_task,
                               const LatencyModel& lat, SimWorkspace& ws,
-                              const Schedule& prev, DeltaSimState& ds, Schedule& out,
-                              const SimOptions& opt = {});
+                              const Schedule& prev, DeltaSimState& ds, Schedule& out);
 
 /// Process-wide count of simulator invocations (simulate, simulate_into,
 /// simulate_with_faults, and simulate_delta all count). Monotonic,

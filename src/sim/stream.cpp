@@ -71,11 +71,35 @@ void ensure_replicated(const TaskGraph& g, int frames, StreamWorkspace& ws) {
   ws.cached_frames = frames;
 }
 
-// One full streaming simulation of exactly `frames` frames into `out`.
-void run_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
-                       const Placement& p, const LatencyModel& lat,
-                       StreamWorkspace& ws, StreamResult& out,
-                       const StreamOptions& opt, int frames) {
+}  // namespace
+
+void validate_stream_options(const StreamOptions& opt, const char* caller) {
+  const std::string who(caller);
+  if (opt.frames < 1) {
+    throw std::invalid_argument(who + ": frames must be >= 1, got " +
+                                std::to_string(opt.frames));
+  }
+  if (!std::isfinite(opt.interval) || opt.interval < 0.0) {
+    throw std::invalid_argument(who + ": interval must be finite and >= 0");
+  }
+  if (std::isnan(opt.arrival_jitter) || opt.arrival_jitter < 0.0 ||
+      opt.arrival_jitter >= 1.0) {
+    throw std::invalid_argument(
+        who + ": arrival_jitter must be in [0, 1) (a gap draw from "
+              "[interval(1-j), interval(1+j)] could go negative)");
+  }
+  if (opt.arrival_jitter > 0.0 && opt.sim.rng == nullptr) {
+    throw std::invalid_argument(who + ": arrival_jitter > 0 requires an rng");
+  }
+  validate_sim_options(opt.sim, caller);
+}
+
+void simulate_streaming_into(const TaskGraph& g, const DeviceNetwork& n,
+                             const Placement& p, const LatencyModel& lat,
+                             StreamWorkspace& ws, StreamResult& out,
+                             const StreamOptions& opt) {
+  validate_stream_options(opt, "simulate_streaming");
+  const int frames = opt.frames;
   const int nv = g.num_tasks();
   ensure_replicated(g, frames, ws);
 
@@ -114,7 +138,6 @@ void run_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
                         "simulate_streaming");
 
   out.frames = frames;
-  out.steady_frame = -1;
   out.frame_finish.assign(frames, 0.0);
   out.frame_latency.assign(frames, 0.0);
   for (int f = 0; f < frames; ++f) {
@@ -137,84 +160,6 @@ void run_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
   }
   out.p50_latency = nearest_rank_percentile(out.frame_latency, 0.50);
   out.p99_latency = nearest_rank_percentile(out.frame_latency, 0.99);
-}
-
-// First frame of a converged tail window (the last steady_window inter-finish
-// gaps and the last steady_window + 1 frame latencies agree within steady_tol
-// relative of their final values), or -1.
-int steady_state_frame(const StreamResult& r, const StreamOptions& opt) {
-  const int m = r.frames;
-  const int w = opt.steady_window;
-  if (m < w + 1) return -1;
-  const double gap_ref = r.frame_finish[m - 1] - r.frame_finish[m - 2];
-  const double lat_ref = r.frame_latency[m - 1];
-  const double gap_tol = opt.steady_tol * std::max(1.0, std::abs(gap_ref));
-  const double lat_tol = opt.steady_tol * std::max(1.0, std::abs(lat_ref));
-  for (int f = m - w; f < m; ++f) {
-    const double gap = r.frame_finish[f] - r.frame_finish[f - 1];
-    if (std::abs(gap - gap_ref) > gap_tol) return -1;
-    if (std::abs(r.frame_latency[f] - lat_ref) > lat_tol) return -1;
-  }
-  if (std::abs(r.frame_latency[m - w - 1] - lat_ref) > lat_tol) return -1;
-  return m - w;
-}
-
-}  // namespace
-
-void validate_stream_options(const StreamOptions& opt, const char* caller) {
-  const std::string who(caller);
-  if (opt.frames < 1) {
-    throw std::invalid_argument(who + ": frames must be >= 1, got " +
-                                std::to_string(opt.frames));
-  }
-  if (!std::isfinite(opt.interval) || opt.interval < 0.0) {
-    throw std::invalid_argument(who + ": interval must be finite and >= 0");
-  }
-  if (std::isnan(opt.arrival_jitter) || opt.arrival_jitter < 0.0 ||
-      opt.arrival_jitter >= 1.0) {
-    throw std::invalid_argument(
-        who + ": arrival_jitter must be in [0, 1) (a gap draw from "
-              "[interval(1-j), interval(1+j)] could go negative)");
-  }
-  if (opt.arrival_jitter > 0.0 && opt.sim.rng == nullptr) {
-    throw std::invalid_argument(who + ": arrival_jitter > 0 requires an rng");
-  }
-  if (opt.steady_window < 1) {
-    throw std::invalid_argument(who + ": steady_window must be >= 1");
-  }
-  if (!std::isfinite(opt.steady_tol) || opt.steady_tol < 0.0) {
-    throw std::invalid_argument(who + ": steady_tol must be finite and >= 0");
-  }
-  validate_sim_options(opt.sim, caller);
-}
-
-void simulate_streaming_into(const TaskGraph& g, const DeviceNetwork& n,
-                             const Placement& p, const LatencyModel& lat,
-                             StreamWorkspace& ws, StreamResult& out,
-                             const StreamOptions& opt) {
-  validate_stream_options(opt, "simulate_streaming");
-  const bool deterministic =
-      opt.sim.noise <= 0.0 && opt.arrival_jitter <= 0.0;
-  if (!opt.detect_steady_state || !deterministic) {
-    run_stream_frames(g, n, p, lat, ws, out, opt, opt.frames);
-    return;
-  }
-  // Deterministic runs re-simulate a doubling prefix from scratch until the
-  // tail converges or the full budget is reached. The truncated run is the
-  // stream with that many frames (not a prefix of the longer run: a later
-  // frame can delay an earlier one through FIFO queueing), which is exactly
-  // the steady-state semantics callers asked for.
-  int prefix = std::min(opt.frames, std::max(2 * opt.steady_window, 8));
-  for (;;) {
-    run_stream_frames(g, n, p, lat, ws, out, opt, prefix);
-    const int sf = steady_state_frame(out, opt);
-    if (sf >= 0) {
-      out.steady_frame = sf;
-      return;
-    }
-    if (prefix >= opt.frames) return;  // never converged: steady_frame = -1
-    prefix = std::min(opt.frames, 2 * prefix);
-  }
 }
 
 StreamResult simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,

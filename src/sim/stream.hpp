@@ -18,20 +18,11 @@ struct StreamOptions {
   /// F = 1 leaves the rng stream untouched. Must be in [0, 1).
   double arrival_jitter = 0.0;
   SimOptions sim;  ///< noise / serialization / trace / shared links
-  /// Terminate early once per-frame completion-time deltas converge: simulate
-  /// a short prefix, check whether the last `steady_window` inter-finish gaps
-  /// and frame latencies agree within `steady_tol` (relative), and double the
-  /// prefix until they do or `frames` is reached. Only effective for
-  /// deterministic runs (noise == 0, arrival_jitter == 0); noisy or jittered
-  /// runs always simulate the full F frames.
-  bool detect_steady_state = false;
-  int steady_window = 4;
-  double steady_tol = 1e-9;
 };
 
 /// Throws std::invalid_argument when `opt` is unusable: frames < 1, negative
 /// or non-finite interval, arrival_jitter outside [0, 1) or > 0 without an
-/// rng, a bad steady-state window/tolerance, or invalid embedded SimOptions.
+/// rng, or invalid embedded SimOptions.
 void validate_stream_options(const StreamOptions& opt, const char* caller);
 
 /// Result of one streaming run. `schedule` covers the frame-replicated
@@ -42,8 +33,7 @@ struct StreamResult {
   std::vector<double> frame_arrival;  ///< per frame: when it entered ([0] == 0)
   std::vector<double> frame_finish;   ///< per frame: max task finish (>= arrival)
   std::vector<double> frame_latency;  ///< per frame: finish - arrival
-  int frames = 0;        ///< frames actually simulated (<= StreamOptions::frames)
-  int steady_frame = -1; ///< first frame of the converged tail window, or -1
+  int frames = 0;  ///< frames simulated (== StreamOptions::frames)
   /// frames / (last frame finish - first frame finish) for frames > 1
   /// (1 / frame_latency[0] for a single frame); +infinity on a zero span.
   double throughput = 0.0;

@@ -39,9 +39,9 @@ void write_stream_csv(std::ostream& out, const StreamResult& result) {
     out << f << "," << result.frame_arrival[f] << "," << result.frame_finish[f]
         << "," << result.frame_latency[f] << "\n";
   }
-  out << "summary," << result.frames << "," << result.steady_frame << ","
-      << result.throughput << "," << result.p50_latency << ","
-      << result.p99_latency << "," << result.makespan << "\n";
+  out << "summary," << result.frames << "," << result.throughput << ","
+      << result.p50_latency << "," << result.p99_latency << "," << result.makespan
+      << "\n";
   out.precision(saved_precision);
 }
 

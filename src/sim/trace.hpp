@@ -19,10 +19,9 @@ void write_schedule_csv(std::ostream& out, const TaskGraph& g, const DeviceNetwo
 
 /// Writes the per-frame streaming timings as CSV: one row per frame (frame,
 /// arrival, finish, latency) followed by one `summary` row carrying frames,
-/// steady_frame, throughput, p50, p99, and makespan. Same exact-fixture
-/// contract as write_schedule_csv: times at max_digits10 precision (parsing
-/// recovers the exact doubles) and the stream's precision restored before
-/// returning.
+/// throughput, p50, p99, and makespan. Same exact-fixture contract as
+/// write_schedule_csv: times at max_digits10 precision (parsing recovers the
+/// exact doubles) and the stream's precision restored before returning.
 void write_stream_csv(std::ostream& out, const StreamResult& result);
 
 /// Renders an ASCII Gantt chart of the schedule: one row per device, time on

@@ -96,8 +96,8 @@ InvariantReport check_fault_result(const TaskGraph& g, const DeviceNetwork& n,
 /// latency model consulted with base ids, per-task release = frame arrival),
 /// runs check_schedule over it with the release-aware ready times, and then
 /// checks the streaming contract proper:
-///   - bookkeeping: frames within [1, opt.frames], per-frame arrays sized to
-///     it, schedule arrays sized frames * V / frames * E;
+///   - bookkeeping: frames == opt.frames, per-frame arrays sized to it,
+///     schedule arrays sized frames * V / frames * E;
 ///   - arrivals: start at 0, non-decreasing, each gap equal to the interval
 ///     (jitter-free) or inside [interval(1-j), interval(1+j)];
 ///   - per-frame finish = max(arrival, task finishes of the frame) and
@@ -106,9 +106,7 @@ InvariantReport check_fault_result(const TaskGraph& g, const DeviceNetwork& n,
 ///     frame overtake an earlier one);
 ///   - throughput = frames / (last finish - first finish) bitwise (frames > 1;
 ///     1 / latency for a single frame), p50/p99 = nearest-rank percentiles of
-///     the frame latencies, makespan = the replicated schedule's makespan;
-///   - steady_frame, when set, names a tail window that converged within
-///     steady_tol.
+///     the frame latencies, makespan = the replicated schedule's makespan.
 InvariantReport check_stream_result(const TaskGraph& g, const DeviceNetwork& n,
                                     const Placement& p, const LatencyModel& lat,
                                     const StreamResult& result,

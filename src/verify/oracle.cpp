@@ -520,13 +520,14 @@ double oracle_percentile(std::vector<double> xs, double q) {
   return xs[idx];
 }
 
-// One naive streaming replay of exactly `frames` frames: oracle_simulate's
-// flat event list generalized to virtual ids (task f * V + v, edge f * E + e)
-// with the base latency model consulted through id mapping, plus arrival
-// entries releasing each later frame's entry copies.
+// One naive streaming replay of opt.frames frames: oracle_simulate's flat
+// event list generalized to virtual ids (task f * V + v, edge f * E + e) with
+// the base latency model consulted through id mapping, plus arrival entries
+// releasing each later frame's entry copies.
 StreamResult oracle_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
                                   const Placement& p, const LatencyModel& lat,
-                                  const StreamOptions& opt, int frames) {
+                                  const StreamOptions& opt) {
+  const int frames = opt.frames;
   const int bv = g.num_tasks();
   const int be = g.num_edges();
   const int nd = n.num_devices();
@@ -779,7 +780,6 @@ StreamResult oracle_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
 
   // Per-frame metrics, re-derived with the oracle's own arithmetic.
   r.frames = frames;
-  r.steady_frame = -1;
   r.frame_finish.assign(frames, 0.0);
   r.frame_latency.assign(frames, 0.0);
   for (int f = 0; f < frames; ++f) {
@@ -805,26 +805,6 @@ StreamResult oracle_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
   return r;
 }
 
-// The oracle's reading of "converged": the last steady_window inter-finish
-// gaps and steady_window + 1 latencies agree with the final ones within
-// steady_tol relative.
-int oracle_steady_frame(const StreamResult& r, const StreamOptions& opt) {
-  const int m = r.frames;
-  const int w = opt.steady_window;
-  if (m < w + 1) return -1;
-  const double gap_ref = r.frame_finish[m - 1] - r.frame_finish[m - 2];
-  const double lat_ref = r.frame_latency[m - 1];
-  const double gap_tol = opt.steady_tol * std::max(1.0, std::abs(gap_ref));
-  const double lat_tol = opt.steady_tol * std::max(1.0, std::abs(lat_ref));
-  for (int f = m - w; f < m; ++f) {
-    const double gap = r.frame_finish[f] - r.frame_finish[f - 1];
-    if (std::abs(gap - gap_ref) > gap_tol) return -1;
-    if (std::abs(r.frame_latency[f] - lat_ref) > lat_tol) return -1;
-  }
-  if (std::abs(r.frame_latency[m - w - 1] - lat_ref) > lat_tol) return -1;
-  return m - w;
-}
-
 }  // namespace
 
 StreamResult oracle_simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,
@@ -837,21 +817,7 @@ StreamResult oracle_simulate_streaming(const TaskGraph& g, const DeviceNetwork& 
   if (!acyclic(g)) {
     throw std::logic_error("oracle_simulate_streaming: cyclic task graph");
   }
-  const bool deterministic = opt.sim.noise <= 0.0 && opt.arrival_jitter <= 0.0;
-  if (!opt.detect_steady_state || !deterministic) {
-    return oracle_stream_frames(g, n, p, lat, opt, opt.frames);
-  }
-  int prefix = std::min(opt.frames, std::max(2 * opt.steady_window, 8));
-  for (;;) {
-    StreamResult r = oracle_stream_frames(g, n, p, lat, opt, prefix);
-    const int sf = oracle_steady_frame(r, opt);
-    if (sf >= 0) {
-      r.steady_frame = sf;
-      return r;
-    }
-    if (prefix >= opt.frames) return r;
-    prefix = std::min(opt.frames, 2 * prefix);
-  }
+  return oracle_stream_frames(g, n, p, lat, opt);
 }
 
 }  // namespace giph

@@ -90,9 +90,8 @@ FaultSimResult oracle_simulate_with_faults(const TaskGraph& g, const DeviceNetwo
 ///     like the production event core);
 ///   - devices serve one FIFO across frames; NIC serialization, shared-link
 ///     reservations, traces, and noise span frame boundaries;
-///   - per-frame finish/latency, throughput, nearest-rank p50/p99, and the
-///     steady-state doubling detection are re-derived with the oracle's own
-///     arithmetic.
+///   - per-frame finish/latency, throughput, and nearest-rank p50/p99 are
+///     re-derived with the oracle's own arithmetic.
 /// Output is bitwise identical to simulate_streaming() for every input,
 /// including the draw sequence; throws like it.
 StreamResult oracle_simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,

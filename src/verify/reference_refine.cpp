@@ -16,7 +16,7 @@ double reference_refine(const HierarchicalPlacer& placer, const TaskGraph& g,
   PlacementSearchEnv env(g, n, lat, makespan_objective(lat), fine,
                          placer.fine_normalizer());
   if (stats) stats->expanded_objective = env.objective();
-  if (!opt.refine || g.num_tasks() == 0) {
+  if (opt.refine_rounds == 0 || g.num_tasks() == 0) {
     if (stats) stats->refined_objective = env.objective();
     return env.objective();
   }

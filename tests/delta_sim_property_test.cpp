@@ -1,11 +1,9 @@
 // Property test for simulate_delta(): across random cases and random
 // single-task move sequences, the incremental path must stay bitwise
-// identical to a fresh full simulation after every move — including under
-// every dynamic-network configuration (NIC serialization, shared physical
-// links, network traces, loss-aware latency) and across the fallback
-// boundary cases (noise, entry-task moves, tiny prefixes, in-window trace
-// breakpoints). It also pins the counter accounting simulate_delta shares
-// with the full path.
+// identical to a fresh full simulation after every move, on multi-core
+// devices and under a loss-aware latency model too, and across the fallback
+// boundary cases (invalid state, entry-task moves, tiny prefixes). It also
+// pins the counter accounting simulate_delta shares with the full path.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +13,7 @@
 #include <vector>
 
 #include "gen/device_network_gen.hpp"
-#include "graph/topology.hpp"
 #include "sim/latency_model.hpp"
-#include "sim/network_trace.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
 
@@ -55,20 +51,15 @@ bool schedules_equal(const Schedule& a, const Schedule& b) {
 /// Drives `moves` random feasible single-task moves through simulate_delta
 /// (chained: each replay's output becomes the next baseline) and checks the
 /// result bitwise against an independent full simulate_into after every step.
-/// opt_delta / opt_full are separate so the noise scenario can mirror two
-/// identically seeded engines through the two paths.
 MoveStats run_move_sequence(const TaskGraph& g, const DeviceNetwork& n,
-                            Placement p, const LatencyModel& lat,
-                            const SimOptions& opt_delta, const SimOptions& opt_full,
-                            int moves, std::uint64_t seed,
-                            double min_prefix_fraction = 0.05) {
+                            Placement p, const LatencyModel& lat, int moves,
+                            std::uint64_t seed) {
   SimWorkspace ws_delta, ws_full;
   Schedule cur, nxt, full;
   DeltaSimState ds;
-  ds.min_prefix_fraction = min_prefix_fraction;
 
-  simulate_into(g, n, p, lat, ws_delta, cur, opt_delta, &ds);
-  simulate_into(g, n, p, lat, ws_full, full, opt_full);
+  simulate_into(g, n, p, lat, ws_delta, cur, ds);
+  simulate_into(g, n, p, lat, ws_full, full);
   testutil::expect_schedules_bitwise_equal(cur, full);
 
   MoveStats stats;
@@ -81,8 +72,7 @@ MoveStats run_move_sequence(const TaskGraph& g, const DeviceNetwork& n,
     const int d = devs[rng() % devs.size()];  // may equal the current device
     p.set(v, d);
 
-    const DeltaSimResult r =
-        simulate_delta(g, n, p, v, lat, ws_delta, cur, ds, nxt, opt_delta);
+    const DeltaSimResult r = simulate_delta(g, n, p, v, lat, ws_delta, cur, ds, nxt);
     if (r == DeltaSimResult::kReplayed) {
       ++stats.replayed;
     } else {
@@ -90,7 +80,7 @@ MoveStats run_move_sequence(const TaskGraph& g, const DeviceNetwork& n,
     }
     EXPECT_TRUE(ds.valid) << "move " << m;
 
-    simulate_into(g, n, p, lat, ws_full, full, opt_full);
+    simulate_into(g, n, p, lat, ws_full, full);
     if (!schedules_equal(nxt, full)) {
       testutil::expect_schedules_bitwise_equal(nxt, full);
       ADD_FAILURE() << "diverged at move " << m << " (task " << v << " -> device "
@@ -121,8 +111,7 @@ TEST(DeltaSimProperty, PlainBitwiseAcrossSeeds) {
   int replayed = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     testutil::RandomCase c = testutil::random_case(seed * 101, 24, 5);
-    const MoveStats s = run_move_sequence(c.graph, c.network, c.placement, lat,
-                                          {}, {}, 40, seed);
+    const MoveStats s = run_move_sequence(c.graph, c.network, c.placement, lat, 40, seed);
     replayed += s.replayed;
   }
   // The whole point is that most single-task moves take the incremental path.
@@ -134,110 +123,10 @@ TEST(DeltaSimProperty, MultiCoreDevices) {
   int replayed = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     testutil::RandomCase c = multicore_case(seed * 313, 30, 4);
-    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, {}, {},
-                                  40, seed)
+    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, 40, seed)
                     .replayed;
   }
   EXPECT_GT(replayed, 0);
-}
-
-TEST(DeltaSimProperty, SerializedTransfers) {
-  DefaultLatencyModel lat;
-  SimOptions opt;
-  opt.serialize_transfers = true;
-  int replayed = 0;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    testutil::RandomCase c = testutil::random_case(seed * 211, 24, 5);
-    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, opt,
-                                  opt, 40, seed)
-                    .replayed;
-  }
-  EXPECT_GT(replayed, 0);
-}
-
-TEST(DeltaSimProperty, SharedLinkContention) {
-  DefaultLatencyModel lat;
-  int replayed = 0;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    testutil::RandomCase c = testutil::random_case(seed * 401, 40, 5);
-    // A sparse line topology plus one chord: every route crosses shared
-    // physical links, so reservations actually interact.
-    std::vector<PhysicalLink> links;
-    for (int d = 1; d < c.network.num_devices(); ++d) {
-      links.push_back(PhysicalLink{d - 1, d, 5.0 + d, 0.5});
-    }
-    links.push_back(PhysicalLink{0, c.network.num_devices() - 1, 3.0, 2.0});
-    apply_topology(c.network, links);
-    const SharedLinkMap shared =
-        build_shared_link_map(c.network.num_devices(), links);
-    SimOptions opt;
-    opt.shared_links = &shared;
-    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, opt,
-                                  opt, 30, seed)
-                    .replayed;
-    // Serialization and shared links together (both reservation timelines).
-    opt.serialize_transfers = true;
-    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, opt,
-                                  opt, 30, seed + 77)
-                    .replayed;
-  }
-  EXPECT_GT(replayed, 0);
-}
-
-TEST(DeltaSimProperty, TraceWithPrefixBreakpointsReplays) {
-  DefaultLatencyModel lat;
-  int replayed = 0;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    testutil::RandomCase c = testutil::random_case(seed * 503, 24, 5);
-    // Conditions active from t = 0 (segments at time <= 0 seed state and are
-    // never breakpoint events), so replay windows stay breakpoint-free.
-    NetworkTrace tr;
-    tr.link(0, 1).segments.push_back(TraceSegment{0.0, 0.5, 0.25, 0.1});
-    tr.link(1, 0).segments.push_back(TraceSegment{0.0, 0.8, 0.0, 0.0});
-    tr.link(2, 3).segments.push_back(TraceSegment{0.0, 2.0, 0.1, 0.05});
-    SimOptions opt;
-    opt.trace = &tr;
-    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, opt,
-                                  opt, 30, seed)
-                    .replayed;
-  }
-  EXPECT_GT(replayed, 0);
-}
-
-TEST(DeltaSimProperty, TraceWithMidRunBreakpoint) {
-  // A breakpoint in the middle of the run: moves whose dirty window contains
-  // it must fall back, earlier-dirty moves may too — equality must hold
-  // either way, across the boundary both directions.
-  DefaultLatencyModel lat;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    testutil::RandomCase c = testutil::random_case(seed * 601, 24, 5);
-    const double horizon =
-        simulate(c.graph, c.network, c.placement, lat).makespan;
-    NetworkTrace tr;
-    auto& ls = tr.link(0, 1);
-    ls.segments.push_back(TraceSegment{0.0, 1.0, 0.0, 0.0});
-    ls.segments.push_back(TraceSegment{horizon * 0.4, 0.5, 0.5, 0.2});
-    tr.link(1, 2).segments.push_back(TraceSegment{horizon * 0.6, 0.25, 0.0, 0.0});
-    SimOptions opt;
-    opt.trace = &tr;
-    run_move_sequence(c.graph, c.network, c.placement, lat, opt, opt, 30, seed);
-  }
-}
-
-TEST(DeltaSimProperty, TraceWithSerializationAlwaysFallsBack) {
-  // Reservation timelines are not reconstructible once a trace is active:
-  // the combination must take the full path — and still match bitwise.
-  DefaultLatencyModel lat;
-  testutil::RandomCase c = testutil::random_case(977, 20, 4);
-  NetworkTrace tr;
-  tr.link(0, 1).segments.push_back(TraceSegment{0.0, 0.5, 0.0, 0.0});
-  SimOptions opt;
-  opt.trace = &tr;
-  opt.serialize_transfers = true;
-  const MoveStats s =
-      run_move_sequence(c.graph, c.network, c.placement, lat, opt, opt, 20, 3);
-  EXPECT_EQ(s.replayed, 0);
-  EXPECT_EQ(s.fell_back, 20);
 }
 
 TEST(DeltaSimProperty, LossAwareLatency) {
@@ -249,40 +138,29 @@ TEST(DeltaSimProperty, LossAwareLatency) {
     lat.set_drop(0, 1, 0.3);
     lat.set_drop(1, 0, 0.1);
     lat.set_drop(2, 4, 0.5);
-    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, {}, {},
-                                  30, seed)
+    replayed += run_move_sequence(c.graph, c.network, c.placement, lat, 30, seed)
                     .replayed;
   }
   EXPECT_GT(replayed, 0);
 }
 
-TEST(DeltaSimProperty, NoiseAlwaysFallsBack) {
-  // Realized durations are drawn in event order from one stream, so the delta
-  // path must refuse and re-run fully. Two identically seeded engines are
-  // mirrored through the two paths: the fallback's inner full run must
-  // consume exactly one run's worth of draws, keeping the streams aligned
-  // for the entire chain.
-  DefaultLatencyModel lat;
-  testutil::RandomCase c = testutil::random_case(811, 20, 4);
-  std::mt19937_64 rng_delta(42), rng_full(42);
-  SimOptions opt_delta, opt_full;
-  opt_delta.noise = 0.2;
-  opt_delta.rng = &rng_delta;
-  opt_full.noise = 0.2;
-  opt_full.rng = &rng_full;
-  const MoveStats s = run_move_sequence(c.graph, c.network, c.placement, lat,
-                                        opt_delta, opt_full, 20, 7);
-  EXPECT_EQ(s.replayed, 0);
-  EXPECT_EQ(s.fell_back, 20);
-}
-
 TEST(DeltaSimProperty, ForcedFallbackViaMinPrefixFraction) {
-  // min_prefix_fraction > 1 can never be met: every move falls back, the
-  // fallback re-records, and the chain keeps producing exact schedules.
+  // A fork: entry task 0 feeds every other task. Moving a child puts T0 at
+  // task 0's finish, where no task has finished yet, so the unaffected prefix
+  // is empty (below the 5% minimum); moving task 0 is an entry move. Every
+  // move falls back, the fallback re-records, and the chain keeps producing
+  // exact schedules.
+  TaskGraph g;
+  g.add_task(Task{.compute = 3.0});
+  for (int v = 1; v < 20; ++v) {
+    g.add_task(Task{.compute = 1.0 + v % 4});
+    g.add_edge(0, v, 2.0 + v % 3);
+  }
+  const DeviceNetwork n = testutil::two_devices();
+  Placement p(g.num_tasks());
+  for (int v = 0; v < g.num_tasks(); ++v) p.set(v, v % 2);
   DefaultLatencyModel lat;
-  testutil::RandomCase c = testutil::random_case(907, 20, 4);
-  const MoveStats s = run_move_sequence(c.graph, c.network, c.placement, lat,
-                                        {}, {}, 20, 11, /*min_prefix=*/1.1);
+  const MoveStats s = run_move_sequence(g, n, p, lat, 20, 11);
   EXPECT_EQ(s.replayed, 0);
   EXPECT_EQ(s.fell_back, 20);
 }
@@ -294,9 +172,8 @@ TEST(DeltaSimProperty, EntryTaskMoveFallsBack) {
   SimWorkspace ws;
   Schedule prev, out;
   DeltaSimState ds;
-  ds.min_prefix_fraction = 0.0;
   Placement p = testutil::alternating3();
-  simulate_into(g, n, p, lat, ws, prev, {}, &ds);
+  simulate_into(g, n, p, lat, ws, prev, ds);
 
   // Task 0 is an entry task: dirty from t = 0, nothing to reuse.
   p.set(0, 1);
@@ -304,7 +181,8 @@ TEST(DeltaSimProperty, EntryTaskMoveFallsBack) {
             DeltaSimResult::kFellBack);
   testutil::expect_schedules_bitwise_equal(out, simulate(g, n, p, lat));
 
-  // Task 2's dirty time is its parent's finish (t = 9): the prefix replays.
+  // Task 2's dirty time is its parent's finish (t = 3, task 0 finished at 1):
+  // the prefix replays.
   std::swap(prev, out);
   p.set(2, 1);
   EXPECT_EQ(simulate_delta(g, n, p, 2, lat, ws, prev, ds, out),
@@ -319,7 +197,7 @@ TEST(DeltaSimProperty, InvalidStateFallsBack) {
   SimWorkspace ws;
   Schedule prev, out;
   Placement p = testutil::alternating3();
-  simulate_into(g, n, p, lat, ws, prev, {});  // no recording: ds stays invalid
+  simulate_into(g, n, p, lat, ws, prev);  // no recording: ds stays invalid
 
   DeltaSimState ds;
   p.set(2, 1);
@@ -336,14 +214,13 @@ TEST(DeltaSimProperty, CounterAccounting) {
   SimWorkspace ws;
   Schedule prev, out;
   DeltaSimState ds;
-  ds.min_prefix_fraction = 0.0;
   Placement p = testutil::alternating3();
 
   const std::uint64_t full0 = full_simulation_count();
   const std::uint64_t delta0 = delta_simulation_count();
   const std::uint64_t fb0 = delta_fallback_count();
 
-  simulate_into(g, n, p, lat, ws, prev, {}, &ds);
+  simulate_into(g, n, p, lat, ws, prev, ds);
   EXPECT_EQ(full_simulation_count(), full0 + 1);
 
   p.set(2, 1);  // replays
@@ -373,11 +250,20 @@ TEST(DeltaSimProperty, RejectsAliasedOutput) {
   Schedule prev, out;
   DeltaSimState ds;
   Placement p = testutil::alternating3();
-  simulate_into(g, n, p, lat, ws, prev, {}, &ds);
+  simulate_into(g, n, p, lat, ws, prev, ds);
   EXPECT_THROW(simulate_delta(g, n, p, 2, lat, ws, prev, ds, prev),
                std::invalid_argument);
   EXPECT_THROW(simulate_delta(g, n, p, 99, lat, ws, prev, ds, out),
                std::invalid_argument);
+
+  // An infeasible move names simulate_delta, like its other errors.
+  p.set(2, 5);  // no such device
+  try {
+    simulate_delta(g, n, p, 2, lat, ws, prev, ds, out);
+    ADD_FAILURE() << "infeasible move accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "simulate_delta: infeasible placement");
+  }
 }
 
 }  // namespace

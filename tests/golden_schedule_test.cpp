@@ -44,10 +44,11 @@ struct GoldenCase {
   SharedLinkMap shared;
   bool has_shared = false;
   std::vector<std::tuple<int, int, double>> drops;
-  // Optional "delta-move v1" block: `placement` is the base placement whose
-  // full simulation seeds the DeltaSimState, and the expected block holds the
-  // schedule AFTER moving delta_task to delta_device. simulate_delta must
-  // take the incremental path and reproduce it bitwise.
+  // Optional "delta-move v1" block: the expected block holds the schedule
+  // AFTER moving delta_task to delta_device from the base `placement`. On a
+  // static case (no trace, shared links or NIC serialization) the base run
+  // seeds the DeltaSimState, and simulate_delta must take the incremental
+  // path and reproduce the expected block bitwise.
   bool has_delta_move = false;
   int delta_task = -1;
   int delta_device = -1;
@@ -67,6 +68,10 @@ struct GoldenCase {
     if (has_delta_move) p.set(delta_task, delta_device);
     return p;
   }
+
+  /// No trace, shared links or NIC serialization: the static model, the only
+  /// one simulate_delta replays.
+  bool is_static() const { return !has_trace && !has_shared && !stream_serialize; }
 
   SimOptions sim_options() const {
     SimOptions opt;
@@ -103,7 +108,8 @@ struct GoldenCase {
 //                    the projection);
 //   loss v1          <num entries>, per entry "src dst drop_prob";
 //   delta-move v1    "task device": the expected block is the post-move
-//                    schedule, reached from the base placement incrementally.
+//                    schedule (on a static case, reached from the base
+//                    placement incrementally).
 GoldenCase load_golden(const std::filesystem::path& path) {
   std::ifstream file(path);
   if (!file) throw std::runtime_error("cannot open golden case: " + path.string());
@@ -332,22 +338,21 @@ TEST(GoldenSchedules, DeltaMoveCasesReplayIncrementallyAndBitwise) {
   int seen = 0;
   for (const auto& path : golden_files()) {
     const GoldenCase c = load_golden(path);
-    if (!c.has_delta_move) continue;
+    if (!c.has_delta_move || !c.is_static()) continue;
     ++seen;
     const auto lat = c.latency();
-    const SimOptions opt = c.sim_options();
     SimWorkspace ws;
     Schedule prev, out;
     DeltaSimState ds;
-    simulate_into(c.graph, c.network, c.placement, *lat, ws, prev, opt, &ds);
+    simulate_into(c.graph, c.network, c.placement, *lat, ws, prev, ds);
     const Placement moved = c.final_placement();
-    const DeltaSimResult dr = simulate_delta(c.graph, c.network, moved, c.delta_task,
-                                             *lat, ws, prev, ds, out, opt);
+    const DeltaSimResult dr =
+        simulate_delta(c.graph, c.network, moved, c.delta_task, *lat, ws, prev, ds, out);
     EXPECT_TRUE(dr == DeltaSimResult::kReplayed)
         << c.name << ": move was hand-picked to replay, not fall back";
     expect_matches(c, out, "delta");
   }
-  EXPECT_GE(seen, 2) << "corpus must keep its hand-derived delta-move cases";
+  EXPECT_GE(seen, 2) << "corpus must keep its hand-derived static delta-move cases";
 }
 
 }  // namespace

@@ -267,7 +267,7 @@ TEST(Hierarchical, RefineDisabledReturnsExpandedObjective) {
   const Instance in = make_instance(20, 4, 11);
   HierarchicalOptions opt;
   opt.partition.num_clusters = 4;
-  opt.refine = false;
+  opt.refine_rounds = 0;
   GiPHOptions aopt;
   aopt.embed_dim = 4;
   GiPHAgent agent(aopt);

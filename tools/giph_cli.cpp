@@ -3,8 +3,9 @@
 // application (optionally printing the schedule as a Gantt chart).
 //
 //   giph_cli generate --out DIR [--graphs N] [--networks M] [--tasks T]
-//                     [--devices D] [--seed S]
+//                     [--devices D] [--seed S] [--params FILE]
 //   giph_cli train    --data DIR --model FILE [--episodes E] [--variant V]
+//                     [--lr X] [--gamma G] [--critic]
 //                     [--noise X] [--seed S] [--checkpoint FILE]
 //                     [--checkpoint-every K] [--resume]
 //                     [--batch-episodes B] [--rollout-workers W]
@@ -28,6 +29,10 @@
 //                     [--variant V] [--frames F] [--hz H | --interval MS]
 //                     [--jitter J] [--objective p99|throughput|makespan]
 //                     [--steps N] [--csv FILE]
+//
+// Each subcommand accepts exactly the flags listed for it: any other flag
+// (a typo such as --epsiodes) exits 1 with "error: unknown flag --epsiodes
+// for train" instead of silently falling back to a default.
 //
 // The stream command runs the streaming (iterated-graph) scenario: F frames
 // of the sensor-fusion pipeline (or an explicit --graph/--network instance)
@@ -72,8 +77,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <optional>
+#include <set>
+#include <sstream>
 
 #include "baselines/random_policies.hpp"
 #include "casestudy/churn.hpp"
@@ -131,6 +139,17 @@ struct Args {
                              it->second + "'");
   }
   bool has(const std::string& key) const { return options.count(key) > 0; }
+  // Each subcommand first names every flag it reads (space-separated); any
+  // other flag is an error, so a typo cannot silently fall back to a default.
+  void check_flags(const std::string& reads) const {
+    std::istringstream words(reads);
+    const std::set<std::string> known{std::istream_iterator<std::string>(words), {}};
+    for (const auto& option : options) {
+      if (known.count(option.first) == 0) {
+        throw std::runtime_error("unknown flag --" + option.first + " for " + command);
+      }
+    }
+  }
 };
 
 Args parse(int argc, char** argv) {
@@ -197,6 +216,7 @@ Dataset load_dataset(const std::string& dir) {
 }
 
 int cmd_generate(const Args& args) {
+  args.check_flags("out seed params tasks devices graphs networks");
   const std::string dir = args.get("out");
   if (dir.empty()) throw std::runtime_error("generate: --out DIR is required");
   fs::create_directories(dir);
@@ -234,6 +254,9 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
+  args.check_flags(
+      "data model variant seed critic episodes lr gamma noise batch-episodes "
+      "rollout-workers checkpoint checkpoint-every resume");
   const Dataset ds = load_dataset(args.get("data"));
   const std::string model = args.get("model");
   if (model.empty()) throw std::runtime_error("train: --model FILE is required");
@@ -281,6 +304,7 @@ int cmd_train(const Args& args) {
 }
 
 int cmd_snapshot(const Args& args) {
+  args.check_flags("out model variant seed");
   GiPHAgent agent(variant_options(args.get("variant", "giph"), args.get_int("seed", 1)));
   if (args.has("model")) agent.load(args.get("model"));
   const std::string out = args.get("out");
@@ -293,6 +317,7 @@ int cmd_snapshot(const Args& args) {
 }
 
 int cmd_evaluate(const Args& args) {
+  args.check_flags("data model variant cases seed");
   const Dataset ds = load_dataset(args.get("data"));
   GiPHAgent agent(variant_options(args.get("variant", "giph"), 1));
   if (args.has("model")) agent.load(args.get("model"));
@@ -320,6 +345,7 @@ int cmd_evaluate(const Args& args) {
 }
 
 int cmd_place(const Args& args) {
+  args.check_flags("graph network model variant seed steps gantt csv");
   const TaskGraph g = load_task_graph(args.get("graph"));
   const DeviceNetwork n = load_device_network(args.get("network"));
   GiPHAgent agent(variant_options(args.get("variant", "giph"), 1));
@@ -348,6 +374,9 @@ int cmd_place(const Args& args) {
 }
 
 int cmd_robustness(const Args& args) {
+  args.check_flags(
+      "seed tasks devices graph network model variant faults crashes leaves "
+      "slowdowns degrades joins repair-budget");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   std::mt19937_64 rng(seed);
   TaskGraph g;
@@ -399,6 +428,9 @@ int cmd_robustness(const Args& args) {
 }
 
 int cmd_dynamic(const Args& args) {
+  args.check_flags(
+      "seed tasks graph model variant epochs vehicles bases range epoch-seconds "
+      "repair-budget drift-budget threads");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   std::mt19937_64 rng(seed);
   TaskGraph g;
@@ -449,6 +481,9 @@ int cmd_dynamic(const Args& args) {
 }
 
 int cmd_scale(const Args& args) {
+  args.check_flags(
+      "model episodes variant seed train-tasks train-devices tasks devices "
+      "clusters cases topk refine-rounds");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const DefaultLatencyModel lat;
 
@@ -549,6 +584,8 @@ int cmd_scale(const Args& args) {
 }
 
 int cmd_stream(const Args& args) {
+  args.check_flags(
+      "seed graph network model variant frames hz interval jitter objective steps csv");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const DefaultLatencyModel lat;
 

@@ -24,9 +24,11 @@
 // serialization, noise, and lossy links compose with everything.
 //
 // With --delta, every non-fault case additionally runs a chain of random
-// one-task moves, asserting that simulate_delta() stays bitwise identical to
-// a from-scratch simulation at each step (whether it replayed incrementally
-// or fell back).
+// one-task moves on its graph, network, placement and latency model under
+// the static model (no noise, trace, NIC serialization or shared links: the
+// only model simulate_delta() replays), asserting that simulate_delta()
+// stays bitwise identical to a from-scratch simulation at each step (whether
+// it replayed incrementally or fell back).
 //
 // Any failure prints the exact flags reproducing that single case. The CI
 // smoke job runs >= 12k cases; `ctest -L property` runs a quick subset.
@@ -43,13 +45,11 @@
 // With --stream the harness fuzzes iterated-graph execution: each case draws
 // a (graph, network, placement) triple plus streaming options (frame count,
 // inter-arrival interval scaled to the one-shot makespan, jitter, noise, NIC
-// serialization, traces, shared links, lossy models, steady-state detection)
-// and asserts that simulate_streaming(), simulate_streaming_into() (reused
-// workspace), and the independent oracle_simulate_streaming() agree bitwise
-// on every time and metric, that check_stream_result() finds no violation,
-// that F = 1 reduces bitwise to simulate(), and that steady-state truncation
-// is legitimate (re-simulating the truncated frame count without detection
-// reproduces the run bitwise).
+// serialization, traces, shared links, lossy models) and asserts that
+// simulate_streaming(), simulate_streaming_into() (reused workspace), and the
+// independent oracle_simulate_streaming() agree bitwise on every time and
+// metric, that check_stream_result() finds no violation, and that F = 1
+// reduces bitwise to simulate().
 //
 // With --hier the harness fuzzes the scale tier instead: each case partitions
 // a random (graph, network) pair — including pinned tasks, which exercise the
@@ -362,25 +362,21 @@ std::string check_reductions(const FuzzCase& c) {
 
 /// --delta: a chain of random one-task moves re-simulated incrementally must
 /// stay bitwise identical to a from-scratch simulation at every step, and the
-/// refreshed DeltaSimState must keep chaining. Runs with the case's options
-/// minus noise (noise always falls back and its draw order depends on rng
-/// history, so a from-scratch reference would need bespoke reseeding); traces,
-/// shared links, NIC serialization, and lossy models are all covered.
+/// refreshed DeltaSimState must keep chaining. simulate_delta replays the
+/// static model only, so the chain runs the case's graph, network, placement
+/// and latency model (lossy ones included) without its noise, trace, NIC
+/// serialization or shared links.
 std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
                         std::uint64_t* replayed, std::uint64_t* fell_back) {
   LossAwareLatencyModel loss(kLat, c.network.num_devices());
   for (const auto& [link, prob] : c.drops) loss.set_drop(link.first, link.second, prob);
   const LatencyModel& lat = c.with_loss ? static_cast<const LatencyModel&>(loss) : kLat;
-  SimOptions opt;
-  opt.serialize_transfers = c.serialize_transfers;
-  if (c.with_trace) opt.trace = &c.trace;
-  if (c.with_shared) opt.shared_links = &c.shared;
 
   SimWorkspace ws, ws_ref;
   Schedule prev, cur, ref;
   DeltaSimState ds;
   Placement p = c.placement;
-  simulate_into(c.graph, c.network, p, lat, ws, prev, opt, &ds);
+  simulate_into(c.graph, c.network, p, lat, ws, prev, ds);
 
   const auto feasible = feasible_sets(c.graph, c.network);
   std::mt19937_64 move_rng(mix(c.sim_seed ^ mix(case_index)));
@@ -392,9 +388,9 @@ std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
     p.set(v, d);
 
     const DeltaSimResult dr =
-        simulate_delta(c.graph, c.network, p, v, lat, ws, prev, ds, cur, opt);
+        simulate_delta(c.graph, c.network, p, v, lat, ws, prev, ds, cur);
     ++(dr == DeltaSimResult::kReplayed ? *replayed : *fell_back);
-    simulate_into(c.graph, c.network, p, lat, ws_ref, ref, opt);
+    simulate_into(c.graph, c.network, p, lat, ws_ref, ref);
     char what[64];
     std::snprintf(what, sizeof(what), "delta move %d (task %d -> dev %d, %s)", s, v, d,
                   dr == DeltaSimResult::kReplayed ? "replayed" : "fell back");
@@ -1051,10 +1047,6 @@ StreamFuzzCase build_stream_case(std::uint64_t base_seed, std::uint64_t index) {
   if (uniform(rng, 0.0, 1.0) < 0.3) c.opt.arrival_jitter = uniform(rng, 0.05, 0.8);
   if (uniform(rng, 0.0, 1.0) < 0.4) c.opt.sim.noise = uniform(rng, 0.05, 0.5);
   c.opt.sim.serialize_transfers = uniform(rng, 0.0, 1.0) < 0.3;
-  if (uniform(rng, 0.0, 1.0) < 0.3) {
-    c.opt.detect_steady_state = true;
-    c.opt.steady_window = uniform_int(rng, 1, 6);
-  }
 
   const int m = c.network.num_devices();
   if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.3) {
@@ -1108,11 +1100,11 @@ StreamFuzzCase build_stream_case(std::uint64_t base_seed, std::uint64_t index) {
   char shape[220];
   std::snprintf(shape, sizeof(shape),
                 "tasks=%d devices=%d frames=%d interval=%.3f jitter=%.3f noise=%.3f "
-                "serialize=%d steady=%d trace=%d shared=%d loss=%zu",
+                "serialize=%d trace=%d shared=%d loss=%zu",
                 c.graph.num_tasks(), c.network.num_devices(), c.opt.frames,
                 c.opt.interval, c.opt.arrival_jitter, c.opt.sim.noise,
-                c.opt.sim.serialize_transfers ? 1 : 0, c.opt.detect_steady_state ? 1 : 0,
-                c.with_trace ? 1 : 0, c.with_shared ? 1 : 0, c.drops.size());
+                c.opt.sim.serialize_transfers ? 1 : 0, c.with_trace ? 1 : 0,
+                c.with_shared ? 1 : 0, c.drops.size());
   c.shape = shape;
   return c;
 }
@@ -1122,9 +1114,8 @@ std::string diff_stream_results(const StreamResult& a, const StreamResult& b,
                                 const char* what) {
   char buf[160];
   if (auto d = diff_schedules(a.schedule, b.schedule, what); !d.empty()) return d;
-  if (a.frames != b.frames || a.steady_frame != b.steady_frame) {
-    std::snprintf(buf, sizeof(buf), "%s: frames %d/%d vs %d/%d", what, a.frames,
-                  a.steady_frame, b.frames, b.steady_frame);
+  if (a.frames != b.frames) {
+    std::snprintf(buf, sizeof(buf), "%s: frames %d vs %d", what, a.frames, b.frames);
     return buf;
   }
   if (a.frame_arrival != b.frame_arrival) return std::string(what) + ": arrivals differ";
@@ -1151,7 +1142,7 @@ std::string run_stream_case(const StreamFuzzCase& c, StreamWorkspace& ws,
   if (c.with_trace) opt.sim.trace = &c.trace;
   if (c.with_shared) opt.sim.shared_links = &c.shared;
   std::mt19937_64 rng_a(c.sim_seed), rng_b(c.sim_seed), rng_c(c.sim_seed),
-      rng_d(c.sim_seed), rng_e(c.sim_seed);
+      rng_d(c.sim_seed);
 
   opt.sim.rng = &rng_a;
   const StreamResult fast = simulate_streaming(c.graph, c.network, c.placement, lat, opt);
@@ -1182,24 +1173,6 @@ std::string run_stream_case(const StreamFuzzCase& c, StreamWorkspace& ws,
       return d;
     }
   }
-
-  // Steady-state truncation must be legitimate: the truncated run IS the
-  // stream with that many frames (not a prefix of the longer one), so
-  // re-simulating result.frames without detection reproduces it bitwise.
-  if (fast.frames < c.opt.frames) {
-    StreamOptions trunc = opt;
-    trunc.frames = fast.frames;
-    trunc.detect_steady_state = false;
-    trunc.sim.rng = &rng_e;
-    const StreamResult again =
-        simulate_streaming(c.graph, c.network, c.placement, lat, trunc);
-    StreamResult expected = fast;
-    expected.steady_frame = -1;  // the re-run does not detect
-    if (auto d = diff_stream_results(expected, again, "steady-state truncation");
-        !d.empty()) {
-      return d;
-    }
-  }
   return "";
 }
 
@@ -1207,7 +1180,7 @@ int run_stream_mode(std::uint64_t cases, std::uint64_t seed, std::uint64_t start
                     bool verbose) {
   StreamWorkspace ws;
   StreamResult reused;
-  std::uint64_t pipelined = 0, jittered = 0, noisy = 0, truncated = 0, single = 0;
+  std::uint64_t pipelined = 0, jittered = 0, noisy = 0, single = 0;
   for (std::uint64_t i = start; i < start + cases; ++i) {
     StreamFuzzCase c;
     std::string failure;
@@ -1217,10 +1190,7 @@ int run_stream_mode(std::uint64_t cases, std::uint64_t seed, std::uint64_t start
       noisy += c.opt.sim.noise > 0.0 ? 1 : 0;
       single += c.opt.frames == 1 ? 1 : 0;
       failure = run_stream_case(c, ws, reused);
-      if (failure.empty()) {
-        pipelined += c.opt.frames > 1 ? 1 : 0;
-        truncated += reused.frames < c.opt.frames ? 1 : 0;
-      }
+      if (failure.empty()) pipelined += c.opt.frames > 1 ? 1 : 0;
     } catch (const std::exception& e) {
       failure = std::string("exception: ") + e.what();
     }
@@ -1242,13 +1212,13 @@ int run_stream_mode(std::uint64_t cases, std::uint64_t seed, std::uint64_t start
   }
   std::printf(
       "giph_fuzz: %llu stream cases ok (seed %llu, %llu pipelined, %llu jittered, "
-      "%llu noisy, %llu single-frame, %llu steady-state truncated): "
+      "%llu noisy, %llu single-frame): "
       "simulate_streaming == reused workspace == streaming oracle, invariants hold, "
-      "F=1 == simulate bitwise, truncation legitimate\n",
+      "F=1 == simulate bitwise\n",
       static_cast<unsigned long long>(cases), static_cast<unsigned long long>(seed),
       static_cast<unsigned long long>(pipelined),
       static_cast<unsigned long long>(jittered), static_cast<unsigned long long>(noisy),
-      static_cast<unsigned long long>(single), static_cast<unsigned long long>(truncated));
+      static_cast<unsigned long long>(single));
   return 0;
 }
 
@@ -1314,8 +1284,8 @@ int main(int argc, char** argv) {
       shared_cases += c.with_shared ? 1 : 0;
       loss_cases += c.with_loss ? 1 : 0;
       failure = run_case(c, ws, reused);
-      // Fault plans are outside simulate_delta's contract; every other case
-      // (including traced / shared / lossy ones) gets the one-move chain.
+      // Fault cases are checked against the fault oracle instead; every
+      // other case gets the static one-move chain on its instance.
       if (failure.empty() && delta && !c.with_faults) {
         failure = check_delta(c, i, &delta_replayed, &delta_fell_back);
       }
