@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace giph {
 namespace {
@@ -122,6 +123,52 @@ SharedLinkMap build_shared_link_map(int num_devices,
     }
   }
   return map;
+}
+
+void add_nic_links(SharedLinkMap& map, int num_devices) {
+  if (map.routes.empty()) {
+    map.num_devices = num_devices;
+    map.routes.assign(static_cast<std::size_t>(num_devices) * num_devices, {});
+  }
+  validate_shared_link_map(map, num_devices, "add_nic_links");
+  for (int k = 0; k < num_devices; ++k) {
+    for (int l = 0; l < num_devices; ++l) {
+      const std::size_t route = static_cast<std::size_t>(k) * num_devices + l;
+      if (l != k) map.routes[route].push_back(map.num_links + k);
+    }
+  }
+  map.num_links += num_devices;
+}
+
+void validate_shared_link_map(const SharedLinkMap& map, int num_devices,
+                              const char* caller) {
+  const std::string who(caller);
+  if (map.num_devices != num_devices) {
+    throw std::invalid_argument(who + ": shared_links was built for " +
+                                std::to_string(map.num_devices) +
+                                " devices but the network has " +
+                                std::to_string(num_devices));
+  }
+  if (map.num_links < 0) {
+    throw std::invalid_argument(who + ": shared_links has a negative link count");
+  }
+  const std::size_t pairs = static_cast<std::size_t>(num_devices) * num_devices;
+  if (map.routes.size() != pairs) {
+    throw std::invalid_argument(who + ": shared_links has " +
+                                std::to_string(map.routes.size()) + " routes, not " +
+                                std::to_string(pairs) + " for " +
+                                std::to_string(num_devices) + " devices");
+  }
+  for (std::size_t r = 0; r < pairs; ++r) {
+    for (const int id : map.routes[r]) {
+      if (id < 0 || id >= map.num_links) {
+        throw std::invalid_argument(
+            who + ": shared_links route " + std::to_string(r / num_devices) + " -> " +
+            std::to_string(r % num_devices) + " names link " + std::to_string(id) +
+            ", outside [0, " + std::to_string(map.num_links) + ")");
+      }
+    }
+  }
 }
 
 }  // namespace giph

@@ -25,19 +25,23 @@ struct PhysicalLink {
 void apply_topology(DeviceNetwork& n, const std::vector<PhysicalLink>& links,
                     double unreachable_bw = 1e-6, double unreachable_delay = 1e9);
 
-/// Which physical links each device pair's traffic crosses, for the same
-/// routes apply_topology projects (minimum total delay, ties broken toward
-/// higher bottleneck bandwidth). Feed to SimOptions::shared_links so
-/// concurrent flows crossing the same physical link queue on it instead of
-/// magically sharing infinite capacity.
+/// Which contended links each device pair's traffic crosses. Feed to
+/// SimOptions::shared_links: a remote transfer waits until every link on its
+/// route is free, then reserves all of them for its whole duration, so
+/// concurrent flows crossing one link queue on it instead of magically
+/// sharing infinite capacity. build_shared_link_map fills it with the
+/// physical links of the routes apply_topology projects; add_nic_links adds
+/// one NIC link per sending device.
 struct SharedLinkMap {
   int num_devices = 0;
-  int num_links = 0;  ///< physical link count == links.size() passed at build
-  /// routes[k * num_devices + l]: ids (indices into the build links vector) of
-  /// the physical links the k -> l route crosses, in path order. Empty for
-  /// k == l and for unreachable pairs (which apply_topology punishes with
-  /// near-zero bandwidth instead). A bidirectional physical link keeps one id
-  /// for both directions, so opposing flows contend for it too.
+  int num_links = 0;  ///< link ids are 0 .. num_links - 1
+  /// routes[k * num_devices + l]: ids of the links the k -> l route crosses.
+  /// Physical links come first, in path order (ids index the build links
+  /// vector); they are absent for k == l and for unreachable pairs (which
+  /// apply_topology punishes with near-zero bandwidth instead). A
+  /// bidirectional physical link keeps one id for both directions, so
+  /// opposing flows contend for it too. The simulator never reads the k == k
+  /// routes: local transfers bypass every link.
   std::vector<std::vector<int>> routes;
 
   const std::vector<int>& links_on(int k, int l) const {
@@ -51,5 +55,20 @@ struct SharedLinkMap {
 /// std::invalid_argument on the same malformed links apply_topology rejects.
 SharedLinkMap build_shared_link_map(int num_devices,
                                     const std::vector<PhysicalLink>& links);
+
+/// NIC contention: appends link num_links + k to every k -> l route with
+/// l != k, so each device's remote sends go out one at a time, back to back,
+/// on top of any physical links the route already crosses. An empty map (no
+/// routes) is first sized to `num_devices` with no links. Throws
+/// std::invalid_argument when a sized map was built for another device count.
+void add_nic_links(SharedLinkMap& map, int num_devices);
+
+/// Throws std::invalid_argument, prefixed with `caller`, unless `map` fits a
+/// `num_devices`-device network: num_devices matches, routes holds
+/// num_devices^2 entries, and every link id lies in [0, num_links). The
+/// simulator, the oracle and the invariant checker call it before indexing
+/// per-link state by the map's ids.
+void validate_shared_link_map(const SharedLinkMap& map, int num_devices,
+                              const char* caller);
 
 }  // namespace giph

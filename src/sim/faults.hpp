@@ -128,13 +128,13 @@ struct FaultSimResult {
 /// Replays `p` under the fault plan through the same event engine as
 /// simulate(): crashes and leaves take devices down, stragglers rescale
 /// running work, and link degrades become NetworkTrace segments. Composes
-/// with noise, NIC serialization (SimOptions::serialize_transfers) and
-/// shared-link contention (SimOptions::shared_links). With an empty plan the
-/// result's schedule is bitwise identical to simulate()'s (including the
-/// noise draw order), so the fault path is a strict superset of the benign
-/// simulator. Throws like simulate(), and std::invalid_argument for an
-/// invalid plan or a non-empty SimOptions::trace (encode time-varying links
-/// as kLinkDegrade events instead). Counts as one full simulation.
+/// with noise and with link contention (SimOptions::shared_links, NIC links
+/// included). With an empty plan the result's schedule is bitwise identical
+/// to simulate()'s (including the noise draw order), so the fault path is a
+/// strict superset of the benign simulator. Throws like simulate(), and
+/// std::invalid_argument for an invalid plan or a non-empty SimOptions::trace
+/// (encode time-varying links as kLinkDegrade events instead). Counts as one
+/// full simulation.
 FaultSimResult simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
                                     const Placement& p, const LatencyModel& lat,
                                     const FaultPlan& plan, const SimOptions& opt = {});

@@ -1,6 +1,5 @@
 // simulate_delta(): incremental re-simulation of a single-task move under the
-// static model (default SimOptions: no noise, trace, NIC serialization or
-// shared links).
+// static model (default SimOptions: no noise, trace or link contention).
 //
 // Correctness rests on one structural fact about the event core: a task that
 // is runnable but not yet started is inert. It displaces nothing — pops ahead

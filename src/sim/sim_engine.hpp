@@ -177,17 +177,15 @@ struct SimEngine {
         ++completed;
         const int d = p.device_of(v);
         // Outputs start transmitting to every child's device - concurrently in
-        // the paper's model, back-to-back through the NIC under contention.
+        // the paper's model, behind every busy link of the route (NIC links
+        // included) under contention.
         for (int e : g.out_edges(v)) {
           const int dl = p.device_of(g.edge(e).dst);
           const double c = realize(lat.comm_time(g, n, e, d, dl), opt);
           double start = ev.time;
-          if (dl != d) {
-            if (opt.serialize_transfers) start = std::max(start, ws.nic_free[d]);
-            if (shared != nullptr) {
-              for (const int li : shared->links_on(d, dl)) {
-                start = std::max(start, ws.link_free[li]);
-              }
+          if (shared != nullptr && dl != d) {
+            for (const int li : shared->links_on(d, dl)) {
+              start = std::max(start, ws.link_free[li]);
             }
           }
           double dur = c;
@@ -211,14 +209,11 @@ struct SimEngine {
             ws.edge_wire_begin[e] = start;
             ws.edge_wire_factor[e] = 1.0;
           }
-          if (dl != d) {
-            if (opt.serialize_transfers) ws.nic_free[d] = start + dur;
-            if (shared != nullptr) {
-              // Reserve every physical link on the route for the whole transfer
-              // (store-and-forward is not modeled; the route is one pipe).
-              for (const int li : shared->links_on(d, dl)) {
-                ws.link_free[li] = start + dur;
-              }
+          if (shared != nullptr && dl != d) {
+            // Reserve every link on the route for the whole transfer
+            // (store-and-forward is not modeled; the route is one pipe).
+            for (const int li : shared->links_on(d, dl)) {
+              ws.link_free[li] = start + dur;
             }
           }
           if (trace != nullptr) {

@@ -84,12 +84,7 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
       (opt.trace != nullptr && !opt.trace->empty()) ? opt.trace : nullptr;
   if (trace != nullptr) validate_network_trace(*trace, n, caller);
   const SharedLinkMap* shared = opt.shared_links;
-  if (shared != nullptr && shared->num_devices != nd) {
-    throw std::invalid_argument(
-        std::string(caller) + ": shared_links was built for " +
-        std::to_string(shared->num_devices) + " devices but the network has " +
-        std::to_string(nd));
-  }
+  if (shared != nullptr) validate_shared_link_map(*shared, nd, caller);
 
   out.tasks.assign(nv, TaskTiming{-1.0, -1.0});
   out.edge_start.assign(ne, -1.0);
@@ -104,8 +99,7 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
   for (int v = 0; v < nv; ++v) ws.remaining_inputs[v] = g.in_degree(v);
   if (static_cast<int>(ws.fifo.size()) < nd) ws.fifo.resize(nd);
   for (int d = 0; d < nd; ++d) ws.fifo[d].clear();
-  ws.running.assign(nd, 0);     // occupied cores per device
-  ws.nic_free.assign(nd, 0.0);  // serialize_transfers only
+  ws.running.assign(nd, 0);  // occupied cores per device
 
   if (record != nullptr) {
     record->runnable_order.assign(nv, -1);

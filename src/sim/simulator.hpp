@@ -36,10 +36,6 @@ struct Schedule {
 struct SimOptions {
   double noise = 0.0;
   std::mt19937_64* rng = nullptr;
-  /// When true, outgoing transfers of a device are serialized through a
-  /// single NIC (contention model) instead of the paper's contention-free
-  /// concurrent sends. Local (same-device) transfers always bypass the NIC.
-  bool serialize_transfers = false;
   /// Optional piecewise-constant per-link conditions (bandwidth factor,
   /// added startup delay, drop probability). A transfer in flight when a
   /// segment boundary passes has its remaining wire time rescaled at the
@@ -47,11 +43,13 @@ struct SimOptions {
   /// nullptr or an empty trace leaves output bitwise identical to today's
   /// simulator. Must outlive the call; validated against the network.
   const NetworkTrace* trace = nullptr;
-  /// Optional shared-link contention: transfers whose projected route crosses
-  /// a busy physical link wait for it (sweep-line reservation per physical
-  /// link, the NIC machinery generalized from devices to links). nullptr, or
-  /// a map with only empty routes, leaves output bitwise identical. Must
-  /// outlive the call; num_devices must match the network.
+  /// Optional link contention: a remote transfer waits until every link on
+  /// its route is free, then reserves them all until it finishes. Physical
+  /// links come from build_shared_link_map; add_nic_links adds one NIC link
+  /// per device, which serializes that device's remote sends. Local
+  /// (same-device) transfers bypass every link. nullptr, or a map with only
+  /// empty routes, leaves output bitwise identical. Must outlive the call;
+  /// checked with validate_shared_link_map.
   const SharedLinkMap* shared_links = nullptr;
 };
 
@@ -77,9 +75,9 @@ struct SimEvent {
 
 /// Reusable simulation buffers. One workspace amortizes every per-call
 /// allocation of the discrete-event loop (event heap, dependency counters,
-/// FIFO queues, NIC timelines) across the millions of simulations a training
-/// or evaluation run performs: after the first call at a given problem size,
-/// simulate_into() performs no steady-state heap allocations.
+/// FIFO queues, link reservations) across the millions of simulations a
+/// training or evaluation run performs: after the first call at a given
+/// problem size, simulate_into() performs no steady-state heap allocations.
 ///
 /// A workspace carries no results and may be reused freely across different
 /// graphs, networks, and placements; it is NOT safe to share one workspace
@@ -89,10 +87,9 @@ struct SimWorkspace {
   std::vector<int> remaining_inputs;
   std::vector<std::deque<int>> fifo;
   std::vector<int> running;
-  std::vector<double> nic_free;
   // Dynamic-network buffers, touched only when SimOptions::trace /
   // shared_links are active (the static-network fast path never sizes them).
-  std::vector<double> link_free;        ///< per physical link (shared_links)
+  std::vector<double> link_free;        ///< per link (shared_links)
   std::vector<int> trace_link;          ///< device pair -> trace link idx or -1
   std::vector<TraceSegment> trace_cur;  ///< per trace link: active segment
   std::vector<double> trace_factor;     ///< per trace link: current wire factor
@@ -110,15 +107,15 @@ struct SimWorkspace {
 /// which is what makes the incremental path bitwise-identical.
 ///
 /// Only the recording simulate_into() overload fills a state, and it always
-/// runs the static model (no noise, trace, NIC serialization or shared
-/// links), the only model simulate_delta() replays. One state belongs to one
-/// (graph, network) chain of schedules: a recording run seeds it, and each
-/// simulate_delta() call both consumes and refreshes it, so single-move steps
-/// chain indefinitely. Evaluating a move without taking it branches the chain
-/// by copying the state: replay into the copy, then keep the copy (the move
-/// is taken) or drop it (the original still describes the unchanged
-/// schedule), as PlacementSearchEnv::try_move / commit do. Copy-assignment
-/// reuses the target's capacity.
+/// runs the static model (no noise, trace or link contention), the only model
+/// simulate_delta() replays. One state belongs to one (graph, network) chain
+/// of schedules: a recording run seeds it, and each simulate_delta() call
+/// both consumes and refreshes it, so single-move steps chain indefinitely.
+/// Evaluating a move without taking it branches the chain by copying the
+/// state: replay into the copy, then keep the copy (the move is taken) or
+/// drop it (the original still describes the unchanged schedule), as
+/// PlacementSearchEnv::try_move / commit do. Copy-assignment reuses the
+/// target's capacity.
 struct DeltaSimState {
   bool valid = false;  ///< false until a recording run completes
   /// Per task: position in the run's make_runnable() order. Strictly
@@ -146,10 +143,10 @@ enum class DeltaSimResult { kReplayed, kFellBack };
 /// they became runnable; inter-device transfers are contention-free and
 /// overlap with computation; a task becomes runnable once all parent outputs
 /// have arrived at its device. Entry tasks are runnable at t = 0.
-/// SimOptions::serialize_transfers / shared_links add NIC / physical-link
-/// contention, and SimOptions::trace adds time-varying link conditions; all
-/// three default off, reproducing the paper's model bitwise. Default options
-/// are the static model, the one simulate_delta() replays.
+/// SimOptions::shared_links adds NIC and physical-link contention, and
+/// SimOptions::trace adds time-varying link conditions; both default off,
+/// reproducing the paper's model bitwise. Default options are the static
+/// model, the one simulate_delta() replays.
 ///
 /// Throws std::invalid_argument for infeasible placements and std::logic_error
 /// for cyclic graphs.

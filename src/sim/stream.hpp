@@ -7,7 +7,7 @@ namespace giph {
 /// Options for iterated-graph (streaming) execution: F frames of the same
 /// placed task graph enter the system, frame f arriving `interval` time units
 /// after frame f-1 (optionally jittered), and pipeline through the FIFO
-/// devices. NIC serialization, shared-link contention, traces, and noise
+/// devices. Link contention (NIC links included), traces, and noise
 /// (SimOptions `sim`) apply across frame boundaries exactly as within one.
 struct StreamOptions {
   int frames = 1;       ///< F >= 1; 1 reduces bitwise to simulate()
@@ -17,7 +17,7 @@ struct StreamOptions {
   /// draws happen up front in frame order, before any simulation draw, so
   /// F = 1 leaves the rng stream untouched. Must be in [0, 1).
   double arrival_jitter = 0.0;
-  SimOptions sim;  ///< noise / serialization / trace / shared links
+  SimOptions sim;  ///< noise / trace / shared links
 };
 
 /// Throws std::invalid_argument when `opt` is unusable: frames < 1, negative
@@ -57,7 +57,8 @@ struct StreamWorkspace {
 
 /// Simulates F frames of (g, n, p) entering every `interval` time units and
 /// pipelining through the FIFO devices (frames queue behind earlier frames'
-/// work; NIC and shared-link reservations carry across frame boundaries).
+/// work; link reservations, NIC links included, carry across frame
+/// boundaries).
 /// The latency model is consulted with *base* task/edge ids, so profile-table
 /// models work unchanged. With frames == 1 the returned schedule is bitwise
 /// identical to simulate(g, n, p, lat, opt.sim).

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
+
+#include "verify/replicated_instance.hpp"
 
 namespace giph {
 namespace {
@@ -30,39 +33,6 @@ class Collector {
 };
 
 bool completed(const Schedule& s, int v) { return s.tasks[v].finish >= 0.0; }
-
-/// First-principles id tiling for the checker's replicated streaming
-/// instance: virtual ids map back to the base graph as v % V / e % E before
-/// the real model is consulted (independent of the simulator's adapter).
-class ReplicatedLatencyModel final : public LatencyModel {
- public:
-  ReplicatedLatencyModel(const LatencyModel& base, const TaskGraph& base_graph)
-      : base_(base),
-        g_(base_graph),
-        nv_(base_graph.num_tasks()),
-        ne_(base_graph.num_edges()) {}
-
-  double compute_time(const TaskGraph&, const DeviceNetwork& n, int v,
-                      int k) const override {
-    return base_.compute_time(g_, n, v % nv_, k);
-  }
-
-  double comm_time(const TaskGraph&, const DeviceNetwork& n, int e, int k,
-                   int l) const override {
-    return base_.comm_time(g_, n, e % ne_, k, l);
-  }
-
-  double comm_startup(const TaskGraph&, const DeviceNetwork& n, int e, int k,
-                      int l) const override {
-    return base_.comm_startup(g_, n, e % ne_, k, l);
-  }
-
- private:
-  const LatencyModel& base_;
-  const TaskGraph& g_;
-  int nv_;
-  int ne_;
-};
 
 /// The checker's own nearest-rank percentile (no interpolation), mirrored
 /// from the documented StreamResult convention, not from the implementation.
@@ -97,7 +67,7 @@ InvariantReport check_schedule(const TaskGraph& g, const DeviceNetwork& n,
   // Dynamic-network context: an empty trace is no trace. traced_pair() says
   // whether a directed device pair has time-varying conditions (its durations
   // are then unpredictable from the latency model alone); routed_pair() says
-  // whether the pair's transfers queue on shared physical links.
+  // whether the pair's transfers queue on contended links.
   const NetworkTrace* trace =
       (opt.trace != nullptr && !opt.trace->empty()) ? opt.trace : nullptr;
   auto traced_pair = [&](int k, int l) {
@@ -121,6 +91,14 @@ InvariantReport check_schedule(const TaskGraph& g, const DeviceNetwork& n,
            sched.tasks.size(), " tasks, ", sched.edge_start.size(), " edges for a ", nv,
            "-task ", ne, "-edge graph)");
     return report;  // everything below indexes by task/edge id
+  }
+  if (opt.shared_links != nullptr) {
+    try {
+      validate_shared_link_map(*opt.shared_links, n.num_devices(), "check_schedule");
+    } catch (const std::invalid_argument& e) {
+      c.fail("shape: ", e.what());
+      return report;  // the contention checks below index by route and link id
+    }
   }
 
   // Placement feasibility: in-range device honoring pin and hw mask.
@@ -185,7 +163,7 @@ InvariantReport check_schedule(const TaskGraph& g, const DeviceNetwork& n,
   }
 
   // Edge checks: a transfer exists iff its producer finished, starts at the
-  // producer's finish (or later, behind the NIC, for remote sends under
+  // producer's finish (or later, behind a busy link, for routed sends under
   // contention), and its consumer waits for it.
   for (int e = 0; e < ne; ++e) {
     const DataLink& link = g.edge(e);
@@ -207,8 +185,7 @@ InvariantReport check_schedule(const TaskGraph& g, const DeviceNetwork& n,
     const double src_finish = sched.tasks[link.src].finish;
     const int du = p.device_of(link.src);
     const int dv = p.device_of(link.dst);
-    const bool queued = (opt.serialize_transfers && du != dv) || routed_pair(du, dv);
-    if (queued ? es < src_finish : es != src_finish) {
+    if (routed_pair(du, dv) ? es < src_finish : es != src_finish) {
       c.fail("edge ", e, ": transfer starts at ", es, " but producer ", link.src,
              " finishes at ", src_finish);
     }
@@ -258,8 +235,8 @@ InvariantReport check_schedule(const TaskGraph& g, const DeviceNetwork& n,
     }
   }
 
-  // Per-device checks: capacity, FIFO service order, start-time provenance,
-  // and NIC serialization.
+  // Per-device checks: capacity, FIFO service order, and start-time
+  // provenance.
   for (int d = 0; d < n.num_devices(); ++d) {
     std::vector<int> on_device;
     for (int v = 0; v < nv; ++v) {
@@ -315,33 +292,13 @@ InvariantReport check_schedule(const TaskGraph& g, const DeviceNetwork& n,
         }
       }
     }
-
-    // NIC serialization: remote sends of one device must not overlap. Only
-    // checkable for benign runs without a trace: a link degrade or trace
-    // breakpoint firing mid-transfer stretches sends that were already
-    // dispatched on the pre-change NIC timeline.
-    if (opt.serialize_transfers && !opt.allow_incomplete && trace == nullptr) {
-      std::vector<std::pair<double, double>> sends;
-      for (int e = 0; e < ne; ++e) {
-        if (p.device_of(g.edge(e).src) != d || p.device_of(g.edge(e).dst) == d) continue;
-        if (sched.edge_start[e] < 0.0) continue;
-        sends.emplace_back(sched.edge_start[e], sched.edge_finish[e]);
-      }
-      std::sort(sends.begin(), sends.end());
-      for (std::size_t i = 1; i < sends.size(); ++i) {
-        if (sends[i].first < sends[i - 1].second) {
-          c.fail("device ", d, ": NIC overlap, remote send [", sends[i].first, ", ",
-                 sends[i].second, ") overlaps [", sends[i - 1].first, ", ",
-                 sends[i - 1].second, ")");
-        }
-      }
-    }
   }
 
-  // Shared-link contention: transfers whose routes cross a common physical
-  // link must not overlap on it (each reserves its whole route for its whole
-  // duration). Like the NIC check, only meaningful when no trace / fault
-  // stretched transfers past their dispatch-time reservations.
+  // Link contention: transfers whose routes cross a common link (physical, or
+  // a sender's NIC) must not overlap on it (each reserves its whole route for
+  // its whole duration). Only checkable for benign runs without a trace: a
+  // link degrade or trace breakpoint firing mid-transfer stretches transfers
+  // past their dispatch-time reservations.
   if (opt.shared_links != nullptr && !opt.allow_incomplete && trace == nullptr) {
     for (int li = 0; li < opt.shared_links->num_links; ++li) {
       std::vector<std::pair<double, double>> uses;
@@ -357,9 +314,8 @@ InvariantReport check_schedule(const TaskGraph& g, const DeviceNetwork& n,
       std::sort(uses.begin(), uses.end());
       for (std::size_t i = 1; i < uses.size(); ++i) {
         if (uses[i].first < uses[i - 1].second) {
-          c.fail("physical link ", li, ": transfer [", uses[i].first, ", ",
-                 uses[i].second, ") overlaps [", uses[i - 1].first, ", ",
-                 uses[i - 1].second, ")");
+          c.fail("link ", li, ": transfer [", uses[i].first, ", ", uses[i].second,
+                 ") overlaps [", uses[i - 1].first, ", ", uses[i - 1].second, ")");
         }
       }
     }
@@ -475,31 +431,21 @@ InvariantReport check_stream_result(const TaskGraph& g, const DeviceNetwork& n,
   // schedule to every one-shot invariant over it, with per-task release =
   // frame arrival feeding the ready-time computation.
   TaskGraph rep;
-  for (int f = 0; f < frames; ++f) {
-    for (int v = 0; v < nv; ++v) rep.add_task(g.task(v));
-  }
-  for (int f = 0; f < frames; ++f) {
-    for (int e = 0; e < ne; ++e) {
-      const DataLink& link = g.edge(e);
-      rep.add_edge(f * nv + link.src, f * nv + link.dst, link.bytes);
-    }
-  }
-  Placement rp(frames * nv);
+  Placement rep_p;
+  verify_detail::replicate_frames(g, p, frames, rep, rep_p);
   std::vector<double> release(static_cast<std::size_t>(frames) * nv, 0.0);
   for (int f = 0; f < frames; ++f) {
     for (int v = 0; v < nv; ++v) {
-      rp.set(f * nv + v, p.num_tasks() == nv ? p.device_of(v) : -1);
       release[static_cast<std::size_t>(f) * nv + v] = result.frame_arrival[f];
     }
   }
-  const ReplicatedLatencyModel rep_lat(lat, g);
+  const verify_detail::ReplicatedLatencyModel rep_lat(lat, g);
   CheckOptions co;
   co.noise = opt.sim.noise;
-  co.serialize_transfers = opt.sim.serialize_transfers;
   co.trace = opt.sim.trace;
   co.shared_links = opt.sim.shared_links;
   co.release_times = &release;
-  const InvariantReport inner = check_schedule(rep, n, rp, rep_lat, result.schedule, co);
+  const InvariantReport inner = check_schedule(rep, n, rep_p, rep_lat, result.schedule, co);
   report.violations.insert(report.violations.end(), inner.violations.begin(),
                            inner.violations.end());
 

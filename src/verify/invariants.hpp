@@ -25,10 +25,6 @@ struct CheckOptions {
   /// Noise sigma the run used. 0 demands exact Eq. 2-3 durations; sigma > 0
   /// relaxes every duration to the draw interval [x(1-sigma), x(1+sigma)].
   double noise = 0.0;
-  /// The run serialized remote sends through per-device NICs: transfers may
-  /// start after the producer finished, but a device's remote sends must not
-  /// overlap each other.
-  bool serialize_transfers = false;
   /// Fault-injection runs: tasks with finish < 0 are stranded, not missing.
   /// Completed tasks are still held to precedence / capacity / FIFO rules,
   /// but duration checks and start-time provenance are skipped (faults
@@ -36,15 +32,15 @@ struct CheckOptions {
   bool allow_incomplete = false;
   /// The run used this NetworkTrace (SimOptions::trace). Duration checks are
   /// skipped for edges on traced links (breakpoints rescale in-flight wire
-  /// time), and NIC / shared-link non-overlap checks are skipped entirely (a
-  /// rescale can stretch a transfer past its dispatch-time reservation).
+  /// time), and the link non-overlap check is skipped entirely (a rescale can
+  /// stretch a transfer past its dispatch-time reservation).
   /// Everything else - precedence, capacity, FIFO, makespan - still holds.
   const NetworkTrace* trace = nullptr;
-  /// The run used shared-link contention (SimOptions::shared_links):
-  /// transfers whose route is non-empty may start after their producer
-  /// finishes (queued behind a busy physical link), and transfers crossing a
-  /// common physical link must not overlap (checked unless a trace or
-  /// allow_incomplete forbids it).
+  /// The run used link contention (SimOptions::shared_links, NIC links
+  /// included): transfers whose route is non-empty may start after their
+  /// producer finishes (queued behind a busy link), and transfers crossing a
+  /// common link must not overlap (checked unless a trace or allow_incomplete
+  /// forbids it). A map that does not fit the network is a shape violation.
   const SharedLinkMap* shared_links = nullptr;
   /// Optional per-task release times (streaming: the frame arrival of each
   /// replicated task). A task's ready time starts from its release instead of
@@ -56,7 +52,8 @@ struct CheckOptions {
 
 /// Validates `sched` for (g, n, p, lat) against first principles, sharing no
 /// logic with the simulator:
-///   - shape: per-task and per-edge arrays sized to the graph;
+///   - shape: per-task and per-edge arrays sized to the graph, and the
+///     shared-link map valid for the network (validate_shared_link_map);
 ///   - placement: every task on an in-range device satisfying its pin and
 ///     hardware-requirement mask;
 ///   - sanity: starts/finishes finite, start <= finish, nothing before t = 0;
@@ -72,8 +69,8 @@ struct CheckOptions {
 ///     (strictly earlier ready time implies no later start);
 ///   - work conservation: a task starts either the moment it became ready or
 ///     the moment another task on its device finished (complete runs only);
-///   - NIC: under serialize_transfers, a device's remote sends are pairwise
-///     non-overlapping;
+///   - links: under shared_links, transfers whose routes cross a common link
+///     (physical or NIC) are pairwise non-overlapping;
 ///   - makespan equals max finish - min start over (completed) tasks.
 ///
 /// Reports every violation found, not just the first.

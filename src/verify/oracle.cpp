@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "verify/replicated_instance.hpp"
+
 namespace giph {
 namespace {
 
@@ -25,6 +27,8 @@ struct OracleEvent {
 constexpr int kTaskEvent = 0;
 constexpr int kTransferEvent = 1;
 constexpr int kBreakpointEvent = 2;
+constexpr int kArrivalEvent = 3;
+constexpr int kFaultEvent = 4;
 
 double draw(double expected, const SimOptions& opt) {
   if (opt.noise <= 0.0) return expected;
@@ -71,8 +75,6 @@ bool acyclic(const TaskGraph& g) {
   }
   return visited == nv;
 }
-
-constexpr int kFaultEvent = 4;
 
 // Fault entries order after every simulation entry at the same instant (an
 // incident interrupts; work finishing exactly then has finished).
@@ -158,12 +160,26 @@ NetworkTrace degrade_conditions(const FaultPlan& plan, int num_devices) {
   return conditions;
 }
 
+// The oracle's own nearest-rank percentile, written from the documented
+// convention (the ceil(q * n)-th smallest observation, no interpolation).
+double oracle_percentile(std::vector<double> xs, double q) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  const double rank = std::ceil(q * static_cast<double>(xs.size()));
+  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+  if (idx >= xs.size()) idx = xs.size() - 1;
+  return xs[idx];
+}
+
 // One naive replay of a placement, optionally under a fault plan. Without a
 // plan every task must complete; with one, tasks that cannot are stranded.
+// With frame `arrivals`, (g, p, lat) is the frame-replicated instance of a
+// streaming run: frame f is tasks f * V .. f * V + V - 1, and its entry tasks
+// become runnable at arrivals[f] instead of t = 0.
 FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
                              const Placement& p, const LatencyModel& lat,
                              const SimOptions& opt, const FaultPlan* plan,
-                             const char* caller) {
+                             const std::vector<double>* arrivals, const char* caller) {
   const std::string who = caller;
   validate_sim_options(opt, caller);
   const bool caller_trace = opt.trace != nullptr && !opt.trace->empty();
@@ -186,9 +202,9 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
   const int nd = n.num_devices();
 
   // Dynamic-network configuration, interpreted independently of the
-  // production simulator: only the NetworkTrace / SharedLinkMap *data* is
-  // shared. An empty trace is no trace at all. Under a fault plan the link
-  // conditions come from its degrades.
+  // production simulator: only the NetworkTrace / SharedLinkMap *data* (and
+  // their validators) are shared. An empty trace is no trace at all. Under a
+  // fault plan the link conditions come from its degrades.
   const NetworkTrace degraded =
       plan != nullptr ? degrade_conditions(*plan, nd) : NetworkTrace{};
   const NetworkTrace* trace = caller_trace ? opt.trace
@@ -196,11 +212,7 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
                                                  : &degraded;
   if (trace != nullptr) validate_network_trace(*trace, n, caller);
   const SharedLinkMap* shared = opt.shared_links;
-  if (shared != nullptr && shared->num_devices != nd) {
-    throw std::invalid_argument(
-        who + ": shared_links was built for " + std::to_string(shared->num_devices) +
-        " devices but the network has " + std::to_string(nd));
-  }
+  if (shared != nullptr) validate_shared_link_map(*shared, nd, caller);
 
   FaultSimResult result;
   Schedule& out = result.schedule;
@@ -213,7 +225,6 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
   std::vector<OracleEvent> pending;
   long next_order = 0;
   std::vector<std::vector<int>> waiting(nd);  // FIFO of runnable-but-queued tasks
-  std::vector<double> nic_busy_until(nd, 0.0);
   std::vector<double> link_busy_until(shared != nullptr ? shared->num_links : 0, 0.0);
 
   // Per traced link: the segment currently in force (identity before the
@@ -313,10 +324,21 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
     }
   };
 
-  // Entry tasks are runnable at t = 0 in task-id order.
-  for (int v = 0; v < nv; ++v) {
-    if (g.in_degree(v) == 0) on_runnable(v, 0.0);
+  // Each frame's entry tasks become runnable in task-id order: frame 0's at
+  // t = 0, each later frame's through an arrival entry created right after
+  // the breakpoint entries, so an arrival acts before same-time sim events.
+  // A one-shot run is a single frame.
+  const int frames = arrivals != nullptr ? static_cast<int>(arrivals->size()) : 1;
+  const int frame_tasks = nv / frames;
+  auto release_frame = [&](int f, double t) {
+    for (int v = f * frame_tasks; v < (f + 1) * frame_tasks; ++v) {
+      if (g.in_degree(v) == 0) on_runnable(v, t);
+    }
+  };
+  for (int f = 1; f < frames; ++f) {
+    pending.push_back(OracleEvent{(*arrivals)[f], next_order++, kArrivalEvent, f});
   }
+  release_frame(0, 0.0);
 
   while (!pending.empty()) {
     // Earliest (time, creation order) event, found by plain linear scan.
@@ -335,19 +357,15 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
       out.tasks[v].finish = ev.time;
       const int d = p.device_of(v);
       // Outputs go out to every child's device, in out-edge order:
-      // contention-free and concurrent in the paper's model, back-to-back
-      // through the sender's NIC when serialize_transfers is on, and behind
-      // every busy physical link of the route under shared-link contention.
+      // contention-free and concurrent in the paper's model, and behind every
+      // busy link of the route (a NIC is one more link) under contention.
       for (int e : g.out_edges(v)) {
         const int dst_dev = p.device_of(g.edge(e).dst);
         const double c = draw(lat.comm_time(g, n, e, d, dst_dev), opt);
         double start = ev.time;
-        if (dst_dev != d) {
-          if (opt.serialize_transfers) start = std::max(start, nic_busy_until[d]);
-          if (shared != nullptr) {
-            for (const int li : shared->links_on(d, dst_dev)) {
-              start = std::max(start, link_busy_until[li]);
-            }
+        if (shared != nullptr && dst_dev != d) {
+          for (const int li : shared->links_on(d, dst_dev)) {
+            start = std::max(start, link_busy_until[li]);
           }
         }
         double dur = c;
@@ -367,12 +385,9 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
           wire_begin[e] = start;
           wire_factor_of[e] = 1.0;
         }
-        if (dst_dev != d) {
-          if (opt.serialize_transfers) nic_busy_until[d] = start + dur;
-          if (shared != nullptr) {
-            for (const int li : shared->links_on(d, dst_dev)) {
-              link_busy_until[li] = start + dur;
-            }
+        if (shared != nullptr && dst_dev != d) {
+          for (const int li : shared->links_on(d, dst_dev)) {
+            link_busy_until[li] = start + dur;
           }
         }
         out.edge_start[e] = start;
@@ -398,6 +413,8 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
         }
       }
       if (all_arrived) on_runnable(child, ev.time);
+    } else if (ev.kind == kArrivalEvent) {
+      release_frame(ev.id, ev.time);
     } else if (ev.kind == kFaultEvent) {
       const OracleFault& f = incidents[static_cast<std::size_t>(ev.id)];
       const int d = f.device;
@@ -496,44 +513,21 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
 
 Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                          const LatencyModel& lat, const SimOptions& opt) {
-  return oracle_replay(g, n, p, lat, opt, nullptr, "oracle_simulate").schedule;
+  return oracle_replay(g, n, p, lat, opt, nullptr, nullptr, "oracle_simulate").schedule;
 }
 
 FaultSimResult oracle_simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
                                            const Placement& p, const LatencyModel& lat,
                                            const FaultPlan& plan, const SimOptions& opt) {
-  return oracle_replay(g, n, p, lat, opt, &plan, "oracle_simulate_with_faults");
+  return oracle_replay(g, n, p, lat, opt, &plan, nullptr, "oracle_simulate_with_faults");
 }
 
-namespace {
-
-constexpr int kArrivalEvent = 3;
-
-// The oracle's own nearest-rank percentile, written from the documented
-// convention (the ceil(q * n)-th smallest observation, no interpolation).
-double oracle_percentile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const double rank = std::ceil(q * static_cast<double>(xs.size()));
-  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  if (idx >= xs.size()) idx = xs.size() - 1;
-  return xs[idx];
-}
-
-// One naive streaming replay of opt.frames frames: oracle_simulate's flat
-// event list generalized to virtual ids (task f * V + v, edge f * E + e) with
-// the base latency model consulted through id mapping, plus arrival entries
-// releasing each later frame's entry copies.
-StreamResult oracle_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
-                                  const Placement& p, const LatencyModel& lat,
-                                  const StreamOptions& opt) {
+StreamResult oracle_simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,
+                                       const Placement& p, const LatencyModel& lat,
+                                       const StreamOptions& opt) {
+  validate_stream_options(opt, "oracle_simulate_streaming");
   const int frames = opt.frames;
-  const int bv = g.num_tasks();
-  const int be = g.num_edges();
-  const int nd = n.num_devices();
-  const int nv = frames * bv;
-  const int ne = frames * be;
-  const SimOptions& sopt = opt.sim;
+  const int nv = g.num_tasks();
 
   StreamResult r;
   // Inter-arrival gaps are drawn before any simulation draw, in frame order.
@@ -544,239 +538,18 @@ StreamResult oracle_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
       std::uniform_real_distribution<double> u(
           opt.interval * (1.0 - opt.arrival_jitter),
           opt.interval * (1.0 + opt.arrival_jitter));
-      gap = u(*sopt.rng);
+      gap = u(*opt.sim.rng);
     }
     r.frame_arrival[f] = r.frame_arrival[f - 1] + gap;
   }
 
-  const NetworkTrace* trace =
-      (sopt.trace != nullptr && !sopt.trace->empty()) ? sopt.trace : nullptr;
-  if (trace != nullptr) validate_network_trace(*trace, n, "oracle_simulate_streaming");
-  const SharedLinkMap* shared = sopt.shared_links;
-  if (shared != nullptr && shared->num_devices != nd) {
-    throw std::invalid_argument(
-        "oracle_simulate_streaming: shared_links was built for " +
-        std::to_string(shared->num_devices) + " devices but the network has " +
-        std::to_string(nd));
-  }
-
-  Schedule& out = r.schedule;
-  out.tasks.assign(nv, TaskTiming{-1.0, -1.0});
-  out.edge_start.assign(ne, -1.0);
-  out.edge_finish.assign(ne, -1.0);
-  out.makespan = 0.0;
-
-  if (bv > 0) {
-    const auto dev_of = [&](int t) { return p.device_of(t % bv); };
-
-    std::vector<OracleEvent> pending;
-    long next_order = 0;
-    std::vector<std::vector<int>> waiting(nd);
-    std::vector<double> nic_busy_until(nd, 0.0);
-    std::vector<double> link_busy_until(shared != nullptr ? shared->num_links : 0, 0.0);
-
-    const int ntl = trace != nullptr ? static_cast<int>(trace->links.size()) : 0;
-    std::vector<TraceSegment> link_state(ntl);
-    std::vector<double> link_factor(ntl, 1.0);
-    std::vector<std::pair<int, int>> breakpoints;
-    if (trace != nullptr) {
-      for (int li = 0; li < ntl; ++li) {
-        const LinkSchedule& ls = trace->links[li];
-        for (int si = 0; si < static_cast<int>(ls.segments.size()); ++si) {
-          if (ls.segments[si].time <= 0.0) {
-            link_state[li] = ls.segments[si];
-            link_factor[li] = (1.0 / ls.segments[si].bandwidth_factor) /
-                              (1.0 - ls.segments[si].drop_prob);
-          } else {
-            pending.push_back(OracleEvent{ls.segments[si].time, next_order++,
-                                          kBreakpointEvent,
-                                          static_cast<int>(breakpoints.size())});
-            breakpoints.emplace_back(li, si);
-          }
-        }
-      }
-    }
-
-    auto traced_link_of = [&](int src, int dst) {
-      if (trace == nullptr) return -1;
-      for (int li = 0; li < ntl; ++li) {
-        if (trace->links[li].src == src && trace->links[li].dst == dst &&
-            !trace->links[li].segments.empty()) {
-          return li;
-        }
-      }
-      return -1;
-    };
-
-    std::vector<double> wire_begin(ne, 0.0);
-    std::vector<double> wire_factor_of(ne, 1.0);
-
-    auto tasks_running_on = [&](int d) {
-      int count = 0;
-      for (int t = 0; t < nv; ++t) {
-        if (dev_of(t) == d && out.tasks[t].start >= 0.0 && out.tasks[t].finish < 0.0) {
-          ++count;
-        }
-      }
-      return count;
-    };
-
-    auto begin_execution = [&](int t, double time) {
-      const int d = dev_of(t);
-      out.tasks[t].start = time;
-      const double w = draw(lat.compute_time(g, n, t % bv, d), sopt);
-      pending.push_back(OracleEvent{time + w, next_order++, kTaskEvent, t});
-    };
-
-    auto on_runnable = [&](int t, double time) {
-      const int d = dev_of(t);
-      if (waiting[d].empty() && tasks_running_on(d) < n.device(d).cores) {
-        begin_execution(t, time);
-      } else {
-        waiting[d].push_back(t);
-      }
-    };
-
-    // Arrival entries for frames >= 1 are created right after the breakpoint
-    // entries — before any simulation event — so an arrival at the instant a
-    // task finishes takes effect first, exactly like the production core.
-    for (int f = 1; f < frames; ++f) {
-      pending.push_back(OracleEvent{r.frame_arrival[f], next_order++, kArrivalEvent, f});
-    }
-
-    // Frame 0's entry copies are runnable at t = 0 in task-id order.
-    for (int v = 0; v < bv; ++v) {
-      if (g.in_degree(v) == 0) on_runnable(v, 0.0);
-    }
-
-    while (!pending.empty()) {
-      std::size_t at = 0;
-      for (std::size_t i = 1; i < pending.size(); ++i) {
-        if (pending[i].time < pending[at].time ||
-            (pending[i].time == pending[at].time && pending[i].order < pending[at].order)) {
-          at = i;
-        }
-      }
-      const OracleEvent ev = pending[at];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(at));
-
-      if (ev.kind == kTaskEvent) {
-        const int t = ev.id;
-        out.tasks[t].finish = ev.time;
-        const int d = dev_of(t);
-        const int f = t / bv;
-        for (int e : g.out_edges(t % bv)) {
-          const int ve = f * be + e;  // frame f's copy of base edge e
-          const int dst_dev = p.device_of(g.edge(e).dst);
-          const double c = draw(lat.comm_time(g, n, e, d, dst_dev), sopt);
-          double start = ev.time;
-          if (dst_dev != d) {
-            if (sopt.serialize_transfers) start = std::max(start, nic_busy_until[d]);
-            if (shared != nullptr) {
-              for (const int li : shared->links_on(d, dst_dev)) {
-                start = std::max(start, link_busy_until[li]);
-              }
-            }
-          }
-          double dur = c;
-          const int tl = traced_link_of(d, dst_dev);
-          if (tl >= 0) {
-            const double ce = lat.comm_time(g, n, e, d, dst_dev);
-            const double de = lat.comm_startup(g, n, e, d, dst_dev);
-            const double dr = ce > 0.0 ? de * (c / ce) : 0.0;
-            const double startup = dr + link_state[tl].delay_add;
-            dur = startup + (c - dr) * link_factor[tl];
-            wire_begin[ve] = start + startup;
-            wire_factor_of[ve] = link_factor[tl];
-          } else if (trace != nullptr) {
-            wire_begin[ve] = start;
-            wire_factor_of[ve] = 1.0;
-          }
-          if (dst_dev != d) {
-            if (sopt.serialize_transfers) nic_busy_until[d] = start + dur;
-            if (shared != nullptr) {
-              for (const int li : shared->links_on(d, dst_dev)) {
-                link_busy_until[li] = start + dur;
-              }
-            }
-          }
-          out.edge_start[ve] = start;
-          pending.push_back(OracleEvent{start + dur, next_order++, kTransferEvent, ve});
-        }
-        if (!waiting[d].empty() && tasks_running_on(d) < n.device(d).cores) {
-          const int next = waiting[d].front();
-          waiting[d].erase(waiting[d].begin());
-          begin_execution(next, ev.time);
-        }
-      } else if (ev.kind == kTransferEvent) {
-        const int ve = ev.id;
-        out.edge_finish[ve] = ev.time;
-        const int f = ve / be;
-        const int child = f * bv + g.edge(ve % be).dst;
-        bool all_arrived = true;
-        for (int in_e : g.in_edges(child % bv)) {
-          if (out.edge_finish[f * be + in_e] < 0.0) {
-            all_arrived = false;
-            break;
-          }
-        }
-        if (all_arrived) on_runnable(child, ev.time);
-      } else if (ev.kind == kArrivalEvent) {
-        // Frame ev.id enters: its entry copies become runnable in base order.
-        for (int v = 0; v < bv; ++v) {
-          if (g.in_degree(v) == 0) on_runnable(ev.id * bv + v, ev.time);
-        }
-      } else {  // kBreakpointEvent
-        const int li = breakpoints[ev.id].first;
-        const TraceSegment& seg = trace->links[li].segments[breakpoints[ev.id].second];
-        link_state[li] = seg;
-        const double f_new = (1.0 / seg.bandwidth_factor) / (1.0 - seg.drop_prob);
-        link_factor[li] = f_new;
-        const int src = trace->links[li].src;
-        const int dst = trace->links[li].dst;
-        // Ascending virtual-edge-id order matches the production rescale.
-        for (int ve = 0; ve < ne; ++ve) {
-          if (out.edge_start[ve] < 0.0 || out.edge_finish[ve] >= 0.0) continue;
-          const DataLink& bl = g.edge(ve % be);
-          if (p.device_of(bl.src) != src || p.device_of(bl.dst) != dst) continue;
-          if (wire_factor_of[ve] == f_new) continue;
-          std::size_t slot = pending.size();
-          for (std::size_t i = 0; i < pending.size(); ++i) {
-            if (pending[i].kind == kTransferEvent && pending[i].id == ve) {
-              slot = i;
-              break;
-            }
-          }
-          if (slot == pending.size()) {
-            throw std::logic_error(
-                "oracle_simulate_streaming: in-flight edge has no pending event");
-          }
-          const double anchor = std::max(ev.time, wire_begin[ve]);
-          const double remaining = pending[slot].time - anchor;
-          if (remaining <= 0.0) {
-            wire_factor_of[ve] = f_new;
-            continue;
-          }
-          const double finish = anchor + remaining * (f_new / wire_factor_of[ve]);
-          wire_factor_of[ve] = f_new;
-          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(slot));
-          pending.push_back(OracleEvent{finish, next_order++, kTransferEvent, ve});
-        }
-      }
-    }
-
-    for (int t = 0; t < nv; ++t) {
-      if (out.tasks[t].finish < 0.0) {
-        throw std::logic_error("oracle_simulate_streaming: not all tasks completed");
-      }
-    }
-    double first_start = out.tasks[0].start, last_finish = out.tasks[0].finish;
-    for (const TaskTiming& tt : out.tasks) {
-      first_start = std::min(first_start, tt.start);
-      last_finish = std::max(last_finish, tt.finish);
-    }
-    out.makespan = last_finish - first_start;
-  }
+  TaskGraph rep;
+  Placement rep_p;
+  verify_detail::replicate_frames(g, p, frames, rep, rep_p);
+  const verify_detail::ReplicatedLatencyModel rep_lat(lat, g);
+  r.schedule = oracle_replay(rep, n, rep_p, rep_lat, opt.sim, nullptr, &r.frame_arrival,
+                             "oracle_simulate_streaming")
+                   .schedule;
 
   // Per-frame metrics, re-derived with the oracle's own arithmetic.
   r.frames = frames;
@@ -784,40 +557,23 @@ StreamResult oracle_stream_frames(const TaskGraph& g, const DeviceNetwork& n,
   r.frame_latency.assign(frames, 0.0);
   for (int f = 0; f < frames; ++f) {
     double fin = r.frame_arrival[f];
-    for (int v = 0; v < bv; ++v) {
-      fin = std::max(fin, out.tasks[f * bv + v].finish);
+    for (int v = 0; v < nv; ++v) {
+      fin = std::max(fin, r.schedule.tasks[f * nv + v].finish);
     }
     r.frame_finish[f] = fin;
     r.frame_latency[f] = fin - r.frame_arrival[f];
   }
-  r.makespan = out.makespan;
+  r.makespan = r.schedule.makespan;
   if (frames > 1) {
     const double span = r.frame_finish[frames - 1] - r.frame_finish[0];
-    r.throughput = span > 0.0 ? frames / span
-                              : std::numeric_limits<double>::infinity();
+    r.throughput = span > 0.0 ? frames / span : std::numeric_limits<double>::infinity();
   } else {
-    r.throughput = r.frame_latency[0] > 0.0
-                       ? 1.0 / r.frame_latency[0]
-                       : std::numeric_limits<double>::infinity();
+    r.throughput = r.frame_latency[0] > 0.0 ? 1.0 / r.frame_latency[0]
+                                            : std::numeric_limits<double>::infinity();
   }
   r.p50_latency = oracle_percentile(r.frame_latency, 0.50);
   r.p99_latency = oracle_percentile(r.frame_latency, 0.99);
   return r;
-}
-
-}  // namespace
-
-StreamResult oracle_simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,
-                                       const Placement& p, const LatencyModel& lat,
-                                       const StreamOptions& opt) {
-  validate_stream_options(opt, "oracle_simulate_streaming");
-  if (!placement_feasible(g, n, p)) {
-    throw std::invalid_argument("oracle_simulate_streaming: infeasible placement");
-  }
-  if (!acyclic(g)) {
-    throw std::logic_error("oracle_simulate_streaming: cyclic task graph");
-  }
-  return oracle_stream_frames(g, n, p, lat, opt);
 }
 
 }  // namespace giph

@@ -11,28 +11,29 @@ namespace giph {
 /// cross-check the production simulator (differential testing).
 ///
 /// Semantics implemented from first principles, sharing nothing with
-/// simulate() beyond the data types:
+/// simulate() beyond the data types and their validators:
 ///   - each device runs at most `cores` tasks at a time, non-preemptively,
 ///     serving runnable tasks in the order they became runnable (FIFO);
 ///   - a task is runnable once every parent output has arrived at its device;
 ///     entry tasks are runnable at t = 0 in task-id order;
-///   - transfers are contention-free and overlap with computation
-///     (opt.serialize_transfers queues a device's remote sends at its NIC);
+///   - transfers are contention-free and overlap with computation;
 ///   - latencies follow the LatencyModel (Eqs. 2-3 for the default model);
 ///   - with opt.noise > 0, every realized duration is drawn uniformly from
 ///     [x(1-sigma), x(1+sigma)], one draw per task start and per transfer;
 ///   - opt.trace applies piecewise-constant link conditions: breakpoints act
 ///     before same-time sim events and rescale the remaining wire time of
 ///     in-flight transfers (startup exempt), exactly like the simulator;
-///   - opt.shared_links queues transfers behind every busy physical link of
-///     their projected route.
+///   - opt.shared_links queues a remote transfer behind every busy link of
+///     its route and reserves them all until it arrives (a NIC link from
+///     add_nic_links is one more link on every route out of its device).
 ///
-/// Implementation is a direct event-list interpretation: pending events live
-/// in a flat list scanned linearly for the earliest (time, creation order)
-/// entry; runnability is re-derived by scanning a task's in-edges; device
-/// occupancy is re-counted by scanning started-but-unfinished tasks. No event
-/// heap, no dependency counters, no workspace reuse, no index structures -
-/// O(V * E * D)-ish and proud of it. The output is bitwise identical to
+/// Implementation is one direct event-list interpretation, shared by all
+/// three oracle entry points (one-shot, faulted, streamed): pending events
+/// live in a flat list scanned linearly for the earliest (time, creation
+/// order) entry; runnability is re-derived by scanning a task's in-edges;
+/// device occupancy is re-counted by scanning started-but-unfinished tasks.
+/// No event heap, no dependency counters, no workspace reuse, no index
+/// structures - O(V * E * D)-ish and proud of it. The output is bitwise identical to
 /// simulate() for every input, including the noise draw sequence.
 ///
 /// Throws std::invalid_argument for bad options or infeasible placements and
@@ -68,28 +69,28 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
 ///     completed tasks (0 when none completed).
 /// Events on devices or links joined by the plan are inert, as are joins.
 /// Output is bitwise identical to simulate_with_faults() for every input,
-/// including the noise draw sequence, NIC serialization, and shared links;
-/// throws like it (std::invalid_argument for a non-empty opt.trace).
+/// including the noise draw sequence and link contention; throws like it
+/// (std::invalid_argument for a non-empty opt.trace).
 FaultSimResult oracle_simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
                                            const Placement& p, const LatencyModel& lat,
                                            const FaultPlan& plan,
                                            const SimOptions& opt = {});
 
-/// Reference streaming simulator: the oracle's flat event replay generalized
-/// to iterated-graph execution, independent of simulate_streaming(). Frame f
-/// of task v is the virtual task f * V + v (virtual edge f * E + e); the
-/// oracle keeps flat per-virtual-id arrays, maps ids back to the base
-/// instance when consulting the latency model, and interprets the streaming
-/// semantics from first principles:
+/// Reference streaming simulator, independent of simulate_streaming(): the
+/// oracle's one flat event replay run over the frame-replicated instance.
+/// Frame f of task v is the task f * V + v (edge f * E + e), built by the
+/// verification layer's own replication; the latency model is consulted
+/// with base ids. The streaming semantics, from first principles:
 ///   - all F - 1 inter-arrival gaps are drawn up front in frame order
 ///     (uniform [interval(1-j), interval(1+j)] when jittered), before any
 ///     simulation draw;
 ///   - frame 0's entries are runnable at t = 0 in task-id order; frame f's
-///     copies become runnable at its arrival time, via arrival entries
-///     created at init (so an arrival beats same-time sim events, exactly
-///     like the production event core);
-///   - devices serve one FIFO across frames; NIC serialization, shared-link
-///     reservations, traces, and noise span frame boundaries;
+///     entries become runnable, in task-id order, at its arrival time, via
+///     one arrival entry per frame created right after the breakpoint
+///     entries (so an arrival beats same-time sim events, exactly like the
+///     production event core);
+///   - devices serve one FIFO across frames; link reservations (NIC links
+///     included), traces, and noise span frame boundaries;
 ///   - per-frame finish/latency, throughput, and nearest-rank p50/p99 are
 ///     re-derived with the oracle's own arithmetic.
 /// Output is bitwise identical to simulate_streaming() for every input,

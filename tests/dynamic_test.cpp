@@ -260,6 +260,73 @@ TEST(SharedLinks, EmptyMapReducesBitwiseAndSizeIsChecked) {
                std::invalid_argument);
 }
 
+TEST(SharedLinks, AddNicLinksAppendsOneLinkPerSender) {
+  // An empty map is sized first; every remote route then gains its sender's
+  // NIC, after the physical links it already crosses.
+  SharedLinkMap nics;
+  add_nic_links(nics, 3);
+  EXPECT_EQ(nics.num_devices, 3);
+  EXPECT_EQ(nics.num_links, 3);
+  EXPECT_EQ(nics.links_on(0, 2), (std::vector<int>{0}));
+  EXPECT_EQ(nics.links_on(2, 1), (std::vector<int>{2}));
+  EXPECT_TRUE(nics.links_on(1, 1).empty());
+
+  SharedLinkMap line = build_shared_link_map(3, {{0, 1, 2.0, 1.0, true},
+                                                 {1, 2, 2.0, 1.0, true}});
+  add_nic_links(line, 3);
+  EXPECT_EQ(line.num_links, 5);
+  EXPECT_EQ(line.links_on(0, 2), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(line.links_on(2, 0), (std::vector<int>{1, 0, 4}));
+  EXPECT_TRUE(line.links_on(2, 2).empty());
+  EXPECT_THROW(add_nic_links(line, 4), std::invalid_argument);
+}
+
+TEST(SharedLinks, MalformedMapIsRejectedByEveryEntryPoint) {
+  // Two tasks across two devices; each map indexes per-link state out of
+  // bounds unless validated: a route naming link 7 of 1, and a routes table
+  // too short for the network.
+  TaskGraph g;
+  g.add_task(Task{.compute = 1.0});
+  g.add_task(Task{.compute = 1.0});
+  g.add_edge(0, 1, 4.0);
+  const DeviceNetwork n = two_devices();
+  Placement p(2);
+  p.set(0, 0);
+  p.set(1, 1);
+  SharedLinkMap bad_id;
+  bad_id.num_devices = 2;
+  bad_id.num_links = 1;
+  bad_id.routes.assign(4, {});
+  bad_id.routes[1] = {7};
+  SharedLinkMap short_routes = bad_id;
+  short_routes.routes.assign(3, {});
+
+  for (const SharedLinkMap* map : {&bad_id, &short_routes}) {
+    SimOptions opt;
+    opt.shared_links = map;
+    EXPECT_THROW(simulate(g, n, p, kLat, opt), std::invalid_argument);
+    EXPECT_THROW(oracle_simulate(g, n, p, kLat, opt), std::invalid_argument);
+    const InvariantReport r = check_schedule(g, n, p, kLat, simulate(g, n, p, kLat),
+                                             CheckOptions{.shared_links = map});
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.summary().find("shape"), std::string::npos) << r.summary();
+  }
+  // The simulator's and the oracle's errors name the device pair and the id.
+  SimOptions opt;
+  opt.shared_links = &bad_id;
+  for (const bool oracle : {false, true}) {
+    try {
+      oracle ? (void)oracle_simulate(g, n, p, kLat, opt)
+             : (void)simulate(g, n, p, kLat, opt);
+      ADD_FAILURE() << "a route naming link 7 of 1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("route 0 -> 1 names link 7"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fault-path guards
 
@@ -281,10 +348,11 @@ TEST(Faults, RejectsTraceAndComposesWithSharedLinks) {
   }
   DeviceNetwork n = c.network;
   apply_topology(n, phys);
-  const SharedLinkMap map = build_shared_link_map(n.num_devices(), phys);
+  SharedLinkMap map = build_shared_link_map(n.num_devices(), phys);
+  add_nic_links(map, n.num_devices());
   std::mt19937_64 rng_a(8), rng_b(8);
-  SimOptions opt_a{0.2, &rng_a, true, nullptr, &map};
-  SimOptions opt_b{0.2, &rng_b, true, nullptr, &map};
+  SimOptions opt_a{0.2, &rng_a, nullptr, &map};
+  SimOptions opt_b{0.2, &rng_b, nullptr, &map};
   const FaultSimResult r =
       simulate_with_faults(c.graph, n, c.placement, kLat, FaultPlan{}, opt_a);
   ASSERT_TRUE(r.completed());

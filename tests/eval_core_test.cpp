@@ -69,8 +69,10 @@ TEST(SimWorkspace, NoisyAndContendedRunsMatchToo) {
   simulate_into(g, n, p, kLat, ws, out, noisy_b);
   expect_schedules_bitwise_equal(fresh, out);
 
+  SharedLinkMap nics;
+  add_nic_links(nics, n.num_devices());
   SimOptions contended;
-  contended.serialize_transfers = true;
+  contended.shared_links = &nics;
   const Schedule fresh2 = simulate(g, n, p, kLat, contended);
   simulate_into(g, n, p, kLat, ws, out, contended);
   expect_schedules_bitwise_equal(fresh2, out);

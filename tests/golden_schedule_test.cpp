@@ -46,7 +46,7 @@ struct GoldenCase {
   std::vector<std::tuple<int, int, double>> drops;
   // Optional "delta-move v1" block: the expected block holds the schedule
   // AFTER moving delta_task to delta_device from the base `placement`. On a
-  // static case (no trace, shared links or NIC serialization) the base run
+  // static case (no trace, shared links or NIC links) the base run
   // seeds the DeltaSimState, and simulate_delta must take the incremental
   // path and reproduce the expected block bitwise.
   bool has_delta_move = false;
@@ -56,6 +56,8 @@ struct GoldenCase {
   // streaming run of `frames` copies of the graph entering every `interval`
   // time units, and the expected block holds the frame-replicated schedule
   // (frames * V tasks, frames * E edges; task f * V + v is frame f's copy).
+  // A nonzero serialize flag adds one NIC link per device (add_nic_links) to
+  // the shared-link map.
   bool has_stream = false;
   int stream_frames = 1;
   double stream_interval = 0.0;
@@ -69,15 +71,14 @@ struct GoldenCase {
     return p;
   }
 
-  /// No trace, shared links or NIC serialization: the static model, the only
+  /// No trace, shared links or NIC links: the static model, the only
   /// one simulate_delta replays.
   bool is_static() const { return !has_trace && !has_shared && !stream_serialize; }
 
   SimOptions sim_options() const {
     SimOptions opt;
     if (has_trace) opt.trace = &trace;
-    if (has_shared) opt.shared_links = &shared;
-    opt.serialize_transfers = stream_serialize;
+    if (has_shared || stream_serialize) opt.shared_links = &shared;
     return opt;
   }
 
@@ -188,6 +189,7 @@ GoldenCase load_golden(const std::filesystem::path& path) {
   if (kind != "expected" || version != "v1") {
     throw std::runtime_error(c.name + ": expected 'expected v1' block");
   }
+  if (c.stream_serialize) add_nic_links(c.shared, c.network.num_devices());
   int nv = 0, ne = 0;
   clean >> nv >> ne;
   // Streaming cases carry the frame-replicated schedule.
@@ -240,7 +242,7 @@ void expect_matches(const GoldenCase& c, const Schedule& got, const char* which)
 }
 
 TEST(GoldenSchedules, CorpusIsNonTrivial) {
-  EXPECT_GE(golden_files().size(), 18u);
+  EXPECT_GE(golden_files().size(), 21u);
 }
 
 TEST(GoldenSchedules, SimulatorReproducesEveryCase) {
@@ -301,15 +303,19 @@ TEST(GoldenSchedules, InvariantCheckerAcceptsEveryCase) {
 
 TEST(GoldenSchedules, StreamingCasesCoverCrossFrameContention) {
   // The corpus must keep its hand-derived streaming cases: a pipeline with
-  // cross-frame overlap, a NIC-serialized cross-frame transfer, and
-  // shared-link contention spanning a frame boundary.
-  int seen = 0, serialized = 0, shared = 0;
+  // cross-frame overlap, a NIC-serialized cross-frame transfer, shared-link
+  // contention spanning a frame boundary, and a later frame releasing
+  // several entry tasks into one busy device's queue.
+  int seen = 0, serialized = 0, shared = 0, multi_entry = 0;
   for (const auto& path : golden_files()) {
     const GoldenCase c = load_golden(path);
     if (!c.has_stream) continue;
     ++seen;
     serialized += c.stream_serialize ? 1 : 0;
     shared += c.has_shared ? 1 : 0;
+    int entries = 0;
+    for (int v = 0; v < c.graph.num_tasks(); ++v) entries += c.graph.in_degree(v) == 0;
+    multi_entry += entries >= 2 ? 1 : 0;
     ASSERT_GE(c.stream_frames, 2) << c.name << ": streaming case must pipeline";
     const auto lat = c.latency();
     const StreamOptions sopt = c.stream_options();
@@ -332,6 +338,7 @@ TEST(GoldenSchedules, StreamingCasesCoverCrossFrameContention) {
   EXPECT_GE(seen, 3);
   EXPECT_GE(serialized, 1) << "need a NIC-serialized streaming case";
   EXPECT_GE(shared, 1) << "need a shared-link streaming case";
+  EXPECT_GE(multi_entry, 1) << "need a streaming case with several entry tasks";
 }
 
 TEST(GoldenSchedules, DeltaMoveCasesReplayIncrementallyAndBitwise) {

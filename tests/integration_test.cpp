@@ -106,8 +106,10 @@ TEST(Integration, SearchUnderContentionModel) {
 
   const ScheduleObjective contended = [](const TaskGraph& gg, const DeviceNetwork& nn,
                                          const Placement& p, const Schedule&) {
+    SharedLinkMap nics;
+    add_nic_links(nics, nn.num_devices());
     SimOptions opt;
-    opt.serialize_transfers = true;
+    opt.shared_links = &nics;
     static const DefaultLatencyModel lat;
     return simulate(gg, nn, p, lat, opt).makespan;
   };

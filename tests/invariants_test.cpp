@@ -61,23 +61,26 @@ TEST(Invariants, NoisyScheduleFailsExactDurationCheck) {
 TEST(Invariants, AcceptsSerializedTransferSchedules) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto c = testutil::random_case(seed * 41, 14, 4);
+    SharedLinkMap nics;
+    add_nic_links(nics, c.network.num_devices());
     SimOptions opt;
-    opt.serialize_transfers = true;
+    opt.shared_links = &nics;
     const Schedule s = simulate(c.graph, c.network, c.placement, kLat, opt);
-    const InvariantReport r =
-        check_schedule(c.graph, c.network, c.placement, kLat, s,
-                       CheckOptions{.serialize_transfers = true});
+    const InvariantReport r = check_schedule(c.graph, c.network, c.placement, kLat, s,
+                                             CheckOptions{.shared_links = &nics});
     EXPECT_TRUE(r.ok()) << "seed " << seed << ":\n" << r.summary();
   }
 }
 
 TEST(Invariants, SerializedScheduleFailsContentionFreeCheck) {
   // Find a case where NIC queueing actually delays a transfer; checked
-  // without serialize_transfers that delay is an edge-start violation.
+  // without the NIC links that delay is an edge-start violation.
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const auto c = testutil::random_case(seed * 101, 14, 4);
+    SharedLinkMap nics;
+    add_nic_links(nics, c.network.num_devices());
     SimOptions opt;
-    opt.serialize_transfers = true;
+    opt.shared_links = &nics;
     const Schedule serialized = simulate(c.graph, c.network, c.placement, kLat, opt);
     const Schedule plain = simulate(c.graph, c.network, c.placement, kLat);
     if (serialized.makespan == plain.makespan) continue;  // contention never bit
@@ -87,6 +90,76 @@ TEST(Invariants, SerializedScheduleFailsContentionFreeCheck) {
     return;
   }
   FAIL() << "no case with NIC contention found in 50 seeds";
+}
+
+// Moves the first transfer that queued behind a busy link back to its
+// producer's finish, its finish moving with it, so that it overlaps the
+// transfer it queued behind on their common link.
+void unqueue_first_transfer(const TaskGraph& g, const DeviceNetwork& n,
+                            const Placement& p, Schedule& s) {
+  for (int e = 0; e < g.num_edges(); ++e) {
+    const DataLink& link = g.edge(e);
+    const double ready = s.tasks[link.src].finish;
+    if (s.edge_start[e] == ready) continue;
+    s.edge_start[e] = ready;
+    s.edge_finish[e] =
+        ready + kLat.comm_time(g, n, e, p.device_of(link.src), p.device_of(link.dst));
+    return;
+  }
+  FAIL() << "no transfer queued behind a link";
+}
+
+TEST(Invariants, DetectsNicLinkOverlap) {
+  // t0 on d0 feeds t1 on d1 and t2 on d2: the second send queues behind the
+  // first on d0's NIC (link 0), [1, 6] then [6, 11].
+  TaskGraph g;
+  for (int i = 0; i < 3; ++i) g.add_task(Task{.compute = 1.0});
+  g.add_edge(0, 1, 8.0);
+  g.add_edge(0, 2, 8.0);
+  DeviceNetwork n;
+  for (int i = 0; i < 3; ++i) n.add_device(Device{.speed = 1.0});
+  for (int a = 0; a < 3; ++a) {
+    for (int b = a + 1; b < 3; ++b) n.set_symmetric_link(a, b, 2.0, 1.0);
+  }
+  Placement p(3);
+  for (int v = 0; v < 3; ++v) p.set(v, v);
+  SharedLinkMap nics;
+  add_nic_links(nics, 3);
+  SimOptions opt;
+  opt.shared_links = &nics;
+  Schedule s = simulate(g, n, p, kLat, opt);
+  const CheckOptions check{.shared_links = &nics};
+  ASSERT_TRUE(check_schedule(g, n, p, kLat, s, check).ok());
+
+  unqueue_first_transfer(g, n, p, s);
+  const InvariantReport r = check_schedule(g, n, p, kLat, s, check);
+  EXPECT_TRUE(mentions(r, "link 0: transfer [1, 6) overlaps [1, 6)")) << r.summary();
+}
+
+TEST(Invariants, DetectsPhysicalLinkOverlap) {
+  // A star around hub d0: t0 on d1 and t1 on d2 both feed t2 on d3, so both
+  // transfers cross physical link 2 (d0 - d3) and the second queues.
+  TaskGraph g;
+  for (int i = 0; i < 3; ++i) g.add_task(Task{.compute = 1.0});
+  g.add_edge(0, 2, 4.0);
+  g.add_edge(1, 2, 4.0);
+  DeviceNetwork n(4);
+  const std::vector<PhysicalLink> star = {
+      {0, 1, 2.0, 1.0, true}, {0, 2, 2.0, 1.0, true}, {0, 3, 2.0, 1.0, true}};
+  apply_topology(n, star);
+  const SharedLinkMap map = build_shared_link_map(4, star);
+  Placement p(3);
+  for (int v = 0; v < 3; ++v) p.set(v, v + 1);
+  SimOptions opt;
+  opt.shared_links = &map;
+  Schedule s = simulate(g, n, p, kLat, opt);
+  const CheckOptions check{.shared_links = &map};
+  ASSERT_TRUE(check_schedule(g, n, p, kLat, s, check).ok());
+
+  unqueue_first_transfer(g, n, p, s);
+  const InvariantReport r = check_schedule(g, n, p, kLat, s, check);
+  EXPECT_TRUE(mentions(r, "link 2: transfer")) << r.summary();
+  EXPECT_TRUE(mentions(r, "overlaps")) << r.summary();
 }
 
 TEST(Invariants, DetectsPrecedenceViolation) {

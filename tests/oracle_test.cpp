@@ -57,8 +57,10 @@ TEST(Oracle, MatchesSimulateUnderNoiseWithSameDrawSequence) {
 TEST(Oracle, MatchesSimulateUnderNicContention) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto c = testutil::random_case(seed * 77, 18, 4);
+    SharedLinkMap nics;
+    add_nic_links(nics, c.network.num_devices());
     SimOptions opt;
-    opt.serialize_transfers = true;
+    opt.shared_links = &nics;
     expect_schedules_bitwise_equal(
         oracle_simulate(c.graph, c.network, c.placement, kLat, opt),
         simulate(c.graph, c.network, c.placement, kLat, opt));
@@ -137,7 +139,7 @@ TEST(Oracle, DoesNotCountAsProductionSimulation) {
 
 // The fault oracle must agree bitwise with simulate_with_faults on every
 // fault kind (crash, leave, transient/permanent stragglers, overlapping link
-// degrades with extra delay), composed with noise, NIC serialization,
+// degrades with extra delay), composed with noise, NIC links,
 // multi-core devices, and shared-link contention.
 TEST(OracleFaults, MatchesSimulateWithFaultsOnRandomPlans) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -151,7 +153,6 @@ TEST(OracleFaults, MatchesSimulateWithFaultsOnRandomPlans) {
     }
     SharedLinkMap map;
     SimOptions opt;
-    opt.serialize_transfers = seed % 4 == 1;
     if (seed % 2 == 0) {
       std::vector<PhysicalLink> phys;
       for (int k = 1; k < c.network.num_devices(); ++k) {
@@ -159,6 +160,10 @@ TEST(OracleFaults, MatchesSimulateWithFaultsOnRandomPlans) {
       }
       apply_topology(c.network, phys);
       map = build_shared_link_map(c.network.num_devices(), phys);
+      opt.shared_links = &map;
+    }
+    if (seed % 4 == 1) {
+      add_nic_links(map, c.network.num_devices());
       opt.shared_links = &map;
     }
     FaultPlanParams fp;

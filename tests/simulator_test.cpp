@@ -124,8 +124,10 @@ TEST(Simulator, SerializedTransfersQueueAtTheNic) {
   p.set(0, 0);
   p.set(1, 1);
   p.set(2, 2);
+  SharedLinkMap nics;
+  add_nic_links(nics, n.num_devices());
   SimOptions opt;
-  opt.serialize_transfers = true;
+  opt.shared_links = &nics;
   const Schedule s = simulate(g, n, p, kLat, opt);
   // Each transfer takes 1 + 8/2 = 5; the second waits for the NIC.
   EXPECT_DOUBLE_EQ(s.edge_start[0], 1.0);
@@ -147,8 +149,10 @@ TEST(Simulator, SerializedTransfersDoNotDelayLocalData) {
   p.set(0, 0);
   p.set(1, 1);
   p.set(2, 0);
+  SharedLinkMap nics;
+  add_nic_links(nics, n.num_devices());
   SimOptions opt;
-  opt.serialize_transfers = true;
+  opt.shared_links = &nics;
   const Schedule s = simulate(g, n, p, kLat, opt);
   // The local transfer bypasses the NIC and completes immediately.
   EXPECT_DOUBLE_EQ(s.edge_finish[1], 1.0);
@@ -169,8 +173,10 @@ TEST(Simulator, ContentionNeverBeatsContentionFreeModel) {
   }
   Placement p(5);
   for (int i = 0; i < 5; ++i) p.set(i, i);
+  SharedLinkMap nics;
+  add_nic_links(nics, n.num_devices());
   SimOptions serialized;
-  serialized.serialize_transfers = true;
+  serialized.shared_links = &nics;
   EXPECT_GT(simulate(g, n, p, kLat, serialized).makespan,
             simulate(g, n, p, kLat).makespan);
 }

@@ -78,7 +78,9 @@ TEST(Streaming, SingleFrameIsBitwiseTheOneShotSimulator) {
     StreamOptions opt;
     opt.frames = 1;
     opt.interval = 5.0;  // irrelevant with one frame
-    opt.sim.serialize_transfers = seed % 2 == 0;
+    SharedLinkMap nics;
+    add_nic_links(nics, in.n.num_devices());
+    if (seed % 2 == 0) opt.sim.shared_links = &nics;
     std::mt19937_64 ra(seed), rb(seed);
     if (seed % 2 == 1) {
       opt.sim.noise = 0.2;
@@ -120,7 +122,9 @@ TEST(Streaming, ReusedWorkspaceIsBitwiseTheAllocatingPath) {
         StreamOptions opt;
         opt.frames = frames;
         opt.interval = one_shot / 4.0;  // frames overlap on the devices
-        opt.sim.serialize_transfers = nic;
+        SharedLinkMap nics;
+        add_nic_links(nics, in.n.num_devices());
+        if (nic) opt.sim.shared_links = &nics;
         const StreamResult fresh = simulate_streaming(in.g, in.n, in.p, kLat, opt);
         simulate_streaming_into(in.g, in.n, in.p, kLat, ws, reused, opt);
         EXPECT_TRUE(schedule_bytes_equal(fresh.schedule, reused.schedule));

@@ -2,11 +2,13 @@
 //
 // Each case derives a seeded random (task graph, device network, placement)
 // triple from the existing generators, sweeping task counts, graph shape,
-// device counts, hardware-constraint density, multi-core devices, noise,
-// NIC contention, fault plans, and the dynamic-conditions stack: network
-// traces (piecewise-constant bandwidth / delay / drop breakpoints), lossy
-// links (LossAwareLatencyModel), and shared-link contention over random
-// sparse topologies. On every case it asserts:
+// extra entry tasks, device counts, hardware-constraint density, multi-core
+// devices, noise, NIC contention (add_nic_links), fault plans, and the
+// dynamic-conditions stack: network traces (piecewise-constant bandwidth /
+// delay / drop breakpoints), lossy links (LossAwareLatencyModel), and
+// shared-link contention over random sparse topologies. One generator
+// (draw_instance and its helpers) serves the plain and --stream modes. On
+// every case it asserts:
 //   - simulate(), simulate_into() (with a reused workspace), and the
 //     independent oracle_simulate() agree bitwise on every time;
 //   - check_schedule() finds no invariant violation;
@@ -20,18 +22,20 @@
 //     output bitwise identical to the plain run.
 //
 // Fault cases never carry a NetworkTrace (simulate_with_faults rejects one:
-// the plan's link degrades already are its trace); shared links, NIC
-// serialization, noise, and lossy links compose with everything.
+// the plan's link degrades already are its trace); shared links, NIC links,
+// noise, and lossy links compose with everything.
 //
 // With --delta, every non-fault case additionally runs a chain of random
 // one-task moves on its graph, network, placement and latency model under
-// the static model (no noise, trace, NIC serialization or shared links: the
-// only model simulate_delta() replays), asserting that simulate_delta()
-// stays bitwise identical to a from-scratch simulation at each step (whether
-// it replayed incrementally or fell back).
+// the static model (no noise, trace or link contention: the only model
+// simulate_delta() replays), asserting that simulate_delta() stays bitwise
+// identical to a from-scratch simulation at each step (whether it replayed
+// incrementally or fell back).
 //
-// Any failure prints the exact flags reproducing that single case. The CI
-// smoke job runs >= 12k cases; `ctest -L property` runs a quick subset.
+// Any failure prints the exact flags reproducing that single case. The plain
+// and --stream summaries count every case class they draw; a run of at least
+// 400 cases that drew none of a class exits 1. The CI smoke job runs >= 12k
+// cases; `ctest -L property` runs a quick subset.
 //
 // With --parse the harness instead fuzzes the text parsers: each case builds
 // a valid serving request (task graph + device network + optional warm-start
@@ -45,7 +49,7 @@
 // With --stream the harness fuzzes iterated-graph execution: each case draws
 // a (graph, network, placement) triple plus streaming options (frame count,
 // inter-arrival interval scaled to the one-shot makespan, jitter, noise, NIC
-// serialization, traces, shared links, lossy models) and asserts that
+// links, traces, shared links, lossy models) and asserts that
 // simulate_streaming(), simulate_streaming_into() (reused workspace), and the
 // independent oracle_simulate_streaming() agree bitwise on every time and
 // metric, that check_stream_result() finds no violation, and that F = 1
@@ -113,25 +117,6 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-struct FuzzCase {
-  TaskGraph graph;
-  DeviceNetwork network;
-  Placement placement;
-  double noise = 0.0;
-  bool serialize_transfers = false;
-  bool with_faults = false;
-  FaultPlan plan;
-  bool with_trace = false;
-  NetworkTrace trace;
-  bool with_shared = false;
-  SharedLinkMap shared;
-  bool with_loss = false;
-  std::vector<std::pair<std::pair<int, int>, double>> drops;  // ((src, dst), p)
-  bool check_reductions = false;  // sampled: verify inactive-config reductions
-  std::uint64_t sim_seed = 0;  // seeds the noise engine of every replay
-  std::string shape;           // one-line description for failure reports
-};
-
 double uniform(std::mt19937_64& rng, double lo, double hi) {
   return std::uniform_real_distribution<double>(lo, hi)(rng);
 }
@@ -140,12 +125,13 @@ int uniform_int(std::mt19937_64& rng, int lo, int hi) {
   return std::uniform_int_distribution<int>(lo, hi)(rng);
 }
 
-FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
-  std::mt19937_64 rng(mix(base_seed ^ mix(index)));
-  FuzzCase c;
-
+/// A random (graph, network) pair, not yet made feasible: every generator
+/// parameter drawn from the fuzz ranges (up to `max_tasks` tasks on up to
+/// `max_devices` devices). Every simulation mode draws its instance here.
+void draw_graph_and_network(std::mt19937_64& rng, int max_tasks, int max_devices,
+                            TaskGraph& g, DeviceNetwork& n) {
   TaskGraphParams gp;
-  gp.num_tasks = uniform_int(rng, 2, 60);
+  gp.num_tasks = uniform_int(rng, 2, max_tasks);
   gp.alpha = uniform(rng, 0.5, 2.0);
   gp.p_connect = uniform(rng, 0.0, 0.6);
   gp.mean_compute = uniform(rng, 10.0, 200.0);
@@ -156,7 +142,7 @@ FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
   gp.p_task_requires = uniform(rng, 0.0, 0.6);
 
   NetworkParams np;
-  np.num_devices = uniform_int(rng, 1, 12);
+  np.num_devices = uniform_int(rng, 1, max_devices);
   np.mean_speed = uniform(rng, 1.0, 20.0);
   np.mean_bandwidth = uniform(rng, 5.0, 100.0);
   np.mean_delay = uniform(rng, 0.0, 3.0);
@@ -165,20 +151,179 @@ FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
   np.num_hw_kinds = gp.num_hw_kinds;
   np.p_hw_support = uniform(rng, 0.3, 1.0);
 
-  c.graph = generate_task_graph(gp, rng);
-  c.network = generate_device_network(np, rng);
-  ensure_feasible(c.graph, c.network, rng);
+  g = generate_task_graph(gp, rng);
+  n = generate_device_network(np, rng);
+}
 
-  // A third of the cases get multi-core servers.
-  if (uniform(rng, 0.0, 1.0) < 0.33) {
+/// A random ordered pair of distinct devices.
+std::pair<int, int> draw_remote_pair(std::mt19937_64& rng, int m) {
+  const int src = uniform_int(rng, 0, m - 1);
+  const int dst = uniform_int(rng, 0, m - 2);
+  return {src, dst >= src ? dst + 1 : dst};
+}
+
+/// The instance and dynamic network conditions of a plain or --stream case.
+struct FuzzInstance {
+  TaskGraph graph;
+  DeviceNetwork network;
+  Placement placement;
+  int extra_entries = 0;  ///< entry tasks added to the generator's one
+  bool multi_core = false;
+  bool nic = false;  ///< NIC contention: one link per device (add_nic_links)
+  bool with_trace = false;
+  NetworkTrace trace;
+  bool with_shared = false;  ///< a random sparse physical topology
+  SharedLinkMap shared;      ///< its links, then the NIC links when `nic`
+  bool with_loss = false;
+  std::vector<std::pair<std::pair<int, int>, double>> drops;  // ((src, dst), p)
+  std::uint64_t sim_seed = 0;  // seeds the noise engine of every replay
+  std::string shape;           // one-line description for failure reports
+
+  const SharedLinkMap* links() const { return with_shared || nic ? &shared : nullptr; }
+};
+
+/// Draws the instance: graph and network, one or two extra entry tasks for a
+/// quarter of the cases, feasibility, multi-core servers for a third of the
+/// cases, and a random placement.
+void draw_instance(std::mt19937_64& rng, int max_tasks, int max_devices,
+                   FuzzInstance& c) {
+  draw_graph_and_network(rng, max_tasks, max_devices, c.graph, c.network);
+  // The generator emits a single entry task; an extra one feeds a random
+  // generated task, so one-shot runs and every frame release several.
+  const int generated = c.graph.num_tasks();
+  if (uniform(rng, 0.0, 1.0) < 0.25) {
+    c.extra_entries = uniform_int(rng, 1, 2);
+    for (int x = 0; x < c.extra_entries; ++x) {
+      const int entry = c.graph.add_task(Task{.compute = uniform(rng, 10.0, 200.0)});
+      const int target = uniform_int(rng, 0, generated - 1);
+      c.graph.add_edge(entry, target, uniform(rng, 10.0, 200.0));
+    }
+  }
+  ensure_feasible(c.graph, c.network, rng);
+  c.multi_core = uniform(rng, 0.0, 1.0) < 0.33;
+  if (c.multi_core) {
     for (int d = 0; d < c.network.num_devices(); ++d) {
       c.network.device(d).cores = uniform_int(rng, 1, 4);
     }
   }
-
   c.placement = random_placement(c.graph, c.network, rng);
+}
+
+/// Projects a random sparse physical topology onto the network and keeps its
+/// shared-link map: a spanning tree (mostly bidirectional) plus, with
+/// `chords`, up to two extra links, so most pairs route through shared
+/// physical links and some may be one-way unreachable (apply_topology
+/// punishes those with near-zero bandwidth).
+void draw_topology(std::mt19937_64& rng, bool chords, FuzzInstance& c) {
+  const int m = c.network.num_devices();
+  c.with_shared = true;
+  std::vector<PhysicalLink> phys;
+  std::vector<int> order(m);
+  for (int k = 0; k < m; ++k) order[k] = k;
+  std::shuffle(order.begin(), order.end(), rng);
+  for (int k = 1; k < m; ++k) {
+    phys.push_back({order[uniform_int(rng, 0, k - 1)], order[k], uniform(rng, 5.0, 100.0),
+                    uniform(rng, 0.0, 2.0), uniform(rng, 0.0, 1.0) < 0.8});
+  }
+  for (int x = chords ? uniform_int(rng, 0, 2) : 0; x > 0; --x) {
+    const int a = uniform_int(rng, 0, m - 1);
+    const int b = uniform_int(rng, 0, m - 1);
+    if (a == b) continue;
+    phys.push_back({a, b, uniform(rng, 5.0, 100.0), uniform(rng, 0.0, 2.0), true});
+  }
+  apply_topology(c.network, phys);
+  c.shared = build_shared_link_map(m, phys);
+}
+
+/// Piecewise-constant conditions on 1..max_links random device pairs, with
+/// breakpoints scaled to `span` so segments land inside the run.
+void draw_trace(std::mt19937_64& rng, double span, int max_links, FuzzInstance& c) {
+  c.with_trace = true;
+  for (int x = uniform_int(rng, 1, max_links); x > 0; --x) {
+    const auto [src, dst] = draw_remote_pair(rng, c.network.num_devices());
+    LinkSchedule& ls = c.trace.link(src, dst);
+    if (!ls.segments.empty()) continue;  // pair drawn twice
+    double t = uniform(rng, 0.0, span * 0.5);
+    for (int s = uniform_int(rng, 1, 3); s > 0; --s) {
+      TraceSegment seg;
+      seg.time = t;
+      seg.bandwidth_factor = uniform(rng, 0.3, 2.5);
+      if (uniform(rng, 0.0, 1.0) < 0.5) seg.delay_add = uniform(rng, 0.0, 2.0);
+      if (uniform(rng, 0.0, 1.0) < 0.5) seg.drop_prob = uniform(rng, 0.0, 0.6);
+      ls.segments.push_back(seg);
+      t += uniform(rng, span * 0.05, span * 0.5);
+    }
+  }
+}
+
+/// Lossy links: 1-3 random device pairs with a drop probability each.
+void draw_loss(std::mt19937_64& rng, FuzzInstance& c) {
+  c.with_loss = true;
+  for (int x = uniform_int(rng, 1, 3); x > 0; --x) {
+    const std::pair<int, int> link = draw_remote_pair(rng, c.network.num_devices());
+    c.drops.push_back({link, uniform(rng, 0.05, 0.7)});
+  }
+}
+
+/// Case counts per drawn class, in summary-line order.
+using Coverage = std::vector<std::pair<const char*, std::uint64_t>>;
+
+/// Runs of at least this many cases must draw every class they report.
+constexpr std::uint64_t kCoverageMinCases = 400;
+
+/// Formats "N class, N class, ..." for a summary line. A run of at least
+/// kCoverageMinCases cases that drew no case of a class has lost it (a
+/// generator edit stopped drawing it): that is reported and clears `covered`.
+std::string format_coverage(const Coverage& classes, std::uint64_t cases,
+                            bool& covered) {
+  std::string out;
+  for (const auto& [name, count] : classes) {
+    out += (out.empty() ? "" : ", ") + std::to_string(count) + " " + name;
+    if (count == 0 && cases >= kCoverageMinCases) {
+      std::fprintf(stderr, "giph_fuzz: coverage gap: no %s case in %llu cases\n", name,
+                   static_cast<unsigned long long>(cases));
+      covered = false;
+    }
+  }
+  return out;
+}
+
+/// Counts of the instance classes both simulation modes draw.
+struct InstanceCounts {
+  std::uint64_t traced = 0, shared = 0, lossy = 0, nic = 0, multi_entry = 0,
+                multi_core = 0;
+
+  void add(const FuzzInstance& c) {
+    traced += c.with_trace ? 1 : 0;
+    shared += c.with_shared ? 1 : 0;
+    lossy += c.with_loss ? 1 : 0;
+    nic += c.nic ? 1 : 0;
+    multi_entry += c.extra_entries > 0 ? 1 : 0;
+    multi_core += c.multi_core ? 1 : 0;
+  }
+  void append_to(Coverage& classes) const {
+    classes.insert(classes.end(), {{"traced", traced},
+                                   {"shared-topology", shared},
+                                   {"lossy", lossy},
+                                   {"NIC", nic},
+                                   {"multi-entry", multi_entry},
+                                   {"multi-core", multi_core}});
+  }
+};
+
+struct FuzzCase : FuzzInstance {
+  double noise = 0.0;
+  bool with_faults = false;
+  FaultPlan plan;
+  bool check_reductions = false;  // sampled: verify inactive-config reductions
+};
+
+FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
+  std::mt19937_64 rng(mix(base_seed ^ mix(index)));
+  FuzzCase c;
+  draw_instance(rng, 60, 12, c);
   if (uniform(rng, 0.0, 1.0) < 0.5) c.noise = uniform(rng, 0.05, 0.5);
-  c.serialize_transfers = uniform(rng, 0.0, 1.0) < 0.25;
+  c.nic = uniform(rng, 0.0, 1.0) < 0.25;
   c.sim_seed = rng();
 
   c.with_faults = uniform(rng, 0.0, 1.0) < 0.25;
@@ -220,73 +365,26 @@ FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
   }
 
   // Dynamic conditions. Fault cases never get a trace (simulate_with_faults
-  // rejects one); shared links and lossy links compose with everything.
+  // rejects one); shared links, NIC links and lossy links compose with
+  // everything.
   const int m = c.network.num_devices();
-  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.35) {
-    c.with_shared = true;
-    // Random spanning tree (mostly bidirectional) plus a few chords, so most
-    // pairs route through shared physical links and some may be one-way
-    // unreachable (apply_topology punishes those with near-zero bandwidth).
-    std::vector<PhysicalLink> phys;
-    std::vector<int> order(m);
-    for (int k = 0; k < m; ++k) order[k] = k;
-    std::shuffle(order.begin(), order.end(), rng);
-    for (int k = 1; k < m; ++k) {
-      phys.push_back({order[uniform_int(rng, 0, k - 1)], order[k],
-                      uniform(rng, 5.0, 100.0), uniform(rng, 0.0, 2.0),
-                      uniform(rng, 0.0, 1.0) < 0.8});
-    }
-    for (int x = uniform_int(rng, 0, 2); x > 0; --x) {
-      const int a = uniform_int(rng, 0, m - 1);
-      const int b = uniform_int(rng, 0, m - 1);
-      if (a == b) continue;
-      phys.push_back({a, b, uniform(rng, 5.0, 100.0), uniform(rng, 0.0, 2.0), true});
-    }
-    apply_topology(c.network, phys);
-    c.shared = build_shared_link_map(m, phys);
-  }
+  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.35) draw_topology(rng, true, c);
+  if (c.nic) add_nic_links(c.shared, m);
   if (!c.with_faults && m >= 2 && uniform(rng, 0.0, 1.0) < 0.4) {
-    c.with_trace = true;
-    // Breakpoint times scaled to the instance's noise-free span so segments
-    // land inside the run, not all after it.
+    // Breakpoints scaled to the instance's noise-free span.
     const double span =
         std::max(1e-6, simulate(c.graph, c.network, c.placement, kLat).makespan);
-    const int nlinks = uniform_int(rng, 1, 3);
-    for (int x = 0; x < nlinks; ++x) {
-      const int src = uniform_int(rng, 0, m - 1);
-      int dst = uniform_int(rng, 0, m - 2);
-      if (dst >= src) ++dst;
-      LinkSchedule& ls = c.trace.link(src, dst);
-      if (!ls.segments.empty()) continue;  // pair drawn twice
-      double t = uniform(rng, 0.0, span * 0.5);
-      for (int s = uniform_int(rng, 1, 3); s > 0; --s) {
-        TraceSegment seg;
-        seg.time = t;
-        seg.bandwidth_factor = uniform(rng, 0.3, 2.5);
-        if (uniform(rng, 0.0, 1.0) < 0.5) seg.delay_add = uniform(rng, 0.0, 2.0);
-        if (uniform(rng, 0.0, 1.0) < 0.5) seg.drop_prob = uniform(rng, 0.0, 0.6);
-        ls.segments.push_back(seg);
-        t += uniform(rng, span * 0.05, span * 0.5);
-      }
-    }
+    draw_trace(rng, span, 3, c);
   }
-  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.3) {
-    c.with_loss = true;
-    for (int x = uniform_int(rng, 1, 3); x > 0; --x) {
-      const int src = uniform_int(rng, 0, m - 1);
-      int dst = uniform_int(rng, 0, m - 2);
-      if (dst >= src) ++dst;
-      c.drops.push_back({{src, dst}, uniform(rng, 0.05, 0.7)});
-    }
-  }
+  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.3) draw_loss(rng, c);
   c.check_reductions = uniform(rng, 0.0, 1.0) < 0.125;
 
   char shape[200];
   std::snprintf(shape, sizeof(shape),
-                "tasks=%d edges=%d devices=%d noise=%.3f serialize=%d faults=%zu "
-                "trace=%d shared=%d loss=%zu",
-                c.graph.num_tasks(), c.graph.num_edges(), c.network.num_devices(),
-                c.noise, c.serialize_transfers ? 1 : 0, c.plan.events.size(),
+                "tasks=%d edges=%d extra_entries=%d devices=%d noise=%.3f nic=%d "
+                "faults=%zu trace=%d shared=%d loss=%zu",
+                c.graph.num_tasks(), c.graph.num_edges(), c.extra_entries,
+                c.network.num_devices(), c.noise, c.nic ? 1 : 0, c.plan.events.size(),
                 c.with_trace ? 1 : 0, c.with_shared ? 1 : 0, c.drops.size());
   c.shape = shape;
   return c;
@@ -329,9 +427,12 @@ std::string diff_schedules(const Schedule& a, const Schedule& b, const char* wha
 /// explicitly (an empty trace, a zero-drop loss model, a shared map with no
 /// physical links) must leave the output bitwise identical to the plain run.
 std::string check_reductions(const FuzzCase& c) {
+  const int m = c.network.num_devices();
+  SharedLinkMap no_links = build_shared_link_map(m, {});  // NIC links only
+  if (c.nic) add_nic_links(no_links, m);
   SimOptions base;
   base.noise = c.noise;
-  base.serialize_transfers = c.serialize_transfers;
+  if (c.nic) base.shared_links = &no_links;
   std::mt19937_64 r0(c.sim_seed), r1(c.sim_seed), r2(c.sim_seed), r3(c.sim_seed);
   base.rng = &r0;
   const Schedule plain = simulate(c.graph, c.network, c.placement, kLat, base);
@@ -343,13 +444,11 @@ std::string check_reductions(const FuzzCase& c) {
   const Schedule et = simulate(c.graph, c.network, c.placement, kLat, opt);
   if (auto d = diff_schedules(plain, et, "empty-trace reduction"); !d.empty()) return d;
 
-  const LossAwareLatencyModel zero(kLat, c.network.num_devices());
+  const LossAwareLatencyModel zero(kLat, m);
   base.rng = &r2;
   const Schedule zl = simulate(c.graph, c.network, c.placement, zero, base);
   if (auto d = diff_schedules(plain, zl, "zero-drop reduction"); !d.empty()) return d;
 
-  const SharedLinkMap no_links =
-      build_shared_link_map(c.network.num_devices(), {});
   opt = base;
   opt.shared_links = &no_links;
   opt.rng = &r3;
@@ -364,8 +463,8 @@ std::string check_reductions(const FuzzCase& c) {
 /// stay bitwise identical to a from-scratch simulation at every step, and the
 /// refreshed DeltaSimState must keep chaining. simulate_delta replays the
 /// static model only, so the chain runs the case's graph, network, placement
-/// and latency model (lossy ones included) without its noise, trace, NIC
-/// serialization or shared links.
+/// and latency model (lossy ones included) without its noise, trace or link
+/// contention.
 std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
                         std::uint64_t* replayed, std::uint64_t* fell_back) {
   LossAwareLatencyModel loss(kLat, c.network.num_devices());
@@ -408,9 +507,8 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
 
   SimOptions opt;
   opt.noise = c.noise;
-  opt.serialize_transfers = c.serialize_transfers;
   if (c.with_trace) opt.trace = &c.trace;
-  if (c.with_shared) opt.shared_links = &c.shared;
+  opt.shared_links = c.links();
   std::mt19937_64 rng_a(c.sim_seed), rng_b(c.sim_seed), rng_c(c.sim_seed),
       rng_d(c.sim_seed);
 
@@ -427,10 +525,8 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
     }
     if (auto d = diff_schedules(prod, ref, "simulate vs oracle"); !d.empty()) return d;
 
-    const CheckOptions check{.noise = c.noise,
-                             .serialize_transfers = c.serialize_transfers,
-                             .trace = opt.trace,
-                             .shared_links = opt.shared_links};
+    const CheckOptions check{
+        .noise = c.noise, .trace = opt.trace, .shared_links = opt.shared_links};
     const InvariantReport report =
         check_schedule(c.graph, c.network, c.placement, lat, prod, check);
     if (!report.ok()) return "invariant violation:\n" + report.summary();
@@ -477,9 +573,7 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
   if (r1.stranded != ref.stranded || r1.failed_devices != ref.failed_devices) {
     return "faults vs fault oracle: stranded/failed bookkeeping differs";
   }
-  const CheckOptions check{.noise = c.noise,
-                           .serialize_transfers = c.serialize_transfers,
-                           .shared_links = opt.shared_links};
+  const CheckOptions check{.noise = c.noise, .shared_links = opt.shared_links};
   const InvariantReport report =
       check_fault_result(c.graph, c.network, c.placement, lat, r1, check);
   if (!report.ok()) return "fault invariant violation:\n" + report.summary();
@@ -717,30 +811,9 @@ struct HierStats {
 
 std::string run_hier_case(std::uint64_t base_seed, std::uint64_t index, HierStats* hs) {
   std::mt19937_64 rng(mix(base_seed ^ mix(index)));
-
-  TaskGraphParams gp;
-  gp.num_tasks = uniform_int(rng, 2, 60);
-  gp.alpha = uniform(rng, 0.5, 2.0);
-  gp.p_connect = uniform(rng, 0.0, 0.6);
-  gp.mean_compute = uniform(rng, 10.0, 200.0);
-  gp.mean_bytes = uniform(rng, 10.0, 200.0);
-  gp.het_compute = uniform(rng, 0.0, 0.9);
-  gp.het_bytes = uniform(rng, 0.0, 0.9);
-  gp.num_hw_kinds = uniform_int(rng, 1, 6);
-  gp.p_task_requires = uniform(rng, 0.0, 0.6);
-
-  NetworkParams np;
-  np.num_devices = uniform_int(rng, 1, 12);
-  np.mean_speed = uniform(rng, 1.0, 20.0);
-  np.mean_bandwidth = uniform(rng, 5.0, 100.0);
-  np.mean_delay = uniform(rng, 0.0, 3.0);
-  np.het_speed = uniform(rng, 0.0, 0.9);
-  np.het_bandwidth = uniform(rng, 0.0, 0.9);
-  np.num_hw_kinds = gp.num_hw_kinds;
-  np.p_hw_support = uniform(rng, 0.3, 1.0);
-
-  TaskGraph g = generate_task_graph(gp, rng);
-  DeviceNetwork n = generate_device_network(np, rng);
+  TaskGraph g;
+  DeviceNetwork n;
+  draw_graph_and_network(rng, 60, 12, g, n);
   ensure_feasible(g, n, rng);
 
   // Pins exercise the partitioner's forced cuts. Each pin targets a device
@@ -987,55 +1060,14 @@ int run_hier_mode(std::uint64_t cases, std::uint64_t seed, std::uint64_t start,
 // ---------------------------------------------------------------------------
 // --stream mode: iterated-graph execution vs the independent streaming oracle.
 
-struct StreamFuzzCase {
-  TaskGraph graph;
-  DeviceNetwork network;
-  Placement placement;
+struct StreamFuzzCase : FuzzInstance {
   StreamOptions opt;  ///< sim.rng left null; each replay installs its own
-  bool with_trace = false;
-  NetworkTrace trace;
-  bool with_shared = false;
-  SharedLinkMap shared;
-  bool with_loss = false;
-  std::vector<std::pair<std::pair<int, int>, double>> drops;
-  std::uint64_t sim_seed = 0;
-  std::string shape;
 };
 
 StreamFuzzCase build_stream_case(std::uint64_t base_seed, std::uint64_t index) {
   std::mt19937_64 rng(mix(base_seed ^ mix(index)));
   StreamFuzzCase c;
-
-  TaskGraphParams gp;
-  gp.num_tasks = uniform_int(rng, 2, 40);
-  gp.alpha = uniform(rng, 0.5, 2.0);
-  gp.p_connect = uniform(rng, 0.0, 0.6);
-  gp.mean_compute = uniform(rng, 10.0, 200.0);
-  gp.mean_bytes = uniform(rng, 10.0, 200.0);
-  gp.het_compute = uniform(rng, 0.0, 0.9);
-  gp.het_bytes = uniform(rng, 0.0, 0.9);
-  gp.num_hw_kinds = uniform_int(rng, 1, 6);
-  gp.p_task_requires = uniform(rng, 0.0, 0.6);
-
-  NetworkParams np;
-  np.num_devices = uniform_int(rng, 1, 10);
-  np.mean_speed = uniform(rng, 1.0, 20.0);
-  np.mean_bandwidth = uniform(rng, 5.0, 100.0);
-  np.mean_delay = uniform(rng, 0.0, 3.0);
-  np.het_speed = uniform(rng, 0.0, 0.9);
-  np.het_bandwidth = uniform(rng, 0.0, 0.9);
-  np.num_hw_kinds = gp.num_hw_kinds;
-  np.p_hw_support = uniform(rng, 0.3, 1.0);
-
-  c.graph = generate_task_graph(gp, rng);
-  c.network = generate_device_network(np, rng);
-  ensure_feasible(c.graph, c.network, rng);
-  if (uniform(rng, 0.0, 1.0) < 0.33) {
-    for (int d = 0; d < c.network.num_devices(); ++d) {
-      c.network.device(d).cores = uniform_int(rng, 1, 4);
-    }
-  }
-  c.placement = random_placement(c.graph, c.network, rng);
+  draw_instance(rng, 40, 10, c);
   c.sim_seed = rng();
 
   // The interval is scaled to the one-shot makespan: below 1x the frames
@@ -1046,65 +1078,26 @@ StreamFuzzCase build_stream_case(std::uint64_t base_seed, std::uint64_t index) {
   c.opt.interval = span * uniform(rng, 0.05, 1.5);
   if (uniform(rng, 0.0, 1.0) < 0.3) c.opt.arrival_jitter = uniform(rng, 0.05, 0.8);
   if (uniform(rng, 0.0, 1.0) < 0.4) c.opt.sim.noise = uniform(rng, 0.05, 0.5);
-  c.opt.sim.serialize_transfers = uniform(rng, 0.0, 1.0) < 0.3;
+  c.nic = uniform(rng, 0.0, 1.0) < 0.3;
 
   const int m = c.network.num_devices();
+  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.3) draw_topology(rng, false, c);
+  if (c.nic) add_nic_links(c.shared, m);
   if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.3) {
-    c.with_shared = true;
-    std::vector<PhysicalLink> phys;
-    std::vector<int> order(m);
-    for (int k = 0; k < m; ++k) order[k] = k;
-    std::shuffle(order.begin(), order.end(), rng);
-    for (int k = 1; k < m; ++k) {
-      phys.push_back({order[uniform_int(rng, 0, k - 1)], order[k],
-                      uniform(rng, 5.0, 100.0), uniform(rng, 0.0, 2.0),
-                      uniform(rng, 0.0, 1.0) < 0.8});
-    }
-    apply_topology(c.network, phys);
-    c.shared = build_shared_link_map(m, phys);
-  }
-  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.3) {
-    c.with_trace = true;
     // Breakpoints spread over the whole stream so some land mid-pipeline in
     // later frames, not just inside frame 0.
-    const double stream_span = span + c.opt.interval * (c.opt.frames - 1);
-    const int nlinks = uniform_int(rng, 1, 2);
-    for (int x = 0; x < nlinks; ++x) {
-      const int src = uniform_int(rng, 0, m - 1);
-      int dst = uniform_int(rng, 0, m - 2);
-      if (dst >= src) ++dst;
-      LinkSchedule& ls = c.trace.link(src, dst);
-      if (!ls.segments.empty()) continue;
-      double t = uniform(rng, 0.0, stream_span * 0.5);
-      for (int s = uniform_int(rng, 1, 3); s > 0; --s) {
-        TraceSegment seg;
-        seg.time = t;
-        seg.bandwidth_factor = uniform(rng, 0.3, 2.5);
-        if (uniform(rng, 0.0, 1.0) < 0.5) seg.delay_add = uniform(rng, 0.0, 2.0);
-        if (uniform(rng, 0.0, 1.0) < 0.5) seg.drop_prob = uniform(rng, 0.0, 0.6);
-        ls.segments.push_back(seg);
-        t += uniform(rng, stream_span * 0.05, stream_span * 0.5);
-      }
-    }
+    draw_trace(rng, span + c.opt.interval * (c.opt.frames - 1), 2, c);
   }
-  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.25) {
-    c.with_loss = true;
-    for (int x = uniform_int(rng, 1, 3); x > 0; --x) {
-      const int src = uniform_int(rng, 0, m - 1);
-      int dst = uniform_int(rng, 0, m - 2);
-      if (dst >= src) ++dst;
-      c.drops.push_back({{src, dst}, uniform(rng, 0.05, 0.7)});
-    }
-  }
+  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.25) draw_loss(rng, c);
 
   char shape[220];
   std::snprintf(shape, sizeof(shape),
-                "tasks=%d devices=%d frames=%d interval=%.3f jitter=%.3f noise=%.3f "
-                "serialize=%d trace=%d shared=%d loss=%zu",
-                c.graph.num_tasks(), c.network.num_devices(), c.opt.frames,
-                c.opt.interval, c.opt.arrival_jitter, c.opt.sim.noise,
-                c.opt.sim.serialize_transfers ? 1 : 0, c.with_trace ? 1 : 0,
-                c.with_shared ? 1 : 0, c.drops.size());
+                "tasks=%d extra_entries=%d devices=%d frames=%d interval=%.3f "
+                "jitter=%.3f noise=%.3f nic=%d trace=%d shared=%d loss=%zu",
+                c.graph.num_tasks(), c.extra_entries, c.network.num_devices(),
+                c.opt.frames, c.opt.interval, c.opt.arrival_jitter, c.opt.sim.noise,
+                c.nic ? 1 : 0, c.with_trace ? 1 : 0, c.with_shared ? 1 : 0,
+                c.drops.size());
   c.shape = shape;
   return c;
 }
@@ -1140,7 +1133,7 @@ std::string run_stream_case(const StreamFuzzCase& c, StreamWorkspace& ws,
 
   StreamOptions opt = c.opt;
   if (c.with_trace) opt.sim.trace = &c.trace;
-  if (c.with_shared) opt.sim.shared_links = &c.shared;
+  opt.sim.shared_links = c.links();
   std::mt19937_64 rng_a(c.sim_seed), rng_b(c.sim_seed), rng_c(c.sim_seed),
       rng_d(c.sim_seed);
 
@@ -1181,11 +1174,13 @@ int run_stream_mode(std::uint64_t cases, std::uint64_t seed, std::uint64_t start
   StreamWorkspace ws;
   StreamResult reused;
   std::uint64_t pipelined = 0, jittered = 0, noisy = 0, single = 0;
+  InstanceCounts counts;
   for (std::uint64_t i = start; i < start + cases; ++i) {
     StreamFuzzCase c;
     std::string failure;
     try {
       c = build_stream_case(seed, i);
+      counts.add(c);
       jittered += c.opt.arrival_jitter > 0.0 ? 1 : 0;
       noisy += c.opt.sim.noise > 0.0 ? 1 : 0;
       single += c.opt.frames == 1 ? 1 : 0;
@@ -1210,16 +1205,18 @@ int run_stream_mode(std::uint64_t cases, std::uint64_t seed, std::uint64_t start
                   static_cast<unsigned long long>(cases));
     }
   }
+  Coverage classes = {{"pipelined", pipelined},
+                       {"jittered", jittered},
+                       {"noisy", noisy},
+                       {"single-frame", single}};
+  counts.append_to(classes);
+  bool covered = true;
   std::printf(
-      "giph_fuzz: %llu stream cases ok (seed %llu, %llu pipelined, %llu jittered, "
-      "%llu noisy, %llu single-frame): "
-      "simulate_streaming == reused workspace == streaming oracle, invariants hold, "
-      "F=1 == simulate bitwise\n",
+      "giph_fuzz: %llu stream cases ok (seed %llu, %s): simulate_streaming == reused "
+      "workspace == streaming oracle, invariants hold, F=1 == simulate bitwise\n",
       static_cast<unsigned long long>(cases), static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(pipelined),
-      static_cast<unsigned long long>(jittered), static_cast<unsigned long long>(noisy),
-      static_cast<unsigned long long>(single));
-  return 0;
+      format_coverage(classes, cases, covered).c_str());
+  return covered ? 0 : 1;
 }
 
 }  // namespace
@@ -1271,18 +1268,17 @@ int main(int argc, char** argv) {
 
   SimWorkspace ws;
   Schedule reused;
-  std::uint64_t fault_cases = 0, noisy_cases = 0, trace_cases = 0, shared_cases = 0,
-                loss_cases = 0, delta_replayed = 0, delta_fell_back = 0;
+  std::uint64_t fault_cases = 0, noisy_cases = 0, delta_replayed = 0,
+                delta_fell_back = 0;
+  InstanceCounts counts;
   for (std::uint64_t i = start; i < start + cases; ++i) {
     FuzzCase c;
     std::string failure;
     try {
       c = build_case(seed, i);
+      counts.add(c);
       fault_cases += c.with_faults ? 1 : 0;
       noisy_cases += c.noise > 0.0 ? 1 : 0;
-      trace_cases += c.with_trace ? 1 : 0;
-      shared_cases += c.with_shared ? 1 : 0;
-      loss_cases += c.with_loss ? 1 : 0;
       failure = run_case(c, ws, reused);
       // Fault cases are checked against the fault oracle instead; every
       // other case gets the static one-move chain on its instance.
@@ -1308,23 +1304,21 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(cases));
     }
   }
+  Coverage classes = {{"noisy", noisy_cases}, {"with fault plans", fault_cases}};
+  counts.append_to(classes);
+  bool covered = true;
   std::printf(
-      "giph_fuzz: %llu cases ok (seed %llu, %llu noisy, %llu with fault plans, "
-      "%llu traced, %llu shared-topology, %llu lossy): "
-      "simulate == simulate_into == oracle, faults == fault oracle, all invariants "
-      "hold\n",
+      "giph_fuzz: %llu cases ok (seed %llu, %s): simulate == simulate_into == oracle, "
+      "faults == fault oracle, all invariants hold\n",
       static_cast<unsigned long long>(cases), static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(noisy_cases),
-      static_cast<unsigned long long>(fault_cases),
-      static_cast<unsigned long long>(trace_cases),
-      static_cast<unsigned long long>(shared_cases),
-      static_cast<unsigned long long>(loss_cases));
+      format_coverage(classes, cases, covered).c_str());
   if (delta) {
+    const Coverage moves = {{"replayed incrementally", delta_replayed},
+                            {"fell back", delta_fell_back}};
     std::printf(
-        "giph_fuzz: delta moves ok (%llu replayed incrementally, %llu fell back), "
-        "all bitwise equal to from-scratch simulation\n",
-        static_cast<unsigned long long>(delta_replayed),
-        static_cast<unsigned long long>(delta_fell_back));
+        "giph_fuzz: delta moves ok (%s), all bitwise equal to from-scratch "
+        "simulation\n",
+        format_coverage(moves, cases, covered).c_str());
   }
-  return 0;
+  return covered ? 0 : 1;
 }
