@@ -38,11 +38,11 @@ struct HierarchicalStats {
 };
 
 /// Hierarchical wrapper over PlacementSearchEnv for graphs far beyond the
-/// policy's training scale (ROADMAP item 4): partition the fine graph into
-/// clusters (partition_tasks), let the existing policy place the coarse
-/// cluster graph unchanged — coarse nodes aggregate compute/bytes, so to the
-/// policy it is just another problem instance — then expand and refine
-/// within clusters while every other cluster's placement stays frozen.
+/// policy's training scale: partition the fine graph into clusters
+/// (partition_tasks), let the existing policy place the coarse cluster graph
+/// unchanged — coarse nodes aggregate compute/bytes, so to the policy it is
+/// just another problem instance — then expand and refine within clusters
+/// while every other cluster's placement stays frozen.
 ///
 /// Guarantees (test- and fuzz-enforced):
 ///  - the returned placement is feasible on (g, n);

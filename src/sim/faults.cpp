@@ -403,7 +403,7 @@ void detail::SimEngine::apply_fault(const FaultContext::Action& a, double t) {
     if (f.up[d] == 0) return;
     f.up[d] = 0;
     f.failed_devices.push_back(d);
-    ws.fifo[d].clear();  // queued work never starts
+    ws.fifo.clear(d);  // queued work never starts
     if (a.type == FaultContext::kLeave) return;  // running tasks finish and send
     // A crash kills the running tasks: the version bump turns their pending
     // completions stale.

@@ -17,12 +17,14 @@
 // SimEngine that full runs use.
 //
 // Determinism: events tie-break on creation seq. Pending events that cross T0
-// are re-seeded with their original recorded seqs, and replay-created events
-// number from the previous run's final seq — every pending seq sorts below
-// every replay seq, and replay creation order matches the true full run's
-// suffix creation order, so tie-breaking is order-isomorphic to the full run
-// (and stays so across chained replays; runnable ranks follow the same
-// scheme). Anything this argument does not cover falls back to a full run.
+// are re-seeded with their original recorded seqs (a task's inputs-ready
+// event with the recorded seq of its latest input sent before T0), and
+// replay-created seqs number from the previous run's final seq — every
+// pending seq sorts below every replay seq, and replay creation order matches
+// the true full run's suffix creation order, so tie-breaking is
+// order-isomorphic to the full run (and stays so across chained replays;
+// runnable ranks follow the same scheme). Anything this argument does not
+// cover falls back to a full run.
 
 #include <algorithm>
 #include <stdexcept>
@@ -103,15 +105,25 @@ DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
   out.edge_finish.assign(prev.edge_finish.begin(), prev.edge_finish.end());
   out.makespan = 0.0;
 
-  // An input counts as arrived iff its transfer finished strictly before T0
-  // (a transfer-done event at exactly T0 is replayed).
+  detail::SimEngine eng{g,       n,       p,       lat, ws, out, kStaticModel,
+                        nullptr, nullptr, nullptr, &ds, nd};
+
+  // An input counts as sent iff its producer finished strictly before T0 (a
+  // task-done event at exactly T0 is replayed). Each task's inputs-ready key
+  // starts as the latest (arrival, recorded seq) among its sent inputs.
   ws.remaining_inputs.assign(nv, 0);
+  ws.ready.resize(nv);
+  for (int v = 0; v < nv; ++v) ws.ready[v] = detail::no_inputs_yet(v);
   for (int e = 0; e < ne; ++e) {
-    if (prev.edge_finish[e] >= t0) ++ws.remaining_inputs[g.edge(e).dst];
+    const int child = g.edge(e).dst;
+    if (prev.tasks[g.edge(e).src].finish < t0) {
+      detail::note_input(ws.ready[child], prev.edge_finish[e], ds.edge_event_seq[e]);
+    } else {
+      ++ws.remaining_inputs[child];
+    }
   }
 
-  if (static_cast<int>(ws.fifo.size()) < nd) ws.fifo.resize(nd);
-  for (int d = 0; d < nd; ++d) ws.fifo[d].clear();
+  ws.fifo.reset(nd, nv);
   ws.running.assign(nd, 0);
   ws.heap.clear();
 
@@ -123,39 +135,30 @@ DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
     const TaskTiming& t = prev.tasks[v];
     if (t.start < t0 && t.finish >= t0) {
       ++ws.running[p.device_of(v)];
-      ws.heap.push_back(detail::SimEvent{t.finish, ds.task_event_seq[v],
-                                         detail::kTaskDone, v, 0});
+      eng.push(detail::SimEvent{t.finish, ds.task_event_seq[v], detail::kTaskDone, v, 0});
     }
   }
 
-  // Queued-but-unstarted tasks: runnable before T0 (all inputs arrived, i.e.
-  // remaining_inputs == 0) yet scheduled to start at or after it. Re-queue
-  // them in recorded runnable order; the moved task is excluded automatically
-  // (its inputs all arrive >= T0).
+  // Tasks with every input sent before T0: runnable before T0 (the last input
+  // arrived before it, or an entry task) yet scheduled to start at or after
+  // it are re-queued in recorded runnable order; the rest become runnable in
+  // the suffix, and their inputs-ready events cross the boundary with their
+  // recorded keys. The moved task is in neither group: its inputs are all
+  // sent at or after T0.
   auto& seed = ds.runnable_scratch;
   seed.clear();
   for (int v = 0; v < nv; ++v) {
-    if (prev.tasks[v].start >= t0 && ws.remaining_inputs[v] == 0) {
+    if (ws.remaining_inputs[v] != 0) continue;
+    if (ws.ready[v].time >= t0) {
+      eng.push(ws.ready[v]);
+    } else if (prev.tasks[v].start >= t0) {
       seed.emplace_back(ds.runnable_order[v], v);
     }
   }
   std::sort(seed.begin(), seed.end());
-  for (const auto& [rank, v] : seed) ws.fifo[p.device_of(v)].push_back(v);
-
-  // Transfers in flight at T0: dispatched in the prefix (the producer
-  // finished before T0), arriving in the suffix. Their transfer-done events
-  // cross the boundary with their recorded seqs.
-  for (int e = 0; e < ne; ++e) {
-    if (prev.tasks[g.edge(e).src].finish < t0 && prev.edge_finish[e] >= t0) {
-      ws.heap.push_back(detail::SimEvent{prev.edge_finish[e], ds.edge_event_seq[e],
-                                         detail::kTransferDone, e, 0});
-    }
-  }
-  std::make_heap(ws.heap.begin(), ws.heap.end(), detail::EventLater{});
+  for (const auto& [rank, v] : seed) ws.fifo.push(p.device_of(v), v);
 
   // ---- replay the suffix --------------------------------------------------
-  detail::SimEngine eng{g,       n,       p,       lat, ws, out, kStaticModel,
-                        nullptr, nullptr, nullptr, &ds, nd};
   eng.seq = ds.total_seq;
   eng.completed = completed;
   eng.runnable_rank = ds.next_runnable_rank;

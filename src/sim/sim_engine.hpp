@@ -18,7 +18,7 @@
 namespace giph::detail {
 
 constexpr int kTaskDone = 0;
-constexpr int kTransferDone = 1;
+constexpr int kInputsReady = 1;
 constexpr int kBreakpoint = 2;
 constexpr int kFrameArrival = 3;
 constexpr int kFault = 4;
@@ -66,15 +66,27 @@ struct FaultContext {
   std::vector<int> failed_devices;     ///< in the order they went down
 };
 
-// Later events sort before earlier ones so heap operations keep the earliest
-// event at the front; ties break by creation order, making pop order fully
-// deterministic (and identical to the std::priority_queue this replaced).
-struct EventLater {
-  bool operator()(const SimEvent& a, const SimEvent& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+/// The one event order: true when `a` pops after `b`, by time, then by seq.
+/// Live events have distinct keys (a transfer's seq is its own, and a task's
+/// inputs-ready event borrows the seq of one of its inputs), so the order is
+/// total and any exact priority queue pops the same sequence. Branch-free:
+/// the heap's comparisons have no pattern a predictor can learn.
+inline bool pops_after(const SimEvent& a, const SimEvent& b) {
+  return (a.time > b.time) | ((a.time == b.time) & (a.seq > b.seq));
+}
+
+/// Raises a task's inputs-ready key to an input arriving at (time, seq) if
+/// that input pops later: the key is the latest of the task's sent inputs.
+inline void note_input(SimEvent& ready, double time, long seq) {
+  if (pops_after(SimEvent{time, seq, kInputsReady, 0, 0}, ready)) {
+    ready.time = time;
+    ready.seq = seq;
   }
-};
+}
+
+/// A task's inputs-ready event before any input is sent: every input's key
+/// pops after it.
+inline SimEvent no_inputs_yet(int v) { return SimEvent{-1.0, -1, kInputsReady, v, 0}; }
 
 inline double realize(double expected, const SimOptions& opt) {
   if (opt.noise <= 0.0) return expected;
@@ -116,18 +128,86 @@ struct SimEngine {
   int completed = 0;
   long runnable_rank = 0;
 
+  /// Adds `ev` to the binary min-heap ws.heap: it sifts up from a new leaf.
+  void push(const SimEvent& ev) {
+    auto& h = ws.heap;
+    std::size_t i = h.size();
+    h.push_back(ev);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!pops_after(h[parent], ev)) break;
+      h[i] = h[parent];
+      i = parent;
+    }
+    h[i] = ev;
+  }
+
+  /// Removes and returns the earliest event. The hole at the root descends to
+  /// a leaf along the earlier child (one branch-free compare per level), then
+  /// the last element fills it and sifts up, which rarely climbs far.
+  SimEvent pop() {
+    auto& h = ws.heap;
+    const SimEvent top = h.front();
+    const SimEvent last = h.back();
+    h.pop_back();
+    const std::size_t n = h.size();
+    if (n == 0) return top;
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    for (; child + 1 < n; child = 2 * hole + 1) {
+      child += static_cast<std::size_t>(pops_after(h[child], h[child + 1]));
+      h[hole] = h[child];
+      hole = child;
+    }
+    if (child < n) {  // a lone last child
+      h[hole] = h[child];
+      hole = child;
+    }
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!pops_after(h[parent], last)) break;
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = last;
+    return top;
+  }
+
   void push_event(double time, int kind, int id, int version = 0) {
-    ws.heap.push_back(SimEvent{time, seq++, kind, id, version});
-    std::push_heap(ws.heap.begin(), ws.heap.end(), EventLater{});
+    push(SimEvent{time, seq++, kind, id, version});
   }
 
   /// Queues every fault action; action i pops with seq kFaultSeqBase + i.
   void push_fault_actions() {
     for (std::size_t i = 0; i < faults->actions.size(); ++i) {
-      ws.heap.push_back(SimEvent{faults->actions[i].time,
-                                 kFaultSeqBase + static_cast<long>(i), kFault,
-                                 static_cast<int>(i), 0});
-      std::push_heap(ws.heap.begin(), ws.heap.end(), EventLater{});
+      push(SimEvent{faults->actions[i].time, kFaultSeqBase + static_cast<long>(i),
+                    kFault, static_cast<int>(i), 0});
+    }
+  }
+
+  /// One input of task v is sent and arrives at key (time, seq). Its
+  /// inputs-ready event keeps the latest key and is queued once the last
+  /// input is sent: it pops exactly where the latest input's own arrival
+  /// event would, so pop order stays that of one event per transfer.
+  void send_input(int v, double time, long seq_of_input) {
+    SimEvent& r = ws.ready[v];
+    note_input(r, time, seq_of_input);
+    if (--ws.remaining_inputs[v] == 0) push(r);
+  }
+
+  /// A breakpoint re-timed one of v's sent inputs: rebuilds v's key from its
+  /// sent inputs and, when all are sent, queues the event again under a new
+  /// version (the queued one goes stale).
+  void rekey_inputs_ready(int v) {
+    SimEvent& r = ws.ready[v];
+    r.time = -1.0;
+    r.seq = -1;
+    for (int e : g.in_edges(v)) {
+      if (out.edge_start[e] >= 0.0) note_input(r, out.edge_finish[e], ws.edge_seq[e]);
+    }
+    if (ws.remaining_inputs[v] == 0) {
+      ++r.version;
+      push(r);
     }
   }
 
@@ -154,20 +234,16 @@ struct SimEngine {
     if (faults != nullptr && faults->up[d] == 0) return;
     if (rec != nullptr) rec->runnable_order[v] = runnable_rank;
     ++runnable_rank;
-    if (ws.running[d] < n.device(d).cores && ws.fifo[d].empty()) {
+    if (ws.running[d] < n.device(d).cores && ws.fifo.empty(d)) {
       start_task(v, t);
     } else {
-      ws.fifo[d].push_back(v);
+      ws.fifo.push(d, v);
     }
   }
 
   void run() {
-    auto& heap = ws.heap;
-    const EventLater later;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), later);
-      const SimEvent ev = heap.back();
-      heap.pop_back();
+    while (!ws.heap.empty()) {
+      const SimEvent ev = pop();
       if (ev.kind == kTaskDone) {
         const int v = ev.id;
         if (faults != nullptr && ev.version != faults->task_version[v]) {
@@ -180,7 +256,8 @@ struct SimEngine {
         // the paper's model, behind every busy link of the route (NIC links
         // included) under contention.
         for (int e : g.out_edges(v)) {
-          const int dl = p.device_of(g.edge(e).dst);
+          const int child = g.edge(e).dst;
+          const int dl = p.device_of(child);
           const double c = realize(lat.comm_time(g, n, e, d, dl), opt);
           double start = ev.time;
           if (shared != nullptr && dl != d) {
@@ -216,30 +293,24 @@ struct SimEngine {
               ws.link_free[li] = start + dur;
             }
           }
-          if (trace != nullptr) {
-            ws.edge_inflight[e] = 1;
-            ws.edge_finish_at[e] = start + dur;
-          }
+          // The transfer takes the seq its own arrival event would have
+          // had; only the child's inputs-ready event is queued.
           out.edge_start[e] = start;
+          out.edge_finish[e] = start + dur;
           if (rec != nullptr) rec->edge_event_seq[e] = seq;
-          push_event(start + dur, kTransferDone, e,
-                     trace != nullptr ? ws.edge_version[e] : 0);
+          if (trace != nullptr) ws.edge_seq[e] = seq;
+          send_input(child, start + dur, seq++);
         }
         --ws.running[d];
-        if (!ws.fifo[d].empty() && ws.running[d] < n.device(d).cores) {
-          const int next = ws.fifo[d].front();
-          ws.fifo[d].pop_front();
-          start_task(next, ev.time);
+        if (!ws.fifo.empty(d) && ws.running[d] < n.device(d).cores) {
+          start_task(ws.fifo.pop(d), ev.time);
         }
-      } else if (ev.kind == kTransferDone) {
-        const int e = ev.id;
-        if (trace != nullptr) {
-          if (ev.version != ws.edge_version[e]) continue;  // stale: rescaled
-          ws.edge_inflight[e] = 0;
+      } else if (ev.kind == kInputsReady) {
+        const int v = ev.id;
+        if (trace != nullptr && ev.version != ws.ready[v].version) {
+          continue;  // stale: a breakpoint re-keyed it
         }
-        out.edge_finish[e] = ev.time;
-        const int child = g.edge(e).dst;
-        if (--ws.remaining_inputs[child] == 0) make_runnable(child, ev.time);
+        make_runnable(v, ev.time);
       } else if (ev.kind == kFrameArrival) {
         // Frame ev.id enters the stream: its entry-task copies join their
         // device queues (or start) in base entry order, like frame 0 at t = 0.
@@ -257,26 +328,29 @@ struct SimEngine {
         const int l = trace->links[li].dst;
         // Rescale the remaining wire time of every in-flight transfer on this
         // link, in ascending edge-id order (the oracle mirrors this order).
-        // delay_add changes never affect in-flight transfers: their startup was
-        // committed at dispatch.
+        // In flight means sent and not yet arrived: a breakpoint pops before
+        // every arrival at its instant. delay_add changes never affect
+        // in-flight transfers: their startup was committed at dispatch.
         const int ne = g.num_edges();
         for (int e = 0; e < ne; ++e) {
-          if (ws.edge_inflight[e] == 0) continue;
+          if (out.edge_start[e] < 0.0 || out.edge_finish[e] < ev.time) continue;
           if (p.device_of(g.edge(e).src) != k || p.device_of(g.edge(e).dst) != l) {
             continue;
           }
           if (ws.edge_wire_factor[e] == f_new) continue;
           const double anchor = std::max(ev.time, ws.edge_wire_begin[e]);
-          const double remaining = ws.edge_finish_at[e] - anchor;
+          const double remaining = out.edge_finish[e] - anchor;
           if (remaining <= 0.0) {
             // Wire already done (finishing this instant, or still in startup
-            // with zero wire time): keep the pending event and its seq.
+            // with zero wire time): the arrival keeps its time and seq.
             ws.edge_wire_factor[e] = f_new;
             continue;
           }
-          ws.edge_finish_at[e] = anchor + remaining * (f_new / ws.edge_wire_factor[e]);
+          // The re-timed arrival takes a fresh seq, as a fresh event would.
+          out.edge_finish[e] = anchor + remaining * (f_new / ws.edge_wire_factor[e]);
           ws.edge_wire_factor[e] = f_new;
-          push_event(ws.edge_finish_at[e], kTransferDone, e, ++ws.edge_version[e]);
+          ws.edge_seq[e] = seq++;
+          rekey_inputs_ready(g.edge(e).dst);
         }
       }
     }

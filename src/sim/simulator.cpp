@@ -92,13 +92,16 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
   out.makespan = 0.0;
   if (nv == 0) return;
 
-  // All buffers are reset with assign()/clear(), which reuse existing
-  // capacity; fifo only grows so previously-sized deques are kept.
+  // All buffers are reset with assign()/resize()/clear(), which reuse
+  // existing capacity.
   ws.heap.clear();
-  ws.remaining_inputs.assign(nv, 0);
-  for (int v = 0; v < nv; ++v) ws.remaining_inputs[v] = g.in_degree(v);
-  if (static_cast<int>(ws.fifo.size()) < nd) ws.fifo.resize(nd);
-  for (int d = 0; d < nd; ++d) ws.fifo[d].clear();
+  ws.remaining_inputs.resize(nv);
+  ws.ready.resize(nv);
+  for (int v = 0; v < nv; ++v) {
+    ws.remaining_inputs[v] = g.in_degree(v);
+    ws.ready[v] = detail::no_inputs_yet(v);
+  }
+  ws.fifo.reset(nd, nv);
   ws.running.assign(nd, 0);  // occupied cores per device
 
   if (record != nullptr) {
@@ -110,7 +113,7 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
   // Dynamic-network state. Breakpoints are pushed before any sim event so
   // they consume seq 0..B-1: a breakpoint takes effect *before* same-time sim
   // events (a transfer dispatched at the breakpoint instant already sees the
-  // new conditions; one finishing at that instant is still rescaled).
+  // new conditions; one arriving at that instant is still in flight).
   std::vector<std::pair<int, int>> breakpoints;  // (trace link, segment)
   if (shared != nullptr) ws.link_free.assign(shared->num_links, 0.0);
 
@@ -122,11 +125,9 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
     ws.trace_link.assign(static_cast<std::size_t>(nd) * nd, -1);
     ws.trace_cur.assign(nl, TraceSegment{});
     ws.trace_factor.assign(nl, 1.0);
-    ws.edge_version.assign(ne, 0);
-    ws.edge_finish_at.assign(ne, -1.0);
+    ws.edge_seq.assign(ne, -1);
     ws.edge_wire_begin.assign(ne, 0.0);
     ws.edge_wire_factor.assign(ne, 1.0);
-    ws.edge_inflight.assign(ne, 0);
     for (int li = 0; li < nl; ++li) {
       const LinkSchedule& ls = trace->links[li];
       if (ls.segments.empty()) continue;  // no conditions: stays a plain link

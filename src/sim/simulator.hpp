@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <random>
 #include <utility>
@@ -66,9 +65,40 @@ namespace detail {
 struct SimEvent {
   double time;
   long seq;     // creation order, breaks time ties deterministically
-  int kind;     // task done, transfer done, breakpoint, frame arrival, fault
-  int id;       // task id, edge id, breakpoint, frame, or fault-action index
-  int version;  // stale when != the edge's (or, under faults, task's) version
+  int kind;     // task done, inputs ready, breakpoint, frame arrival, fault
+  int id;       // task id, breakpoint, frame, or fault-action index
+  int version;  // stale when != the task's inputs-ready (or task-done) version
+};
+
+/// Per-device FIFOs of runnable task ids, threaded through one per-task link
+/// array. A task joins a queue at most once per run, so storage sized for
+/// the run's tasks and devices never grows: a warm run allocates nothing.
+struct DeviceQueues {
+  std::vector<int> head, tail;  ///< per device: first / last task, -1 if empty
+  std::vector<int> next;        ///< per task: the task queued behind it
+
+  void reset(int num_devices, int num_tasks) {
+    head.assign(num_devices, -1);
+    tail.assign(num_devices, -1);
+    if (static_cast<int>(next.size()) < num_tasks) next.resize(num_tasks);
+  }
+  bool empty(int d) const { return head[d] < 0; }
+  void push(int d, int v) {
+    next[v] = -1;
+    if (tail[d] < 0) {
+      head[d] = v;
+    } else {
+      next[tail[d]] = v;
+    }
+    tail[d] = v;
+  }
+  int pop(int d) {
+    const int v = head[d];
+    head[d] = next[v];
+    if (head[d] < 0) tail[d] = -1;
+    return v;
+  }
+  void clear(int d) { head[d] = tail[d] = -1; }
 };
 
 }  // namespace detail
@@ -83,9 +113,12 @@ struct SimEvent {
 /// graphs, networks, and placements; it is NOT safe to share one workspace
 /// between concurrent simulations (use one per thread).
 struct SimWorkspace {
-  std::vector<detail::SimEvent> heap;
-  std::vector<int> remaining_inputs;
-  std::vector<std::deque<int>> fifo;
+  std::vector<detail::SimEvent> heap;  ///< binary min-heap on (time, seq)
+  std::vector<int> remaining_inputs;   ///< per task: inputs not yet sent
+  /// Per task: its inputs-ready event, keyed by the latest (arrival, seq)
+  /// among the inputs sent so far; queued once the last input is sent.
+  std::vector<detail::SimEvent> ready;
+  detail::DeviceQueues fifo;
   std::vector<int> running;
   // Dynamic-network buffers, touched only when SimOptions::trace /
   // shared_links are active (the static-network fast path never sizes them).
@@ -93,11 +126,9 @@ struct SimWorkspace {
   std::vector<int> trace_link;          ///< device pair -> trace link idx or -1
   std::vector<TraceSegment> trace_cur;  ///< per trace link: active segment
   std::vector<double> trace_factor;     ///< per trace link: current wire factor
-  std::vector<int> edge_version;        ///< per edge: invalidates stale events
-  std::vector<double> edge_finish_at;   ///< per edge: current predicted finish
+  std::vector<long> edge_seq;           ///< per edge: seq of its arrival key
   std::vector<double> edge_wire_begin;  ///< per edge: when wire time starts
   std::vector<double> edge_wire_factor; ///< per edge: factor baked into finish
-  std::vector<char> edge_inflight;
 };
 
 /// Bookkeeping recorded by a full simulation (and kept current by delta
@@ -123,7 +154,9 @@ struct DeltaSimState {
   /// recorded one, so relative order stays exact across chained deltas.
   std::vector<long> runnable_order;
   std::vector<long> task_event_seq;  ///< per task: seq of its task-done event
-  std::vector<long> edge_event_seq;  ///< per edge: seq of its transfer event
+  /// Per edge: the seq its transfer took when sent, the tie-break of its
+  /// arrival (an inputs-ready event is keyed by its latest input's).
+  std::vector<long> edge_event_seq;
   long total_seq = 0;            ///< seq counter at run end
   long next_runnable_rank = 0;   ///< rank counter at run end
   /// Reconstruction scratch (sorted (rank, task) pairs); not part of the

@@ -71,25 +71,37 @@ void ensure_replicated(const TaskGraph& g, int frames, StreamWorkspace& ws) {
   ws.cached_frames = frames;
 }
 
+// nearest_rank_percentile() of an ascending sample.
+double nearest_rank_of_sorted(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const std::size_t count = sorted.size();
+  const double rank = std::ceil(q * static_cast<double>(count));
+  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+  if (idx >= count) idx = count - 1;
+  return sorted[idx];
+}
+
 }  // namespace
 
 void validate_stream_options(const StreamOptions& opt, const char* caller) {
-  const std::string who(caller);
+  // The caller's name becomes a string only on a throw: a warm streaming run
+  // allocates nothing.
+  const auto who = [caller] { return std::string(caller); };
   if (opt.frames < 1) {
-    throw std::invalid_argument(who + ": frames must be >= 1, got " +
+    throw std::invalid_argument(who() + ": frames must be >= 1, got " +
                                 std::to_string(opt.frames));
   }
   if (!std::isfinite(opt.interval) || opt.interval < 0.0) {
-    throw std::invalid_argument(who + ": interval must be finite and >= 0");
+    throw std::invalid_argument(who() + ": interval must be finite and >= 0");
   }
   if (std::isnan(opt.arrival_jitter) || opt.arrival_jitter < 0.0 ||
       opt.arrival_jitter >= 1.0) {
     throw std::invalid_argument(
-        who + ": arrival_jitter must be in [0, 1) (a gap draw from "
-              "[interval(1-j), interval(1+j)] could go negative)");
+        who() + ": arrival_jitter must be in [0, 1) (a gap draw from "
+                "[interval(1-j), interval(1+j)] could go negative)");
   }
   if (opt.arrival_jitter > 0.0 && opt.sim.rng == nullptr) {
-    throw std::invalid_argument(who + ": arrival_jitter > 0 requires an rng");
+    throw std::invalid_argument(who() + ": arrival_jitter > 0 requires an rng");
   }
   validate_sim_options(opt.sim, caller);
 }
@@ -158,8 +170,10 @@ void simulate_streaming_into(const TaskGraph& g, const DeviceNetwork& n,
                          ? 1.0 / out.frame_latency[0]
                          : std::numeric_limits<double>::infinity();
   }
-  out.p50_latency = nearest_rank_percentile(out.frame_latency, 0.50);
-  out.p99_latency = nearest_rank_percentile(out.frame_latency, 0.99);
+  ws.sorted_latency.assign(out.frame_latency.begin(), out.frame_latency.end());
+  std::sort(ws.sorted_latency.begin(), ws.sorted_latency.end());
+  out.p50_latency = nearest_rank_of_sorted(ws.sorted_latency, 0.50);
+  out.p99_latency = nearest_rank_of_sorted(ws.sorted_latency, 0.99);
 }
 
 StreamResult simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,
@@ -172,13 +186,8 @@ StreamResult simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,
 }
 
 double nearest_rank_percentile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
-  const std::size_t count = xs.size();
-  const double rank = std::ceil(q * static_cast<double>(count));
-  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  if (idx >= count) idx = count - 1;
-  return xs[idx];
+  return nearest_rank_of_sorted(xs, q);
 }
 
 }  // namespace giph

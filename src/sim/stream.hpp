@@ -51,6 +51,8 @@ struct StreamWorkspace {
   TaskGraph replicated;
   Placement replicated_placement;
   std::vector<int> entries;  ///< base-graph entry task ids, ascending
+  /// Scratch: the frame latencies, sorted for the percentiles.
+  std::vector<double> sorted_latency;
   std::uint64_t cached_graph_stamp = 0;
   int cached_frames = -1;
 };

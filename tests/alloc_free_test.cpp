@@ -1,21 +1,26 @@
-// The serving path allocates nothing once warm. This binary replaces the
-// global operator new with a counting one (hence its own executable), warms a
-// GiPHAgent up with one act() on an instance, and then demands that further
-// act() calls on it make zero allocations. Every autograd node is a
-// make_shared, so zero allocations also means no tape was built.
+// The serving path and the simulator allocate nothing once warm. This binary
+// replaces the global operator new with a counting one (hence its own
+// executable), warms a GiPHAgent up with one act() on an instance, and then
+// demands that further act() calls on it make zero allocations. Every
+// autograd node is a make_shared, so zero allocations also means no tape was
+// built. The same holds for a warm simulate_into(), a search env's try_move()
+// (replayed or fallen back) and simulate_streaming_into().
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "agent_variants.hpp"
 #include "core/giph_agent.hpp"
 #include "gen/device_network_gen.hpp"
 #include "gen/task_graph_gen.hpp"
+#include "sim/stream.hpp"
 
 namespace {
 
@@ -101,6 +106,81 @@ TEST(DecideAllocations, TapePathAllocates) {
   const long before = allocations();
   agent.decide(env, rng, true);
   EXPECT_GT(allocations() - before, 100);
+}
+
+/// A seeded 40-task instance for the simulator allocation tests.
+struct SimInstance {
+  TaskGraph g;
+  DeviceNetwork n;
+  Placement p;
+};
+
+SimInstance sim_instance() {
+  std::mt19937_64 gen(20260809);
+  TaskGraphParams gp;
+  gp.num_tasks = 40;
+  NetworkParams np;
+  np.num_devices = 6;
+  np.num_hw_kinds = gp.num_hw_kinds;
+  SimInstance s;
+  s.g = generate_task_graph(gp, gen);
+  s.n = generate_device_network(np, gen);
+  ensure_feasible(s.g, s.n, gen);
+  s.p = random_placement(s.g, s.n, gen);
+  return s;
+}
+
+TEST(SimAllocations, WarmSimulateIntoAllocatesNothing) {
+  const SimInstance s = sim_instance();
+  const DefaultLatencyModel lat;
+  SimWorkspace ws;
+  Schedule out;
+  simulate_into(s.g, s.n, s.p, lat, ws, out);  // warm-up
+  const long before = allocations();
+  for (int i = 0; i < 4; ++i) simulate_into(s.g, s.n, s.p, lat, ws, out);
+  EXPECT_EQ(allocations() - before, 0);
+}
+
+TEST(SimAllocations, WarmTryMoveAllocatesNothing) {
+  const SimInstance s = sim_instance();
+  const DefaultLatencyModel lat;
+  PlacementSearchEnv env(s.g, s.n, lat, makespan_objective(lat), s.p);
+  // Find one try that replays incrementally and one that falls back to a
+  // full simulation; the search also warms the env's buffers.
+  std::optional<SearchAction> replayed, fell_back;
+  for (int v = 0; v < s.g.num_tasks(); ++v) {
+    for (const int d : env.feasible()[v]) {
+      const std::uint64_t replays = env.delta_simulations_run();
+      env.try_move(SearchAction{v, d});
+      auto& found = env.delta_simulations_run() > replays ? replayed : fell_back;
+      if (!found) found = SearchAction{v, d};
+    }
+  }
+  ASSERT_TRUE(replayed.has_value());
+  ASSERT_TRUE(fell_back.has_value());
+  for (const auto& [a, replays_per_try] :
+       {std::pair{*replayed, 1u}, std::pair{*fell_back, 0u}}) {
+    env.try_move(a);  // warm-up
+    const std::uint64_t replays = env.delta_simulations_run();
+    const long before = allocations();
+    env.try_move(a);
+    EXPECT_EQ(allocations() - before, 0) << "task " << a.task << " -> d" << a.device;
+    EXPECT_EQ(env.delta_simulations_run() - replays, replays_per_try);
+  }
+}
+
+TEST(SimAllocations, WarmStreamingAllocatesNothing) {
+  const SimInstance s = sim_instance();
+  const DefaultLatencyModel lat;
+  StreamOptions opt;
+  opt.frames = 8;
+  opt.interval = makespan(s.g, s.n, s.p, lat) / 4.0;
+  StreamWorkspace ws;
+  StreamResult out;
+  simulate_streaming_into(s.g, s.n, s.p, lat, ws, out, opt);  // warm-up
+  const long before = allocations();
+  for (int i = 0; i < 4; ++i) simulate_streaming_into(s.g, s.n, s.p, lat, ws, out, opt);
+  EXPECT_EQ(allocations() - before, 0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -188,6 +189,55 @@ TEST(DeltaSimProperty, EntryTaskMoveFallsBack) {
   EXPECT_EQ(simulate_delta(g, n, p, 2, lat, ws, prev, ds, out),
             DeltaSimResult::kReplayed);
   testutil::expect_schedules_bitwise_equal(out, simulate(g, n, p, lat));
+}
+
+TEST(DeltaSimProperty, DirtyTimeSplitsOneTasksInputs) {
+  // Task 3 has two inputs: edge 0 from task 0, which finishes at 1, and edge
+  // 2 from the moved task 2, whose parent (task 1) finishes at 2. So T0 = 2
+  // splits task 3's inputs: edge 0 is sent before T0, and the replay must
+  // seed task 3's readiness from its recorded arrival and seq; edge 2 is
+  // sent inside the replay. Three speed-1 devices, bandwidth 1, delay 0.
+  //   Base (task 2 on d1): t0 [0, 1] d0, t1 [0, 2] d1, t2 [2, 3] d1; edge 0
+  //   [1, 7] and edge 2 [3, 7] tie at 7, edge 2 sent later; t3 [7, 9] d2.
+  //   Task 2 on d0: edge 2 [4, 8] arrives last (sent after T0): t3 [8, 10].
+  //   Task 2 on d2: edge 2 is local, [4, 4]; edge 0 arrives last (sent
+  //   before T0): t3 [7, 9].
+  TaskGraph g;
+  g.add_task(Task{.compute = 1.0});
+  g.add_task(Task{.compute = 2.0});
+  g.add_task(Task{.compute = 1.0});
+  g.add_task(Task{.compute = 2.0});
+  g.add_edge(0, 3, 6.0);
+  g.add_edge(1, 2, 1.0);
+  g.add_edge(2, 3, 4.0);
+  DeviceNetwork n;
+  for (int d = 0; d < 3; ++d) n.add_device(Device{.speed = 1.0});
+  n.set_symmetric_link(0, 1, 1.0, 0.0);
+  n.set_symmetric_link(0, 2, 1.0, 0.0);
+  n.set_symmetric_link(1, 2, 1.0, 0.0);
+  Placement p(4);
+  p.set(0, 0);
+  p.set(1, 1);
+  p.set(2, 1);
+  p.set(3, 2);
+  DefaultLatencyModel lat;
+  SimWorkspace ws;
+  Schedule prev, out;
+  DeltaSimState ds;
+  simulate_into(g, n, p, lat, ws, prev, ds);
+  ASSERT_EQ(prev.tasks[3].start, 7.0);
+
+  const std::pair<int, double> moves[] = {{0, 8.0}, {2, 7.0}, {1, 7.0}, {0, 8.0}};
+  for (const auto& [device, t3_start] : moves) {
+    SCOPED_TRACE("task 2 -> d" + std::to_string(device));
+    p.set(2, device);
+    ASSERT_LT(prev.tasks[0].finish, 2.0);
+    ASSERT_EQ(simulate_delta(g, n, p, 2, lat, ws, prev, ds, out),
+              DeltaSimResult::kReplayed);
+    testutil::expect_schedules_bitwise_equal(out, simulate(g, n, p, lat));
+    EXPECT_EQ(out.tasks[3].start, t3_start);
+    std::swap(prev, out);
+  }
 }
 
 TEST(DeltaSimProperty, InvalidStateFallsBack) {

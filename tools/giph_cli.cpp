@@ -42,7 +42,7 @@
 // steady-state throughput, and p50/p99 frame latency, and --csv exports the
 // winning placement's per-frame latencies (write_stream_csv).
 //
-// The scale command is the generalization experiment of ROADMAP item 4: train
+// The scale command is the scale tier's generalization experiment: train
 // a policy at paper scale (or load one with --model), then evaluate it
 // ZERO-SHOT on 10x-100x larger instances (default 1000 tasks on a 100-device
 // sparse topology) through the hierarchical tier - partition_tasks groups the

@@ -5,10 +5,10 @@
 // extra entry tasks, device counts, hardware-constraint density, multi-core
 // devices, noise, NIC contention (add_nic_links), fault plans, and the
 // dynamic-conditions stack: network traces (piecewise-constant bandwidth /
-// delay / drop breakpoints), lossy links (LossAwareLatencyModel), and
-// shared-link contention over random sparse topologies. One generator
-// (draw_instance and its helpers) serves the plain and --stream modes. On
-// every case it asserts:
+// delay / drop breakpoints, some in force from t = 0), lossy links
+// (LossAwareLatencyModel), and shared-link contention over random sparse
+// topologies. One generator (draw_instance and its helpers) serves the plain
+// and --stream modes. On every case it asserts:
 //   - simulate(), simulate_into() (with a reused workspace), and the
 //     independent oracle_simulate() agree bitwise on every time;
 //   - check_schedule() finds no invariant violation;
@@ -171,6 +171,7 @@ struct FuzzInstance {
   bool multi_core = false;
   bool nic = false;  ///< NIC contention: one link per device (add_nic_links)
   bool with_trace = false;
+  bool trace_from_start = false;  ///< some link's first segment is at t = 0
   NetworkTrace trace;
   bool with_shared = false;  ///< a random sparse physical topology
   SharedLinkMap shared;      ///< its links, then the NIC links when `nic`
@@ -236,14 +237,18 @@ void draw_topology(std::mt19937_64& rng, bool chords, FuzzInstance& c) {
 }
 
 /// Piecewise-constant conditions on 1..max_links random device pairs, with
-/// breakpoints scaled to `span` so segments land inside the run.
+/// breakpoints scaled to `span` so segments land inside the run. A quarter
+/// of the links start in their first segment's condition at t = 0, which
+/// the simulator and the oracle seed without a breakpoint event.
 void draw_trace(std::mt19937_64& rng, double span, int max_links, FuzzInstance& c) {
   c.with_trace = true;
   for (int x = uniform_int(rng, 1, max_links); x > 0; --x) {
     const auto [src, dst] = draw_remote_pair(rng, c.network.num_devices());
     LinkSchedule& ls = c.trace.link(src, dst);
     if (!ls.segments.empty()) continue;  // pair drawn twice
-    double t = uniform(rng, 0.0, span * 0.5);
+    const bool from_start = uniform(rng, 0.0, 1.0) < 0.25;
+    c.trace_from_start = c.trace_from_start || from_start;
+    double t = from_start ? 0.0 : uniform(rng, 0.0, span * 0.5);
     for (int s = uniform_int(rng, 1, 3); s > 0; --s) {
       TraceSegment seg;
       seg.time = t;
@@ -290,11 +295,12 @@ std::string format_coverage(const Coverage& classes, std::uint64_t cases,
 
 /// Counts of the instance classes both simulation modes draw.
 struct InstanceCounts {
-  std::uint64_t traced = 0, shared = 0, lossy = 0, nic = 0, multi_entry = 0,
-                multi_core = 0;
+  std::uint64_t traced = 0, traced_from_start = 0, shared = 0, lossy = 0, nic = 0,
+                multi_entry = 0, multi_core = 0;
 
   void add(const FuzzInstance& c) {
     traced += c.with_trace ? 1 : 0;
+    traced_from_start += c.trace_from_start ? 1 : 0;
     shared += c.with_shared ? 1 : 0;
     lossy += c.with_loss ? 1 : 0;
     nic += c.nic ? 1 : 0;
@@ -303,6 +309,7 @@ struct InstanceCounts {
   }
   void append_to(Coverage& classes) const {
     classes.insert(classes.end(), {{"traced", traced},
+                                   {"traced from t = 0", traced_from_start},
                                    {"shared-topology", shared},
                                    {"lossy", lossy},
                                    {"NIC", nic},
