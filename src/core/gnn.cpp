@@ -1,6 +1,7 @@
 #include "core/gnn.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace giph {
@@ -60,11 +61,10 @@ GraphEncoder::GraphEncoder(nn::ParamRegistry& reg, const GnnConfig& cfg,
   }
 }
 
-std::vector<Var> GraphEncoder::pass_sequential(const GraphView& view, const Var& pre,
-                                               const Var& edge_feats,
-                                               const Direction& dir, bool forward) const {
+Var GraphEncoder::pass_sequential(const GraphView& view, const Var& pre,
+                                  const Var& edge_feats, const Direction& dir,
+                                  bool forward) const {
   const bool use_edges = cfg_.edge_dim > 0;
-  std::vector<Var> emb(view.num_nodes);
 
   // Group nodes into dependency levels of the processing direction: every
   // message source of level L was finalized in a level < L, so one
@@ -90,33 +90,43 @@ std::vector<Var> GraphEncoder::pass_sequential(const GraphView& view, const Var&
     for (auto it = view.topo.rbegin(); it != view.topo.rend(); ++it) assign_level(*it);
   }
 
+  // One num_nodes x dim_o embedding matrix, advanced once per level. It
+  // starts as an identity gather of pre, not as pre itself: each node's
+  // gradient then sums along the level chain in a row of its own and reaches
+  // pre in one add, which fixes the gradients' summation order (DESIGN.md,
+  // "Training tape").
+  std::vector<int> rows(view.num_nodes);
+  std::iota(rows.begin(), rows.end(), 0);
+  Var emb = gather_rows(pre, rows);
   for (const std::vector<int>& bucket : buckets) {
     std::vector<int> inc_nodes;   // bucket members that receive messages
-    std::vector<Var> src_rows;    // their source rows, grouped per node
+    std::vector<int> srcs;        // their message sources, grouped per node
     std::vector<int> eidx;        // matching edge ids
-    std::vector<int> offsets{0};  // group boundaries into src_rows
+    std::vector<int> offsets{0};  // group boundaries into srcs
     for (int u : bucket) {
       const auto& incoming = forward ? view.in_edges[u] : view.out_edges[u];
-      if (incoming.empty()) {
-        emb[u] = row(pre, u);
-        continue;
-      }
+      if (incoming.empty()) continue;
       for (int e : incoming) {
-        src_rows.push_back(emb[forward ? view.edges[e].first : view.edges[e].second]);
+        srcs.push_back(forward ? view.edges[e].first : view.edges[e].second);
         eidx.push_back(e);
       }
       inc_nodes.push_back(u);
-      offsets.push_back(static_cast<int>(src_rows.size()));
+      offsets.push_back(static_cast<int>(srcs.size()));
     }
     if (inc_nodes.empty()) continue;
-    Var stacked = concat_rows(src_rows);
-    if (use_edges) stacked = concat_cols({stacked, gather_rows(edge_feats, eidx)});
+    Var stacked = gather_rows(emb, std::move(srcs));
+    if (use_edges) {
+      stacked = concat_cols({stacked, gather_rows(edge_feats, std::move(eidx))});
+    }
     const Var aggregated =
         segment_mean_rows(relu(dir.message(stacked)), std::move(offsets));
     const Var nxt = add(relu(dir.aggregate(aggregated)), gather_rows(pre, inc_nodes));
-    for (int i = 0; i < static_cast<int>(inc_nodes.size()); ++i) {
-      emb[inc_nodes[i]] = row(nxt, i);
-    }
+    // Row u of concat_rows({nxt, emb}) to keep: u's slot in nxt when this
+    // level updates it, its current row otherwise.
+    const int updated = static_cast<int>(inc_nodes.size());
+    for (int u = 0; u < view.num_nodes; ++u) rows[u] = updated + u;
+    for (int i = 0; i < updated; ++i) rows[inc_nodes[i]] = i;
+    emb = gather_rows(concat_rows({nxt, emb}), rows);
   }
   return emb;
 }
@@ -201,9 +211,8 @@ Var GraphEncoder::encode(const GraphView& view, const nn::Matrix& node_features,
     return concat_cols({pass_k_steps(view, pre, edges, fwd_, true),
                         pass_k_steps(view, pre, edges, bwd_, false)});
   }
-  const std::vector<Var> fwd = pass_sequential(view, pre, edges, fwd_, true);
-  const std::vector<Var> bwd = pass_sequential(view, pre, edges, bwd_, false);
-  return concat_cols({concat_rows(fwd), concat_rows(bwd)});
+  return concat_cols({pass_sequential(view, pre, edges, fwd_, true),
+                      pass_sequential(view, pre, edges, bwd_, false)});
 }
 
 void GraphEncoder::encode_into(const GraphView& view, const nn::Matrix& node_features,

@@ -73,10 +73,11 @@ class GraphEncoder {
   /// One direction of sequential (full-depth) message passing, batched per
   /// dependency level: all of a level's message/aggregate transforms run as
   /// one matrix-matrix matmul (bitwise equal per row to the per-node
-  /// matrix-vector pass this replaced). Returns one 1 x dim_o row per node.
-  std::vector<nn::Var> pass_sequential(const GraphView& view, const nn::Var& pre,
-                                       const nn::Var& edge_feats, const Direction& dir,
-                                       bool forward) const;
+  /// matrix-vector pass this replaced), and one gather per level advances
+  /// the direction's embedding matrix. Returns the num_nodes x dim_o matrix.
+  nn::Var pass_sequential(const GraphView& view, const nn::Var& pre,
+                          const nn::Var& edge_feats, const Direction& dir,
+                          bool forward) const;
   /// One direction of k-step synchronous message passing (Eq. 4), every step
   /// batched over the whole graph. Returns the num_nodes x dim_o matrix.
   nn::Var pass_k_steps(const GraphView& view, const nn::Var& pre,

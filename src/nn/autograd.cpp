@@ -65,17 +65,17 @@ void backward(const Var& root) {
   for (int i = 0; i < g.rows(); ++i) {
     for (int j = 0; j < g.cols(); ++j) g(i, j) += 1.0;
   }
+  // Interior gradients are scratch space: each is released (with its
+  // closure) as soon as it has been pushed to the node's inputs. Inputs have
+  // lower ids than their consumers, so in this order nothing adds to or reads
+  // a released gradient again, and a gradient lives only from its first
+  // consumer's visit to its own. Parameters (leaves) keep their accumulated
+  // grads for the optimizer.
   for (Node* n : order) {
-    if (n->backward_fn) n->backward_fn(*n);
-  }
-  // Interior gradients are scratch space: release them (and the closures) so
-  // repeated episodes do not hold onto stale state. Parameters (leaves) keep
-  // their accumulated grads for the optimizer.
-  for (Node* n : order) {
-    if (n->backward_fn) {
-      n->grad = Matrix();
-      n->backward_fn = nullptr;
-    }
+    if (!n->backward_fn) continue;
+    n->backward_fn(*n);
+    n->grad = Matrix();
+    n->backward_fn = nullptr;
   }
 }
 

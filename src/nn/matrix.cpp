@@ -3,16 +3,55 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 namespace giph::nn {
+namespace {
+
+/// Returns body(std::integral_constant<int, C>{}) when `width` is one of the
+/// widths the GiPH layers use (their input and output sizes), false for any
+/// other width. At these widths the kernels below hold one output row's C
+/// partial sums in registers. Each output still sums the same products in
+/// the same ascending order from the same start, skipping the same zero
+/// inputs, as the generic loop does, so the bytes are the same; only the
+/// loop nest changes.
+template <class Body>
+bool at_layer_width(int width, Body&& body) {
+  switch (width) {
+    case 1: return body(std::integral_constant<int, 1>{});
+    case 4: return body(std::integral_constant<int, 4>{});
+    case 5: return body(std::integral_constant<int, 5>{});
+    case 9: return body(std::integral_constant<int, 9>{});
+    case 10: return body(std::integral_constant<int, 10>{});
+    case 16: return body(std::integral_constant<int, 16>{});
+    default: return false;
+  }
+}
+
+}  // namespace
 
 void accumulate_row(const double* x, int n, const Matrix& w, int k0, double* acc) {
   assert(k0 >= 0 && k0 + n <= w.rows());
   const int cols = w.cols();
+  const double* w0 = w.data() + static_cast<std::size_t>(k0) * cols;
+  const bool done = at_layer_width(cols, [&](auto width) {
+    constexpr int C = decltype(width)::value;
+    double s[C];
+    for (int j = 0; j < C; ++j) s[j] = acc[j];
+    for (int k = 0; k < n; ++k) {
+      const double xk = x[k];
+      if (xk == 0.0) continue;
+      const double* wk = w0 + static_cast<std::size_t>(k) * C;
+      for (int j = 0; j < C; ++j) s[j] += xk * wk[j];
+    }
+    for (int j = 0; j < C; ++j) acc[j] = s[j];
+    return true;
+  });
+  if (done) return;
   for (int k = 0; k < n; ++k) {
     const double xk = x[k];
     if (xk == 0.0) continue;
-    const double* wk = w.data() + static_cast<std::size_t>(k0 + k) * cols;
+    const double* wk = w0 + static_cast<std::size_t>(k) * cols;
     for (int j = 0; j < cols; ++j) acc[j] += xk * wk[j];
   }
 }
@@ -30,8 +69,26 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   Matrix c(a.cols(), b.cols());
+  // c(i, j) sums a(k, i) * b(k, j) over ascending k from 0.0, skipping
+  // a(k, i) == 0.0. The register kernel finishes one row of c at a time.
+  const int m = a.cols();
+  const bool done = at_layer_width(b.cols(), [&](auto width) {
+    constexpr int C = decltype(width)::value;
+    for (int i = 0; i < m; ++i) {
+      double s[C] = {};
+      for (int k = 0; k < a.rows(); ++k) {
+        const double aki = a.data()[static_cast<std::size_t>(k) * m + i];
+        if (aki == 0.0) continue;
+        const double* bk = b.data() + static_cast<std::size_t>(k) * C;
+        for (int j = 0; j < C; ++j) s[j] += aki * bk[j];
+      }
+      std::copy(s, s + C, c.data() + static_cast<std::size_t>(i) * C);
+    }
+    return true;
+  });
+  if (done) return c;
   for (int k = 0; k < a.rows(); ++k) {
-    for (int i = 0; i < a.cols(); ++i) {
+    for (int i = 0; i < m; ++i) {
       const double aki = a(k, i);
       if (aki == 0.0) continue;
       for (int j = 0; j < b.cols(); ++j) c(i, j) += aki * b(k, j);
@@ -43,10 +100,26 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   Matrix c(a.rows(), b.rows());
+  // c(i, j) sums a(i, k) * b(j, k) over ascending k from 0.0, with no zero
+  // skip. The register kernel runs a row's outputs as independent sums.
+  const int kn = a.cols();
+  const bool done = at_layer_width(b.rows(), [&](auto width) {
+    constexpr int C = decltype(width)::value;
+    for (int i = 0; i < a.rows(); ++i) {
+      const double* ai = a.data() + static_cast<std::size_t>(i) * kn;
+      double s[C] = {};
+      for (int k = 0; k < kn; ++k) {
+        for (int j = 0; j < C; ++j) s[j] += ai[k] * b.data()[j * kn + k];
+      }
+      std::copy(s, s + C, c.data() + static_cast<std::size_t>(i) * C);
+    }
+    return true;
+  });
+  if (done) return c;
   for (int i = 0; i < a.rows(); ++i) {
     for (int j = 0; j < b.rows(); ++j) {
       double s = 0.0;
-      for (int k = 0; k < a.cols(); ++k) s += a(i, k) * b(j, k);
+      for (int k = 0; k < kn; ++k) s += a(i, k) * b(j, k);
       c(i, j) = s;
     }
   }

@@ -90,7 +90,8 @@ class Matrix {
 /// order, skipping x[k] == 0.0: matmul's loop for one output row. Splitting a
 /// row's k range over several calls resumes the partial sums, so the
 /// forward-only GNN path (which finishes a per-node prefix per edge)
-/// performs matmul's additions in matmul's order.
+/// performs matmul's additions in matmul's order. `acc` must not overlap
+/// `x` or `w`: the partial sums may be held in registers until the end.
 void accumulate_row(const double* x, int n, const Matrix& w, int k0, double* acc);
 
 /// C = A * B; row i is accumulate_row over A's row i from zero.

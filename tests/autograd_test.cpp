@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
 namespace giph::nn {
 namespace {
@@ -303,6 +306,125 @@ TEST(Autograd, ShapeMismatchThrows) {
   EXPECT_THROW(slice_cols(a, 1, 4), std::invalid_argument);
   EXPECT_THROW(gather_rows(a, {5}), std::invalid_argument);
   EXPECT_THROW(pick(a, 2, 0), std::invalid_argument);
+}
+
+// ---- register-resident kernels ---------------------------------------------
+// matmul (through accumulate_row), matmul_tn and matmul_nt keep a row of
+// partial sums in registers at the layer widths 1, 4, 5, 9, 10 and 16 and run
+// a generic loop at any other width. Either way every output must be the
+// plain loop's bytes: the same products, added in the same order from the
+// same start, skipping the same zero inputs.
+
+/// Random entries with exact zeros, negative zeros and subnormals mixed in.
+Matrix kernel_input(int r, int c, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> d(-2.0, 2.0);
+  std::uniform_int_distribution<int> kind(0, 6);
+  Matrix m(r, c);
+  for (int i = 0; i < r; ++i) {
+    for (int j = 0; j < c; ++j) {
+      const double v = d(rng);
+      const int k = kind(rng);
+      m(i, j) = k == 0 ? 0.0 : k == 1 ? -0.0 : k == 2 ? v * 1e-310 : v;
+    }
+  }
+  return m;
+}
+
+/// accumulate_row as a plain loop: acc[j] += x[k] * w(k0 + k, j), ascending k,
+/// zero inputs skipped.
+void plain_accumulate_row(const double* x, int n, const Matrix& w, int k0, double* acc) {
+  for (int j = 0; j < w.cols(); ++j) {
+    for (int k = 0; k < n; ++k) {
+      if (x[k] == 0.0) continue;
+      acc[j] += x[k] * w(k0 + k, j);
+    }
+  }
+}
+
+Matrix plain_matmul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    plain_accumulate_row(a.data() + static_cast<std::size_t>(i) * a.cols(), a.cols(), b,
+                         0, c.data() + static_cast<std::size_t>(i) * c.cols());
+  }
+  return c;
+}
+
+Matrix plain_matmul_tn(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  for (int i = 0; i < a.cols(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      for (int k = 0; k < a.rows(); ++k) {
+        if (a(k, i) == 0.0) continue;
+        c(i, j) += a(k, i) * b(k, j);
+      }
+    }
+  }
+  return c;
+}
+
+Matrix plain_matmul_nt(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      for (int k = 0; k < a.cols(); ++k) c(i, j) += a(i, k) * b(j, k);
+    }
+  }
+  return c;
+}
+
+TEST(Kernels, EveryWidthMatchesPlainLoopBitwise) {
+  std::mt19937_64 rng(20260806);
+  // The layer widths, then widths that take the generic loop.
+  for (const int width : {1, 4, 5, 9, 10, 16, 2, 3, 7, 17}) {
+    for (const int inner : {1, 4, 9, 13}) {
+      for (const int rows : {1, 3, 7}) {
+        SCOPED_TRACE("width " + std::to_string(width) + " inner " +
+                     std::to_string(inner) + " rows " + std::to_string(rows));
+        const Matrix a = kernel_input(rows, inner, rng);
+        const Matrix w = kernel_input(inner, width, rng);
+        EXPECT_TRUE(bitwise_equal(matmul(a, w), plain_matmul(a, w)));
+
+        const Matrix at = kernel_input(inner, rows, rng);
+        EXPECT_TRUE(bitwise_equal(matmul_tn(at, w), plain_matmul_tn(at, w)));
+
+        const Matrix wn = kernel_input(width, inner, rng);
+        EXPECT_TRUE(bitwise_equal(matmul_nt(a, wn), plain_matmul_nt(a, wn)));
+
+        // accumulate_row resumes partial sums (negative zeros among them)
+        // part-way down w.
+        const Matrix w2 = kernel_input(inner + 2, width, rng);
+        const Matrix start = kernel_input(1, width, rng);
+        Matrix got = start, want = start;
+        accumulate_row(a.data(), inner, w2, 2, got.data());
+        plain_accumulate_row(a.data(), inner, w2, 2, want.data());
+        EXPECT_TRUE(bitwise_equal(got, want));
+      }
+    }
+  }
+}
+
+TEST(Kernels, ZeroInputSkipsInfiniteWeight) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Matrix x = Matrix::from_row({1.5, 0.0, -0.0, -2.0});
+  for (const int width : {1, 4, 5, 9, 10, 16, 3}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    // Rows 1 and 2 of w meet the zero inputs; 0 * inf would be NaN.
+    Matrix w(4, width, 0.25);
+    for (int j = 0; j < width; ++j) {
+      w(1, j) = inf;
+      w(2, j) = -inf;
+    }
+    const Matrix y = matmul(x, w);
+    const Matrix tn = matmul_tn(transpose(x), w);
+    std::vector<double> acc(width, 0.0);
+    accumulate_row(x.data(), 4, w, 0, acc.data());
+    for (int j = 0; j < width; ++j) {
+      EXPECT_EQ(y(0, j), -0.125);
+      EXPECT_EQ(tn(0, j), -0.125);
+      EXPECT_EQ(acc[j], -0.125);
+    }
+  }
 }
 
 }  // namespace

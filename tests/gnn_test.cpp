@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/features.hpp"
+#include "core/giph_agent.hpp"
 #include "gen/dataset.hpp"
+#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace giph {
@@ -17,12 +19,12 @@ struct Instance {
   Placement m;
   GpNet net;
   GpNetFeatures feats;
-  Instance() {
+  explicit Instance(int num_tasks = 8, int num_devices = 4) {
     std::mt19937_64 rng(77);
     TaskGraphParams gp;
-    gp.num_tasks = 8;
+    gp.num_tasks = num_tasks;
     NetworkParams np;
-    np.num_devices = 4;
+    np.num_devices = num_devices;
     g = generate_task_graph(gp, rng);
     n = generate_device_network(np, rng);
     ensure_all_kinds(n, np.num_hw_kinds, rng);
@@ -258,6 +260,64 @@ std::vector<nn::Var> ref_sequential(const nn::ParamRegistry& reg, const GraphVie
   return emb;
 }
 
+// The tape's level pass as it was while every node had a one-row slice of
+// its own: level buckets in view.topo order, each level's message sources
+// stacked with concat_rows, and each updated node a row() of the level's
+// output. Its gradients are the reference for the encoder's single
+// embedding matrix per direction.
+std::vector<nn::Var> ref_level_slices(const nn::ParamRegistry& reg, const GraphView& view,
+                                      const nn::Var& pre, const nn::Var& edges,
+                                      bool use_edges, const std::string& base,
+                                      bool forward) {
+  std::vector<nn::Var> emb(view.num_nodes);
+  std::vector<int> level(view.num_nodes, 0);
+  std::vector<std::vector<int>> buckets;
+  auto assign_level = [&](int u) {
+    const auto& incoming = forward ? view.in_edges[u] : view.out_edges[u];
+    int lv = 0;
+    for (int e : incoming) {
+      lv = std::max(lv, level[forward ? view.edges[e].first : view.edges[e].second] + 1);
+    }
+    level[u] = lv;
+    if (lv >= static_cast<int>(buckets.size())) buckets.resize(lv + 1);
+    buckets[lv].push_back(u);
+  };
+  if (forward) {
+    for (int u : view.topo) assign_level(u);
+  } else {
+    for (auto it = view.topo.rbegin(); it != view.topo.rend(); ++it) assign_level(*it);
+  }
+  for (const std::vector<int>& bucket : buckets) {
+    std::vector<int> inc_nodes, eidx;
+    std::vector<nn::Var> src_rows;
+    std::vector<int> offsets{0};
+    for (int u : bucket) {
+      const auto& incoming = forward ? view.in_edges[u] : view.out_edges[u];
+      if (incoming.empty()) {
+        emb[u] = nn::row(pre, u);
+        continue;
+      }
+      for (int e : incoming) {
+        src_rows.push_back(emb[forward ? view.edges[e].first : view.edges[e].second]);
+        eidx.push_back(e);
+      }
+      inc_nodes.push_back(u);
+      offsets.push_back(static_cast<int>(src_rows.size()));
+    }
+    if (inc_nodes.empty()) continue;
+    nn::Var stacked = nn::concat_rows(src_rows);
+    if (use_edges) stacked = nn::concat_cols({stacked, nn::gather_rows(edges, eidx)});
+    const nn::Var agg = nn::segment_mean_rows(
+        nn::relu(ref_linear(reg, base + ".msg", stacked)), offsets);
+    const nn::Var nxt = nn::add(nn::relu(ref_linear(reg, base + ".agg", agg)),
+                                nn::gather_rows(pre, inc_nodes));
+    for (int i = 0; i < static_cast<int>(inc_nodes.size()); ++i) {
+      emb[inc_nodes[i]] = nn::row(nxt, i);
+    }
+  }
+  return emb;
+}
+
 std::vector<nn::Var> ref_k_steps(const nn::ParamRegistry& reg, const GraphView& view,
                                  const nn::Var& pre, const nn::Var& edges,
                                  bool use_edges, const std::string& base, bool forward,
@@ -388,6 +448,97 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, EncoderBitwise,
                          ::testing::Values(GnnKind::kGiPH, GnnKind::kGiPHK,
                                            GnnKind::kGiPHNE, GnnKind::kGraphSAGE,
                                            GnnKind::kNone));
+
+// The encoder advances one embedding matrix per direction through level
+// gathers. A fixed weighted loss must give every parameter the gradient
+// bytes of the per-node-slice tape, on the test gpNet, a 12 x 5 one and a
+// 20 x 8 one. Starting the chain at pre itself, not at an identity gather
+// of it, fails both kinds here (GiPH-NE on the 12 x 5 gpNet only).
+class TapeGradients : public ::testing::TestWithParam<GnnKind> {};
+
+TEST_P(TapeGradients, MatchPerNodeSliceTapeBitwise) {
+  for (const auto& [tasks, devices] :
+       {std::pair{8, 4}, std::pair{12, 5}, std::pair{20, 8}}) {
+    SCOPED_TRACE(std::to_string(tasks) + " tasks x " + std::to_string(devices) +
+                 " devices");
+    const Instance inst(tasks, devices);
+    GnnConfig cfg;
+    cfg.kind = GetParam();
+    const bool merged = cfg.kind == GnnKind::kGiPHNE;
+    cfg.node_dim = merged ? 8 : 4;
+    cfg.edge_dim = merged ? 0 : 4;
+    std::mt19937_64 rng(5);
+    nn::ParamRegistry reg;
+    const GraphEncoder enc(reg, cfg, rng);
+    const nn::Matrix node_feats =
+        merged ? append_mean_out_edge_features(inst.net, inst.feats) : inst.feats.node;
+    const nn::Matrix edge_feats = merged ? nn::Matrix() : inst.feats.edge;
+
+    nn::Matrix loss_weights(inst.net.num_nodes(), enc.out_dim());
+    std::uniform_real_distribution<double> d(-1.0, 1.0);
+    for (int i = 0; i < loss_weights.rows(); ++i) {
+      for (int j = 0; j < loss_weights.cols(); ++j) loss_weights(i, j) = d(rng);
+    }
+    auto gradients_of = [&](const nn::Var& emb) {
+      reg.zero_grad();
+      nn::backward(nn::sum_all(nn::mul(emb, nn::constant(loss_weights))));
+      std::vector<nn::Matrix> grads;
+      for (const nn::Var& p : reg.params()) grads.push_back(p->grad);
+      return grads;
+    };
+
+    const nn::Var emb = enc.encode(inst.net.view, node_feats, edge_feats);
+    const std::vector<nn::Matrix> got = gradients_of(emb);
+
+    const nn::Var nodes = nn::constant(node_feats);
+    const nn::Var edges = nn::constant(edge_feats);
+    const nn::Var pre = ref_pre(reg, nodes);
+    const std::vector<nn::Var> fwd =
+        ref_level_slices(reg, inst.net.view, pre, edges, !merged, "gnn.fwd", true);
+    const std::vector<nn::Var> bwd =
+        ref_level_slices(reg, inst.net.view, pre, edges, !merged, "gnn.bwd", false);
+    const nn::Var ref = nn::concat_cols({nn::concat_rows(fwd), nn::concat_rows(bwd)});
+    EXPECT_TRUE(nn::bitwise_equal(emb->value, ref->value));
+    const std::vector<nn::Matrix> want = gradients_of(ref);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_GT(got[i].size(), 0u) << reg.names()[i];
+      EXPECT_TRUE(nn::bitwise_equal(got[i], want[i])) << reg.names()[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GiPHKinds, TapeGradients,
+                         ::testing::Values(GnnKind::kGiPH, GnnKind::kGiPHNE));
+
+// A decide's tape grows with the task graph's depth, not with the gpNet:
+// the same task graph on twice the devices (a gpNet about twice the size)
+// builds exactly as many tape nodes.
+TEST(GraphEncoder, TapeSizeDoesNotGrowWithDevices) {
+  std::mt19937_64 rng(77);
+  TaskGraphParams gp;
+  gp.num_tasks = 20;
+  const TaskGraph g = generate_task_graph(gp, rng);
+  std::vector<std::size_t> sizes, gpnet_nodes;
+  for (const int devices : {8, 16}) {
+    NetworkParams np;
+    np.num_devices = devices;
+    DeviceNetwork n = generate_device_network(np, rng);
+    ensure_all_kinds(n, np.num_hw_kinds, rng);
+    PlacementSearchEnv env(g, n, kLat, makespan_objective(kLat),
+                           random_placement(g, n, rng), slr_denominator(g, n, kLat));
+    GiPHAgent agent(GiPHOptions{});
+    agent.begin_episode();
+    std::mt19937_64 act_rng(3);
+    const ActionDecision d = agent.decide(env, act_rng, false);
+    ASSERT_TRUE(d.log_prob);
+    sizes.push_back(nn::graph_size(d.log_prob));
+    gpnet_nodes.push_back(build_gpnet(g, n, env.placement(), env.feasible()).num_nodes());
+  }
+  EXPECT_GT(gpnet_nodes[1], gpnet_nodes[0] + 100);
+  EXPECT_EQ(sizes[0], sizes[1]);
+}
 
 // The forward-only head makes the same choice with the same RNG draws, and
 // its log-probability is the tape's bytes.

@@ -241,8 +241,17 @@ void expect_matches(const GoldenCase& c, const Schedule& got, const char* which)
   EXPECT_EQ(got.makespan, c.expected.makespan) << c.name << " " << which << " makespan";
 }
 
+// The other golden tests run whatever files exist, so this is what notices a
+// deleted case: the file names must number 01, 02, ... with no gap, through
+// at least case 26.
 TEST(GoldenSchedules, CorpusIsNonTrivial) {
-  EXPECT_GE(golden_files().size(), 21u);
+  const std::vector<std::filesystem::path> files = golden_files();
+  EXPECT_GE(files.size(), 26u);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(std::stoi(files[i].filename().string().substr(0, 2)),
+              static_cast<int>(i) + 1)
+        << files[i];
+  }
 }
 
 TEST(GoldenSchedules, SimulatorReproducesEveryCase) {
