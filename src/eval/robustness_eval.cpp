@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -57,146 +58,10 @@ int count_moves(const Placement& before_remapped, const Placement& after) {
   return moves;
 }
 
-/// Steps 2-4 of the protocol, common to every placer: replay the pre-fault
-/// placement under the plan, then fill in the repair fields from the
-/// placer-specific repaired placement.
-void replay_faults(const TaskGraph& g, const DeviceNetwork& n, const LatencyModel& lat,
-                   const FaultPlan& plan, const Placement& pre_fault, RepairOutcome& row) {
-  const FaultSimResult faulted = simulate_with_faults(g, n, pre_fault, lat, plan);
-  row.stranded_tasks = static_cast<int>(faulted.stranded.size());
-  row.faulted_makespan = faulted.completed() ? faulted.schedule.makespan : kInf;
-}
-
-void finish_row(const TaskGraph& g, RepairOutcome& row) {
-  row.degradation_ratio = row.fault_free_makespan > 0.0
-                              ? row.recovery_makespan / row.fault_free_makespan
-                              : kInf;
-  row.repair_fraction =
-      g.num_tasks() > 0 ? static_cast<double>(row.repair_steps) / g.num_tasks() : 0.0;
-}
-
-void mark_unrecoverable(RepairOutcome& row) {
-  row.recoverable = false;
-  row.recovery_makespan = kInf;
-  row.degradation_ratio = kInf;
-  row.tasks_moved = 0;
-  row.repair_steps = 0;
-  row.repair_fraction = 0.0;
-}
-
-}  // namespace
-
-RobustnessReport evaluate_robustness(
-    const TaskGraph& g, const DeviceNetwork& n, const LatencyModel& lat,
-    const FaultPlan& plan,
-    const std::vector<std::pair<std::string, SearchPolicy*>>& placers,
-    const RobustnessOptions& opt) {
-  validate_fault_plan(plan, n);
-  RobustnessReport report;
-  report.faults = plan.events;
-  std::stable_sort(report.faults.begin(), report.faults.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) { return a.time < b.time; });
-
-  const PostFaultNetwork pf = post_fault_network(n, plan);
-  const TaskGraph remapped_g = remap_pinned(g, pf.old_to_new);
-  const bool can_rebase = pins_unchanged(g, pf.old_to_new);
-  bool hosts_graph = pf.network.num_devices() > 0;
-  if (hosts_graph) {
-    try {
-      (void)feasible_sets(remapped_g, pf.network);
-    } catch (const std::runtime_error&) {
-      hosts_graph = false;  // pinned device lost or no surviving host
-    }
-  }
-
-  // One row per non-null placer, computed independently (each with its own
-  // environment and RNG) and collected in placer order, so the report is the
-  // same for every thread count. Policies must be distinct objects - they
-  // carry per-episode search state.
-  std::vector<int> active;
-  for (std::size_t i = 0; i < placers.size(); ++i) {
-    if (placers[i].second != nullptr) active.push_back(static_cast<int>(i));
-  }
-  std::vector<RepairOutcome> rows(active.size());
-  util::parallel_for(static_cast<int>(active.size()), opt.threads, [&](int ri) {
-    const auto& [name, policy] = placers[active[ri]];
-    RepairOutcome row;
-    row.placer = name;
-
-    // 1. Fault-free baseline: every placer starts from the same seeded
-    // initial placement (the paper's comparability protocol).
-    std::mt19937_64 rng(opt.seed);
-    PlacementSearchEnv env(g, n, lat, makespan_objective(lat), random_placement(g, n, rng));
-    run_search(*policy, env, opt.baseline_steps_factor * g.num_tasks(), rng);
-    const Placement pre_fault = env.best_placement();
-    row.fault_free_makespan = env.best_objective();
-
-    // 2. Replay the placement against the fault plan.
-    replay_faults(g, n, lat, plan, pre_fault, row);
-
-    // 3. Incremental repair: patch stranded tasks, resume search warm.
-    if (!hosts_graph) {
-      mark_unrecoverable(row);
-    } else {
-      const Placement damaged = remap_placement(pre_fault, pf.old_to_new);
-      int affected = 0;
-      for (int v = 0; v < damaged.num_tasks(); ++v) {
-        if (damaged.device_of(v) < 0) ++affected;
-      }
-      Placement patched = damaged;
-      if (!patch_damaged(remapped_g, pf.network, lat, patched)) {
-        mark_unrecoverable(row);
-      } else {
-        const int budget =
-            opt.repair_budget > 0 ? opt.repair_budget : std::max(2, 2 * affected);
-        // Resume the same environment from the damaged placement when the
-        // graph is unchanged (the warm start the GiPH story needs); rebuild
-        // only when pinned ids had to be remapped.
-        std::optional<PlacementSearchEnv> repair_env;
-        if (can_rebase) {
-          env.rebase(pf.network, patched);
-        } else {
-          repair_env.emplace(remapped_g, pf.network, lat, makespan_objective(lat),
-                             patched);
-        }
-        PlacementSearchEnv& renv = can_rebase ? env : *repair_env;
-        run_search(*policy, renv, budget, rng);
-        row.recovery_makespan = renv.best_objective();
-        row.tasks_moved = count_moves(damaged, renv.best_placement());
-        row.repair_steps = budget;
-      }
-    }
-    finish_row(g, row);
-    rows[ri] = std::move(row);
-  });
-  for (RepairOutcome& row : rows) report.rows.push_back(std::move(row));
-
-  // HEFT: schedule once fault-free, full reschedule on the damaged network.
-  {
-    RepairOutcome row;
-    row.placer = "HEFT";
-    const Placement pre_fault = heft_schedule(g, n, lat).placement;
-    row.fault_free_makespan = makespan(g, n, pre_fault, lat);
-    replay_faults(g, n, lat, plan, pre_fault, row);
-    if (!hosts_graph) {
-      mark_unrecoverable(row);
-    } else {
-      const Placement repaired = heft_schedule(remapped_g, pf.network, lat).placement;
-      row.recovery_makespan = makespan(remapped_g, pf.network, repaired, lat);
-      row.tasks_moved = count_moves(remap_placement(pre_fault, pf.old_to_new), repaired);
-      row.repair_steps = g.num_tasks();
-    }
-    finish_row(g, row);
-    report.rows.push_back(std::move(row));
-  }
-  return report;
-}
-
-namespace {
-
 /// One churn epoch compacted to its surviving devices: the network the
 /// placers actually see, the universe <-> compact id maps, the pin-remapped
-/// graph, and whether the epoch can host the graph at all.
+/// graph, and whether the epoch can host the graph at all. The only place a
+/// network is compacted.
 struct CompactEpoch {
   DeviceNetwork net;
   std::vector<int> old_to_new;
@@ -206,20 +71,21 @@ struct CompactEpoch {
   bool hosts = false;
 };
 
-CompactEpoch compact_epoch(const TaskGraph& g, const ChurnEpoch& e) {
+CompactEpoch compact_epoch(const TaskGraph& g, const DeviceNetwork& universe,
+                           const std::vector<char>& up) {
   CompactEpoch c;
-  const int m = e.network.num_devices();
+  const int m = universe.num_devices();
   c.old_to_new.assign(m, -1);
   for (int k = 0; k < m; ++k) {
-    if (!e.up[k]) continue;
-    c.old_to_new[k] = c.net.add_device(e.network.device(k));
+    if (!up[k]) continue;
+    c.old_to_new[k] = c.net.add_device(universe.device(k));
     c.new_to_old.push_back(k);
   }
   for (int a = 0; a < static_cast<int>(c.new_to_old.size()); ++a) {
     for (int b = 0; b < static_cast<int>(c.new_to_old.size()); ++b) {
       if (a == b) continue;
-      c.net.set_link(a, b, e.network.bandwidth(c.new_to_old[a], c.new_to_old[b]),
-                     e.network.delay(c.new_to_old[a], c.new_to_old[b]));
+      c.net.set_link(a, b, universe.bandwidth(c.new_to_old[a], c.new_to_old[b]),
+                     universe.delay(c.new_to_old[a], c.new_to_old[b]));
     }
   }
   c.remapped_g = remap_pinned(g, c.old_to_new);
@@ -272,7 +138,206 @@ Placement inherit(const Placement& universe_p, const CompactEpoch& c, ChurnCell&
   return p;
 }
 
+/// A placement on an epoch's compact ids, in universe ids.
+Placement to_universe(const Placement& p, const CompactEpoch& c) {
+  Placement out(p.num_tasks());
+  for (int v = 0; v < p.num_tasks(); ++v) out.set(v, c.new_to_old[p.device_of(v)]);
+  return out;
+}
+
+/// A HEFT reference row. "HEFT" reschedules all |V| tasks every epoch - what
+/// adapting by brute force costs. "static" (`frozen`) keeps the first
+/// hostable epoch's schedule forever - what not adapting costs.
+ChurnRow heft_row(const char* name, bool frozen, const TaskGraph& g,
+                  const std::vector<CompactEpoch>& eps, const LatencyModel& lat) {
+  ChurnRow row;
+  row.placer = name;
+  row.cells.resize(eps.size());
+  const Placement* held = nullptr;  // the latest cell's placement
+  for (std::size_t t = 0; t < eps.size(); ++t) {
+    const CompactEpoch& c = eps[t];
+    ChurnCell& cell = row.cells[t];
+    if (!c.hosts) {
+      mark_unrecoverable(cell);
+      continue;
+    }
+    if (frozen && held != nullptr) {
+      const Placement p = inherit(*held, c, cell);
+      cell.makespan_before = cell.makespan_after =
+          cell.stranded == 0 ? makespan(c.remapped_g, c.net, p, lat) : kInf;
+      cell.placement = *held;
+      continue;
+    }
+    const Placement p = heft_schedule(c.remapped_g, c.net, lat).placement;
+    cell.makespan_after = makespan(c.remapped_g, c.net, p, lat);
+    cell.repair_steps = g.num_tasks();
+    if (held == nullptr) {
+      // Epoch 0 starts from this schedule, and so does the static row at any
+      // epoch; HEFT's later first epoch inherits nothing.
+      cell.makespan_before = t == 0 || frozen ? cell.makespan_after : kInf;
+    } else {
+      const Placement damaged = inherit(*held, c, cell);
+      cell.makespan_before =
+          cell.stranded == 0 ? makespan(c.remapped_g, c.net, damaged, lat) : kInf;
+      cell.moved = count_moves(damaged, p);
+    }
+    cell.placement = to_universe(p, c);
+    held = &cell.placement;
+  }
+  summarize_row(row);
+  return row;
+}
+
+/// The churn protocol's settings, every budget resolved by the entry point.
+struct CoreOptions {
+  std::uint64_t seed = 1;
+  int baseline_budget = 0;  ///< search steps of the first placement
+  int repair_budget = 0;    ///< epochs with stranded tasks; 0 = max(2, 2 * stranded)
+  int drift_budget = 0;     ///< epochs with nothing stranded
+  int threads = 1;
+  bool static_row = true;   ///< append the frozen epoch-0 HEFT row
+};
+
+/// The churn protocol over compacted epochs: one row per non-null placer,
+/// then the "static" row (when asked for) and "HEFT". It validates nothing,
+/// so an epoch may have no device up; it is then unrecoverable.
+std::vector<ChurnRow> run_churn(
+    const TaskGraph& g, const std::vector<CompactEpoch>& eps, const LatencyModel& lat,
+    const std::vector<std::pair<std::string, SearchPolicy*>>& placers,
+    const CoreOptions& opt) {
+  const int T = static_cast<int>(eps.size());
+  bool all_rebase = true;
+  for (const CompactEpoch& c : eps) all_rebase = all_rebase && c.can_rebase;
+
+  // Search-policy rows, computed independently (own policy object, RNG, and
+  // environment chain) and collected in placer order: the rows are the same
+  // for every thread count. Policies must be distinct objects - they carry
+  // per-episode search state.
+  std::vector<int> active;
+  for (std::size_t i = 0; i < placers.size(); ++i) {
+    if (placers[i].second != nullptr) active.push_back(static_cast<int>(i));
+  }
+  std::vector<ChurnRow> rows(active.size());
+  util::parallel_for(static_cast<int>(active.size()), opt.threads, [&](int ri) {
+    const auto& [name, policy] = placers[active[ri]];
+    ChurnRow row;
+    row.placer = name;
+    row.cells.resize(T);
+    std::mt19937_64 rng(opt.seed);
+    const Placement* held = nullptr;  // the latest cell's placement
+    std::optional<PlacementSearchEnv> env;
+
+    for (int t = 0; t < T; ++t) {
+      const CompactEpoch& c = eps[t];
+      ChurnCell& cell = row.cells[t];
+      if (!c.hosts) {
+        mark_unrecoverable(cell);
+        continue;  // carry the previous placement into the next epoch
+      }
+      const TaskGraph& eg = all_rebase ? g : c.remapped_g;
+      if (held == nullptr) {
+        // First hostable epoch (normally epoch 0): seeded fresh placement
+        // plus the baseline budget.
+        const Placement initial = random_placement(eg, c.net, rng);
+        cell.makespan_before = t == 0 ? makespan(eg, c.net, initial, lat) : kInf;
+        env.emplace(eg, c.net, lat, makespan_objective(lat), initial);
+        run_search(*policy, *env, opt.baseline_budget, rng);
+        cell.repair_steps = opt.baseline_budget;
+      } else {
+        const Placement damaged = inherit(*held, c, cell);
+        cell.makespan_before =
+            cell.stranded == 0 ? makespan(eg, c.net, damaged, lat) : kInf;
+        Placement patched = damaged;
+        if (!patch_damaged(eg, c.net, lat, patched)) {
+          mark_unrecoverable(cell);
+          continue;
+        }
+        const int budget =
+            cell.stranded > 0
+                ? (opt.repair_budget > 0 ? opt.repair_budget
+                                         : std::max(2, 2 * cell.stranded))
+                : opt.drift_budget;
+        // Resume the same environment from the patched placement when no pin
+        // ever changes id (the warm start the GiPH story needs); rebuild
+        // otherwise.
+        if (all_rebase) {
+          env->rebase(c.net, patched);
+        } else {
+          env.emplace(eg, c.net, lat, makespan_objective(lat), patched);
+        }
+        run_search(*policy, *env, budget, rng);
+        cell.repair_steps = budget;
+        cell.moved = count_moves(damaged, env->best_placement());
+      }
+      cell.makespan_after = env->best_objective();
+      cell.placement = to_universe(env->best_placement(), c);
+      held = &cell.placement;
+    }
+    summarize_row(row);
+    rows[ri] = std::move(row);
+  });
+
+  if (opt.static_row) rows.push_back(heft_row("static", true, g, eps, lat));
+  rows.push_back(heft_row("HEFT", false, g, eps, lat));
+  return rows;
+}
+
 }  // namespace
+
+RobustnessReport evaluate_robustness(
+    const TaskGraph& g, const DeviceNetwork& n, const LatencyModel& lat,
+    const FaultPlan& plan,
+    const std::vector<std::pair<std::string, SearchPolicy*>>& placers,
+    const RobustnessOptions& opt) {
+  // The plan as a two-epoch churn script over a universe that also holds the
+  // joined devices: epoch 0 is the base network with those devices down,
+  // epoch 1 the network after every event.
+  const PostFaultNetwork after = post_fault_network(n, plan);  // validates the plan
+  FaultPlan joins;
+  std::copy_if(plan.events.begin(), plan.events.end(), std::back_inserter(joins.events),
+               [](const FaultEvent& e) { return e.kind == FaultKind::kDeviceJoin; });
+  PostFaultNetwork before = post_fault_network(n, joins);
+  std::fill(before.up.begin() + n.num_devices(), before.up.end(), char(0));
+  const std::vector<CompactEpoch> eps{compact_epoch(g, before.network, before.up),
+                                      compact_epoch(g, after.network, after.up)};
+  // Epoch 0 is n itself: when n cannot host g, throw naming the task.
+  if (!eps[0].hosts) (void)feasible_sets(g, n);
+
+  const int nv = g.num_tasks();
+  CoreOptions core;
+  core.seed = opt.seed;
+  core.baseline_budget = opt.baseline_steps_factor * nv;
+  core.repair_budget = opt.repair_budget;
+  core.drift_budget = opt.repair_budget > 0 ? opt.repair_budget : 2;  // max(2, 2 * 0)
+  core.threads = opt.threads;
+  core.static_row = false;
+
+  RobustnessReport report;
+  report.faults = plan.events;
+  std::stable_sort(report.faults.begin(), report.faults.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) { return a.time < b.time; });
+  for (const ChurnRow& churned : run_churn(g, eps, lat, placers, core)) {
+    const ChurnCell& pre = churned.cells[0];
+    const ChurnCell& post = churned.cells[1];
+    RepairOutcome row;
+    row.placer = churned.placer;
+    row.recoverable = post.recoverable;
+    row.fault_free_makespan = pre.makespan_after;
+    // Base device ids are universe ids, so the epoch-0 placement replays on n.
+    const FaultSimResult faulted = simulate_with_faults(g, n, pre.placement, lat, plan);
+    row.faulted_makespan = faulted.completed() ? faulted.schedule.makespan : kInf;
+    row.stranded_tasks = static_cast<int>(faulted.stranded.size());
+    row.recovery_makespan = post.makespan_after;
+    row.degradation_ratio = row.fault_free_makespan > 0.0
+                                ? row.recovery_makespan / row.fault_free_makespan
+                                : kInf;
+    row.tasks_moved = post.moved;
+    row.repair_steps = post.repair_steps;
+    row.repair_fraction = nv > 0 ? static_cast<double>(row.repair_steps) / nv : 0.0;
+    report.rows.push_back(std::move(row));
+  }
+  return report;
+}
 
 void validate_churn_script(const ChurnScript& script) {
   if (script.epochs.empty()) {
@@ -312,159 +377,24 @@ ChurnReport evaluate_churn(
     const std::vector<std::pair<std::string, SearchPolicy*>>& placers,
     const ChurnOptions& opt) {
   validate_churn_script(script);
-  const int nv = g.num_tasks();
-  const int T = static_cast<int>(script.epochs.size());
-  ChurnReport report;
-  report.num_epochs = T;
-
   // Compact every epoch once, up front; the epochs outlive every environment
   // rebased onto them (rebase() keeps a pointer to the network).
   std::vector<CompactEpoch> eps;
   eps.reserve(script.epochs.size());
-  for (const ChurnEpoch& e : script.epochs) eps.push_back(compact_epoch(g, e));
-  bool all_rebase = true;
-  for (const CompactEpoch& c : eps) all_rebase = all_rebase && c.can_rebase;
-
-  const int baseline_budget = std::max(2, opt.baseline_steps_factor * nv);
-  const int drift_budget = opt.drift_budget > 0 ? opt.drift_budget : std::max(2, nv / 2);
-
-  // Search-policy rows, computed independently (own policy object, RNG, and
-  // environment chain) and collected in placer order: the report is the same
-  // for every thread count.
-  std::vector<int> active;
-  for (std::size_t i = 0; i < placers.size(); ++i) {
-    if (placers[i].second != nullptr) active.push_back(static_cast<int>(i));
+  for (const ChurnEpoch& e : script.epochs) {
+    eps.push_back(compact_epoch(g, e.network, e.up));
   }
-  std::vector<ChurnRow> rows(active.size());
-  util::parallel_for(static_cast<int>(active.size()), opt.threads, [&](int ri) {
-    const auto& [name, policy] = placers[active[ri]];
-    ChurnRow row;
-    row.placer = name;
-    row.cells.resize(T);
-    std::mt19937_64 rng(opt.seed);
-    Placement universe_p(nv);  // all -1 until first placement
-    bool placed = false;
-    std::optional<PlacementSearchEnv> env;
 
-    for (int t = 0; t < T; ++t) {
-      const CompactEpoch& c = eps[t];
-      ChurnCell& cell = row.cells[t];
-      if (!c.hosts) {
-        mark_unrecoverable(cell);
-        continue;  // carry the previous placement into the next epoch
-      }
-      const TaskGraph& eg = all_rebase ? g : c.remapped_g;
-      if (!placed) {
-        // First hostable epoch (normally epoch 0): seeded fresh placement
-        // plus the fault-free baseline budget.
-        const Placement initial = random_placement(eg, c.net, rng);
-        cell.makespan_before = t == 0 ? makespan(eg, c.net, initial, lat) : kInf;
-        env.emplace(eg, c.net, lat, makespan_objective(lat), initial);
-        run_search(*policy, *env, baseline_budget, rng);
-        cell.repair_steps = baseline_budget;
-        placed = true;
-      } else {
-        const Placement damaged = inherit(universe_p, c, cell);
-        cell.makespan_before =
-            cell.stranded == 0 ? makespan(eg, c.net, damaged, lat) : kInf;
-        Placement patched = damaged;
-        if (!patch_damaged(eg, c.net, lat, patched)) {
-          mark_unrecoverable(cell);
-          continue;
-        }
-        const int budget =
-            cell.stranded > 0
-                ? (opt.repair_budget > 0 ? opt.repair_budget
-                                         : std::max(2, 2 * cell.stranded))
-                : drift_budget;
-        if (all_rebase) {
-          env->rebase(c.net, patched);
-        } else {
-          env.emplace(eg, c.net, lat, makespan_objective(lat), patched);
-        }
-        run_search(*policy, *env, budget, rng);
-        cell.repair_steps = budget;
-        cell.moved = count_moves(damaged, env->best_placement());
-      }
-      cell.makespan_after = env->best_objective();
-      const Placement best = env->best_placement();
-      universe_p = Placement(nv);
-      for (int v = 0; v < nv; ++v) universe_p.set(v, c.new_to_old[best.device_of(v)]);
-    }
-    summarize_row(row);
-    rows[ri] = std::move(row);
-  });
-  for (ChurnRow& row : rows) report.rows.push_back(std::move(row));
-
-  // "static": the epoch-0 HEFT placement frozen forever - what not adapting
-  // costs. "HEFT": a full reschedule every epoch - what adapting by brute
-  // force costs.
-  Placement static_universe(nv);
-  bool static_placed = false;
-  {
-    ChurnRow row;
-    row.placer = "static";
-    row.cells.resize(T);
-    for (int t = 0; t < T; ++t) {
-      const CompactEpoch& c = eps[t];
-      ChurnCell& cell = row.cells[t];
-      if (!c.hosts) {
-        mark_unrecoverable(cell);
-        continue;
-      }
-      if (!static_placed) {
-        const Placement p = heft_schedule(c.remapped_g, c.net, lat).placement;
-        cell.makespan_before = cell.makespan_after = makespan(c.remapped_g, c.net, p, lat);
-        cell.repair_steps = nv;
-        static_universe = Placement(nv);
-        for (int v = 0; v < nv; ++v) {
-          static_universe.set(v, c.new_to_old[p.device_of(v)]);
-        }
-        static_placed = true;
-        continue;
-      }
-      const Placement frozen = inherit(static_universe, c, cell);
-      cell.makespan_before = cell.makespan_after =
-          cell.stranded == 0 ? makespan(c.remapped_g, c.net, frozen, lat) : kInf;
-    }
-    summarize_row(row);
-    report.rows.push_back(std::move(row));
-  }
-  {
-    ChurnRow row;
-    row.placer = "HEFT";
-    row.cells.resize(T);
-    Placement universe_p(nv);
-    bool placed = false;
-    for (int t = 0; t < T; ++t) {
-      const CompactEpoch& c = eps[t];
-      ChurnCell& cell = row.cells[t];
-      if (!c.hosts) {
-        mark_unrecoverable(cell);
-        continue;
-      }
-      Placement damaged(nv);
-      if (placed) {
-        damaged = inherit(universe_p, c, cell);
-        cell.makespan_before =
-            cell.stranded == 0 ? makespan(c.remapped_g, c.net, damaged, lat) : kInf;
-      } else {
-        cell.makespan_before = kInf;
-      }
-      const Placement p = heft_schedule(c.remapped_g, c.net, lat).placement;
-      cell.makespan_after = makespan(c.remapped_g, c.net, p, lat);
-      cell.repair_steps = nv;
-      if (placed) cell.moved = count_moves(damaged, p);
-      universe_p = Placement(nv);
-      for (int v = 0; v < nv; ++v) universe_p.set(v, c.new_to_old[p.device_of(v)]);
-      placed = true;
-    }
-    if (placed && T > 0 && eps[0].hosts) {
-      row.cells[0].makespan_before = row.cells[0].makespan_after;
-    }
-    summarize_row(row);
-    report.rows.push_back(std::move(row));
-  }
+  const int nv = g.num_tasks();
+  CoreOptions core;
+  core.seed = opt.seed;
+  core.baseline_budget = std::max(2, opt.baseline_steps_factor * nv);
+  core.repair_budget = opt.repair_budget;
+  core.drift_budget = opt.drift_budget > 0 ? opt.drift_budget : std::max(2, nv / 2);
+  core.threads = opt.threads;
+  ChurnReport report;
+  report.num_epochs = static_cast<int>(eps.size());
+  report.rows = run_churn(g, eps, lat, placers, core);
   return report;
 }
 

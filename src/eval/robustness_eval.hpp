@@ -56,21 +56,26 @@ struct RobustnessReport {
   std::vector<RepairOutcome> rows;
 };
 
-/// The fault-recovery protocol, measuring the paper's adaptivity claim:
-/// 1. each placer produces a fault-free placement of (g, n) - search policies
-///    run baseline_steps_factor * |V| seeded search steps, HEFT schedules
-///    once - and its fault-free makespan is recorded;
-/// 2. the placement is replayed under `plan` with simulate_with_faults(),
+/// The fault-recovery protocol, measuring the paper's adaptivity claim. The
+/// plan runs as a two-epoch churn script (evaluate_churn's protocol, minus
+/// its "static" row) over a universe that also holds the plan's joined
+/// devices: epoch 0 is `n` with those devices down, epoch 1 the network after
+/// every event (post_fault_network()).
+/// 1. each placer produces a fault-free placement on epoch 0 - search
+///    policies run baseline_steps_factor * |V| seeded search steps, HEFT
+///    schedules once - and its fault-free makespan is recorded;
+/// 2. that placement is replayed under `plan` with simulate_with_faults(),
 ///    yielding the degraded makespan or the stranded-task count;
-/// 3. the network is rolled past all faults (post_fault_network()); each
-///    search policy repairs incrementally: stranded tasks are patched onto
-///    their fastest feasible surviving device and the policy resumes search
-///    from that damaged placement (PlacementSearchEnv::rebase) for a small
-///    budget, while HEFT reschedules from scratch;
+/// 3. on epoch 1 each search policy repairs incrementally: stranded tasks
+///    are patched onto their fastest feasible surviving device and the
+///    policy resumes search from that damaged placement
+///    (PlacementSearchEnv::rebase) for a small budget, while HEFT
+///    reschedules from scratch;
 /// 4. recovery makespan, degradation ratio, and repair cost are reported.
 ///
 /// `placers` maps display names to search policies (nullptr entries are
-/// skipped); a "HEFT" row is always appended.
+/// skipped); a "HEFT" row is always appended. A plan may take every device
+/// down: each row is then unrecoverable.
 RobustnessReport evaluate_robustness(
     const TaskGraph& g, const DeviceNetwork& n, const LatencyModel& lat,
     const FaultPlan& plan,
@@ -137,6 +142,9 @@ struct ChurnCell {
   /// False when the epoch's surviving devices cannot host the graph; the
   /// placer carries its previous placement into the next epoch.
   bool recoverable = true;
+  /// The placement held after this epoch, in universe device ids (empty when
+  /// the epoch is unrecoverable).
+  Placement placement;
 };
 
 struct ChurnRow {

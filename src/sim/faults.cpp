@@ -467,8 +467,8 @@ FaultSimResult simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
 
 PostFaultNetwork post_fault_network(const DeviceNetwork& base, const FaultPlan& plan) {
   validate_fault_plan(plan, base);
-  DeviceNetwork work = base;
-  std::vector<char> down(base.num_devices(), 0);
+  PostFaultNetwork out{base, std::vector<char>(base.num_devices(), 1)};
+  DeviceNetwork& work = out.network;
 
   std::vector<const FaultEvent*> by_time;
   by_time.reserve(plan.events.size());
@@ -481,7 +481,7 @@ PostFaultNetwork post_fault_network(const DeviceNetwork& base, const FaultPlan& 
     switch (e.kind) {
       case FaultKind::kDeviceCrash:
       case FaultKind::kDeviceLeave:
-        down[e.device] = 1;
+        out.up[e.device] = 0;
         break;
       case FaultKind::kSlowdown:
         // A permanent straggler is a proportionally slower device.
@@ -496,29 +496,12 @@ PostFaultNetwork post_fault_network(const DeviceNetwork& base, const FaultPlan& 
         break;
       case FaultKind::kDeviceJoin: {
         const int j = work.add_device(e.joined);
-        down.push_back(0);
+        out.up.push_back(1);
         for (int k = 0; k < j; ++k) {
           work.set_symmetric_link(k, j, e.join_bandwidth, e.join_delay);
         }
         break;
       }
-    }
-  }
-
-  PostFaultNetwork out;
-  out.old_to_new.assign(down.size(), -1);
-  for (std::size_t k = 0; k < down.size(); ++k) {
-    if (down[k]) continue;
-    out.old_to_new[k] = out.network.add_device(work.device(static_cast<int>(k)));
-    out.new_to_old.push_back(static_cast<int>(k));
-  }
-  for (std::size_t k = 0; k < down.size(); ++k) {
-    if (down[k]) continue;
-    for (std::size_t l = 0; l < down.size(); ++l) {
-      if (down[l] || k == l) continue;
-      out.network.set_link(out.old_to_new[k], out.old_to_new[l],
-                           work.bandwidth(static_cast<int>(k), static_cast<int>(l)),
-                           work.delay(static_cast<int>(k), static_cast<int>(l)));
     }
   }
   return out;

@@ -73,8 +73,8 @@ struct FaultPlan {
 /// pre-sorted - every consumer sorts stably by time). Throws
 /// std::invalid_argument naming the offending event (its describe() rendering
 /// and position in the plan), the bad field, and the accepted range. Called
-/// by simulate_with_faults, post_fault_network, the robustness harness, and
-/// generate_fault_plan itself.
+/// by simulate_with_faults, post_fault_network (and so the robustness
+/// harness), and generate_fault_plan itself.
 void validate_fault_plan(const FaultPlan& plan, const DeviceNetwork& n);
 
 /// Parameters of the seeded random fault-plan generator. Event times are
@@ -139,20 +139,19 @@ FaultSimResult simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
                                     const Placement& p, const LatencyModel& lat,
                                     const FaultPlan& plan, const SimOptions& opt = {});
 
-/// The device network as it stands after every event of `plan` has fired:
-/// joins added, slowdowns/degrades with until == infinity applied, crashed or
-/// departed devices removed. `old_to_new[k]` maps pre-fault device ids
-/// (including joined ones, appended after the base ids) to post-fault ids, or
-/// -1 for removed devices.
+/// The device network as it stands after every event of `plan` has fired,
+/// over the plan's device universe: the base devices, then the joined ones in
+/// join order. Joins add their device and links, and slowdowns and degrades
+/// with until == infinity are applied. Crashed and departed devices stay in
+/// `network` with `up[k] == 0` (eval's churn harness compacts them away).
 struct PostFaultNetwork {
   DeviceNetwork network;
-  std::vector<int> old_to_new;
-  std::vector<int> new_to_old;
+  std::vector<char> up;
 };
 PostFaultNetwork post_fault_network(const DeviceNetwork& base, const FaultPlan& plan);
 
-/// Maps a placement through old_to_new; tasks on removed devices become
-/// unplaced (-1).
+/// Maps a placement through old_to_new (-1 for a removed device); tasks on
+/// removed devices become unplaced (-1).
 Placement remap_placement(const Placement& p, const std::vector<int>& old_to_new);
 
 /// Copy of `g` with pinned-device ids mapped through old_to_new. A task

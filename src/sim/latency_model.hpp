@@ -1,8 +1,5 @@
 #pragma once
 
-#include <map>
-#include <utility>
-
 #include "graph/device_network.hpp"
 #include "graph/task_graph.hpp"
 
@@ -16,10 +13,9 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
 
-  /// Modification stamp (see graph/stamp.hpp): fresh at construction, bumped
-  /// by derived classes whenever their parameters change
-  /// (LossAwareLatencyModel::set_drop), never repeated process-wide. Lets
-  /// sweep caches key on "same model, same parameters" exactly.
+  /// Modification stamp (see graph/stamp.hpp): fresh at construction, never
+  /// repeated process-wide. Models keep their parameters for life, so sweep
+  /// caches can key on "same model, same parameters" exactly.
   std::uint64_t stamp() const noexcept { return stamp_; }
 
   /// Expected execution time w_{v,k} of task v on device k.
@@ -61,9 +57,6 @@ class LatencyModel {
     const int nd = n.num_devices();
     for (int k = 0; k < nd; ++k) out[k] = compute_time(g, n, v, k);
   }
-
- protected:
-  void bump_stamp() noexcept { stamp_ = detail::next_structure_stamp(); }
 
  private:
   std::uint64_t stamp_ = detail::next_structure_stamp();
@@ -110,87 +103,6 @@ class DefaultLatencyModel final : public LatencyModel {
       out[k] = compute / n.device(k).speed + n.device(k).startup;
     }
   }
-};
-
-/// Latency model backed by a measured (task kind, device type) -> time table,
-/// as one would obtain from profiling (e.g. the paper's Table 1). Task kind is
-/// read from Task::requires_hw-independent metadata: the table is keyed by the
-/// task's integer `kind` supplied at construction via a per-task kind vector.
-class TableLatencyModel final : public LatencyModel {
- public:
-  /// `task_kind[v]` gives the profile row for task v; `table[{kind, type}]`
-  /// gives the measured mean execution time.
-  TableLatencyModel(std::vector<int> task_kind, std::map<std::pair<int, int>, double> table)
-      : task_kind_(std::move(task_kind)), table_(std::move(table)) {}
-
-  double compute_time(const TaskGraph&, const DeviceNetwork& n, int v,
-                      int k) const override {
-    return table_.at({task_kind_.at(v), n.device(k).type});
-  }
-
-  double comm_time(const TaskGraph& g, const DeviceNetwork& n, int e, int k,
-                   int l) const override {
-    if (k == l) return 0.0;
-    return n.delay(k, l) + g.edge(e).bytes / n.bandwidth(k, l);
-  }
-
- private:
-  std::vector<int> task_kind_;
-  std::map<std::pair<int, int>, double> table_;
-};
-
-/// Decorator inflating a base model's comm time by the expected retransmit
-/// count of a lossy link (the paper's §3 "very high communication losses"
-/// scenario). With static per-link drop probability p, each wire transmission
-/// succeeds independently with probability 1 - p, so the expected number of
-/// transmissions is the geometric mean 1 / (1 - p); only the wire
-/// (bandwidth-proportional) portion of Eq. 3 is retransmitted - the startup
-/// delay is paid once:
-///
-///   c_loss = DL_kl + (B_e / BW_kl) / (1 - p_kl)
-///
-/// Links with p <= 0 return the base model's comm_time value *unchanged*
-/// (same expression, bitwise), so an all-zero drop table reduces exactly to
-/// the base model. The base model must outlive this decorator.
-///
-/// For time-varying loss use NetworkTrace::drop_prob instead, which applies
-/// the same 1/(1-p) wire inflation piecewise inside the event core.
-class LossAwareLatencyModel final : public LatencyModel {
- public:
-  LossAwareLatencyModel(const LatencyModel& base, int num_devices)
-      : base_(&base), m_(num_devices),
-        drop_(static_cast<std::size_t>(num_devices) * num_devices, 0.0) {}
-
-  /// Sets the drop probability of directed link k -> l. Throws
-  /// std::invalid_argument unless 0 <= p < 1 and k != l are in range.
-  void set_drop(int k, int l, double p);
-
-  double drop(int k, int l) const { return drop_[static_cast<std::size_t>(k) * m_ + l]; }
-
-  double compute_time(const TaskGraph& g, const DeviceNetwork& n, int v,
-                      int k) const override {
-    return base_->compute_time(g, n, v, k);
-  }
-
-  double comm_time(const TaskGraph& g, const DeviceNetwork& n, int e, int k,
-                   int l) const override {
-    const double c = base_->comm_time(g, n, e, k, l);
-    if (k == l) return c;
-    const double p = drop(k, l);
-    if (p <= 0.0) return c;
-    const double s = base_->comm_startup(g, n, e, k, l);
-    return s + (c - s) / (1.0 - p);
-  }
-
-  double comm_startup(const TaskGraph& g, const DeviceNetwork& n, int e, int k,
-                      int l) const override {
-    return base_->comm_startup(g, n, e, k, l);
-  }
-
- private:
-  const LatencyModel* base_;
-  int m_;
-  std::vector<double> drop_;
 };
 
 }  // namespace giph

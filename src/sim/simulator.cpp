@@ -110,10 +110,11 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
     record->edge_event_seq.assign(ne, -1);
   }
 
-  // Dynamic-network state. Breakpoints are pushed before any sim event so
-  // they consume seq 0..B-1: a breakpoint takes effect *before* same-time sim
-  // events (a transfer dispatched at the breakpoint instant already sees the
-  // new conditions; one arriving at that instant is still in flight).
+  // Dynamic-network state. Every segment is a breakpoint, pushed before any
+  // sim event so they consume seq 0..B-1: a breakpoint takes effect *before*
+  // same-time sim events (a transfer dispatched at the breakpoint instant
+  // already sees the new conditions; one arriving at that instant is still
+  // in flight). A segment at t = 0 therefore sets its link's starting state.
   std::vector<std::pair<int, int>> breakpoints;  // (trace link, segment)
   if (shared != nullptr) ws.link_free.assign(shared->num_links, 0.0);
 
@@ -133,15 +134,9 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
       if (ls.segments.empty()) continue;  // no conditions: stays a plain link
       ws.trace_link[static_cast<std::size_t>(ls.src) * nd + ls.dst] = li;
       for (int si = 0; si < static_cast<int>(ls.segments.size()); ++si) {
-        if (ls.segments[si].time <= 0.0) {
-          // Active from the start: seed the state, no event needed.
-          ws.trace_cur[li] = ls.segments[si];
-          ws.trace_factor[li] = wire_factor(ls.segments[si]);
-        } else {
-          eng.push_event(ls.segments[si].time, detail::kBreakpoint,
-                         static_cast<int>(breakpoints.size()));
-          breakpoints.emplace_back(li, si);
-        }
+        eng.push_event(ls.segments[si].time, detail::kBreakpoint,
+                       static_cast<int>(breakpoints.size()));
+        breakpoints.emplace_back(li, si);
       }
     }
   }

@@ -230,6 +230,8 @@ FaultSimResult oracle_replay(const TaskGraph& g, const DeviceNetwork& n,
   // Per traced link: the segment currently in force (identity before the
   // first segment) and its wire-time factor. Breakpoint entries are created
   // before anything else, so a breakpoint sorts before same-time sim events.
+  // A segment at t = 0 seeds its link's starting state instead, where the
+  // simulator pushes a breakpoint: the two mechanisms must agree.
   const int ntl = trace != nullptr ? static_cast<int>(trace->links.size()) : 0;
   std::vector<TraceSegment> link_state(ntl);
   std::vector<double> link_factor(ntl, 1.0);

@@ -1,9 +1,10 @@
 // Property test for simulate_delta(): across random cases and random
 // single-task move sequences, the incremental path must stay bitwise
 // identical to a fresh full simulation after every move, on multi-core
-// devices and under a loss-aware latency model too, and across the fallback
-// boundary cases (invalid state, entry-task moves, tiny prefixes). It also
-// pins the counter accounting simulate_delta shares with the full path.
+// devices and under a latency model with per-link loss too, and across the
+// fallback boundary cases (invalid state, entry-task moves, tiny prefixes).
+// It also pins the counter accounting simulate_delta shares with the full
+// path.
 
 #include <gtest/gtest.h>
 
@@ -130,15 +131,39 @@ TEST(DeltaSimProperty, MultiCoreDevices) {
   EXPECT_GT(replayed, 0);
 }
 
+/// A non-default model: the default one with a static drop probability on
+/// three directed links, whose wire time pays the expected retransmits
+/// 1 / (1 - p). The comm time of a link then differs from its reverse.
+class LossyLinksModel final : public LatencyModel {
+ public:
+  double compute_time(const TaskGraph& g, const DeviceNetwork& n, int v,
+                      int k) const override {
+    return base_.compute_time(g, n, v, k);
+  }
+  double comm_time(const TaskGraph& g, const DeviceNetwork& n, int e, int k,
+                   int l) const override {
+    const double c = base_.comm_time(g, n, e, k, l);
+    const double p = drop(k, l);
+    if (p == 0.0) return c;
+    const double s = base_.comm_startup(g, n, e, k, l);
+    return s + (c - s) / (1.0 - p);
+  }
+
+ private:
+  static double drop(int k, int l) {
+    if (k == 0 && l == 1) return 0.3;
+    if (k == 1 && l == 0) return 0.1;
+    return k == 2 && l == 4 ? 0.5 : 0.0;
+  }
+
+  DefaultLatencyModel base_;
+};
+
 TEST(DeltaSimProperty, LossAwareLatency) {
-  DefaultLatencyModel base;
+  const LossyLinksModel lat;
   int replayed = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     testutil::RandomCase c = testutil::random_case(seed * 701, 24, 5);
-    LossAwareLatencyModel lat(base, c.network.num_devices());
-    lat.set_drop(0, 1, 0.3);
-    lat.set_drop(1, 0, 0.1);
-    lat.set_drop(2, 4, 0.5);
     replayed += run_move_sequence(c.graph, c.network, c.placement, lat, 30, seed)
                     .replayed;
   }

@@ -1,6 +1,6 @@
-// Dynamic network conditions: trace breakpoints, the loss-aware latency
-// model, shared-link contention, their inactive-config bitwise reductions,
-// validation errors, and the continuous-churn harness.
+// Dynamic network conditions: trace breakpoints, shared-link contention,
+// their inactive-config bitwise reductions, validation errors, and the
+// continuous-churn harness.
 
 #include <gtest/gtest.h>
 
@@ -156,41 +156,6 @@ TEST(NetworkTrace, OracleMatchesSimulatorUnderTrace) {
   const InvariantReport r =
       check_schedule(chain3(), two_devices(), alternating3(), kLat, sim, check);
   EXPECT_TRUE(r.ok()) << r.summary();
-}
-
-// ---------------------------------------------------------------------------
-// Loss-aware latency model
-
-TEST(LossAware, InflatesOnlyWireTime) {
-  DeviceNetwork n = two_devices();
-  LossAwareLatencyModel loss(kLat, n.num_devices());
-  loss.set_drop(0, 1, 0.5);
-  const TaskGraph g = chain3();
-  // Base comm of edge 0 is 1 + 8/2 = 5 with startup 1; the lossy time is
-  // 1 + 4/(1-0.5) = 9.
-  EXPECT_DOUBLE_EQ(loss.comm_time(g, n, 0, 0, 1), 9.0);
-  // The reverse direction and local transfers are untouched.
-  EXPECT_DOUBLE_EQ(loss.comm_time(g, n, 0, 1, 0), kLat.comm_time(g, n, 0, 1, 0));
-  EXPECT_DOUBLE_EQ(loss.comm_time(g, n, 0, 0, 0), kLat.comm_time(g, n, 0, 0, 0));
-  // Compute times pass through.
-  EXPECT_DOUBLE_EQ(loss.compute_time(g, n, 1, 1), kLat.compute_time(g, n, 1, 1));
-}
-
-TEST(LossAware, ZeroDropReducesBitwise) {
-  const auto c = random_case(43);
-  const LossAwareLatencyModel zero(kLat, c.network.num_devices());
-  expect_schedules_bitwise_equal(simulate(c.graph, c.network, c.placement, kLat),
-                                 simulate(c.graph, c.network, c.placement, zero));
-}
-
-TEST(LossAware, SetDropValidates) {
-  LossAwareLatencyModel loss(kLat, 2);
-  EXPECT_THROW(loss.set_drop(0, 0, 0.5), std::invalid_argument);
-  EXPECT_THROW(loss.set_drop(0, 5, 0.5), std::invalid_argument);
-  EXPECT_THROW(loss.set_drop(0, 1, 1.0), std::invalid_argument);
-  EXPECT_THROW(loss.set_drop(0, 1, -0.1), std::invalid_argument);
-  loss.set_drop(0, 1, 0.0);
-  loss.set_drop(0, 1, 0.999);
 }
 
 // ---------------------------------------------------------------------------

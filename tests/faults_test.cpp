@@ -387,20 +387,25 @@ TEST(Faults, PostFaultNetworkRemovesCrashedAndAddsJoined) {
   plan.events.push_back(FaultEvent{.kind = FaultKind::kSlowdown, .time = 3.0,
                                    .device = 1, .factor = 2.0});  // permanent
 
+  // The universe keeps the crashed device, marked down, and appends the
+  // joined one.
   const PostFaultNetwork pf = post_fault_network(n, plan);
-  ASSERT_EQ(pf.network.num_devices(), 2);  // device 1 + the joined device
-  EXPECT_EQ(pf.old_to_new, (std::vector<int>{-1, 0, 1}));
-  EXPECT_EQ(pf.new_to_old, (std::vector<int>{1, 2}));
+  ASSERT_EQ(pf.network.num_devices(), 3);
+  EXPECT_EQ(pf.up, (std::vector<char>{0, 1, 1}));
   // Permanent slowdown halves the surviving device's speed.
-  EXPECT_DOUBLE_EQ(pf.network.device(0).speed, 1.0);
-  EXPECT_DOUBLE_EQ(pf.network.device(1).speed, 4.0);
-  EXPECT_DOUBLE_EQ(pf.network.bandwidth(0, 1), 8.0);
-  EXPECT_DOUBLE_EQ(pf.network.delay(0, 1), 0.5);
+  EXPECT_DOUBLE_EQ(pf.network.device(0).speed, n.device(0).speed);
+  EXPECT_DOUBLE_EQ(pf.network.device(1).speed, 1.0);
+  EXPECT_DOUBLE_EQ(pf.network.device(2).speed, 4.0);
+  EXPECT_DOUBLE_EQ(pf.network.bandwidth(1, 2), 8.0);
+  EXPECT_DOUBLE_EQ(pf.network.delay(2, 1), 0.5);
+  EXPECT_DOUBLE_EQ(pf.network.bandwidth(0, 2), 8.0);
+  EXPECT_DOUBLE_EQ(pf.network.bandwidth(0, 1), n.bandwidth(0, 1));
 
+  // Compacting the up devices maps universe ids 0, 1, 2 to -1, 0, 1.
   Placement p(2);
   p.set(0, 0);
   p.set(1, 1);
-  const Placement remapped = remap_placement(p, pf.old_to_new);
+  const Placement remapped = remap_placement(p, {-1, 0, 1});
   EXPECT_EQ(remapped.device_of(0), -1);  // stranded
   EXPECT_EQ(remapped.device_of(1), 0);
 }

@@ -9,10 +9,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "graph/serialization.hpp"
@@ -36,14 +34,13 @@ struct GoldenCase {
   Placement placement;
   Schedule expected;
   // Optional dynamic-conditions blocks between "placement v1" and
-  // "expected v1" (see load_golden): a network trace, a sparse physical
+  // "expected v1" (see load_golden): a network trace and a sparse physical
   // topology (the loader projects it onto the network and builds the
-  // shared-link map), and per-link drop probabilities.
+  // shared-link map).
   NetworkTrace trace;
   bool has_trace = false;
   SharedLinkMap shared;
   bool has_shared = false;
-  std::vector<std::tuple<int, int, double>> drops;
   // Optional "delta-move v1" block: the expected block holds the schedule
   // AFTER moving delta_task to delta_device from the base `placement`. On a
   // static case (no trace, shared links or NIC links) the base run
@@ -89,17 +86,11 @@ struct GoldenCase {
     opt.sim = sim_options();
     return opt;
   }
-  /// The latency model of this case: lossy when a "loss v1" block is present.
-  std::unique_ptr<LatencyModel> latency() const {
-    auto loss = std::make_unique<LossAwareLatencyModel>(kLat, network.num_devices());
-    for (const auto& [src, dst, p] : drops) loss->set_drop(src, dst, p);
-    return loss;
-  }
 };
 
 // '#' lines are comments (the hand derivation); everything else feeds the v1
-// parsers, then optional "trace v1" / "shared-links v1" / "loss v1" blocks,
-// followed by the mandatory "expected v1" block.
+// parsers, then optional "trace v1" / "shared-links v1" blocks, followed by
+// the mandatory "expected v1" block.
 //
 //   trace v1         <num schedules>, per schedule "src dst nseg" then nseg
 //                    lines of "time bandwidth_factor delay_add drop_prob";
@@ -107,7 +98,6 @@ struct GoldenCase {
 //                    (the loader runs apply_topology + build_shared_link_map,
 //                    so the network matrices in the file are overwritten by
 //                    the projection);
-//   loss v1          <num entries>, per entry "src dst drop_prob";
 //   delta-move v1    "task device": the expected block is the post-move
 //                    schedule (on a static case, reached from the base
 //                    placement incrementally).
@@ -173,13 +163,6 @@ GoldenCase load_golden(const std::filesystem::path& path) {
       }
       apply_topology(c.network, links);
       c.shared = build_shared_link_map(c.network.num_devices(), links);
-    } else if (kind == "loss") {
-      for (int i = 0; i < count; ++i) {
-        int src = 0, dst = 0;
-        double p = 0.0;
-        clean >> src >> dst >> p;
-        c.drops.emplace_back(src, dst, p);
-      }
     } else {
       throw std::runtime_error(c.name + ": unknown block '" + kind + "'");
     }
@@ -257,14 +240,13 @@ TEST(GoldenSchedules, CorpusIsNonTrivial) {
 TEST(GoldenSchedules, SimulatorReproducesEveryCase) {
   for (const auto& path : golden_files()) {
     const GoldenCase c = load_golden(path);
-    const auto lat = c.latency();
     if (c.has_stream) {
       const StreamResult r = simulate_streaming(c.graph, c.network, c.final_placement(),
-                                                *lat, c.stream_options());
+                                                kLat, c.stream_options());
       expect_matches(c, r.schedule, "simulate_streaming");
     } else {
       expect_matches(
-          c, simulate(c.graph, c.network, c.final_placement(), *lat, c.sim_options()),
+          c, simulate(c.graph, c.network, c.final_placement(), kLat, c.sim_options()),
           "simulate");
     }
   }
@@ -273,15 +255,14 @@ TEST(GoldenSchedules, SimulatorReproducesEveryCase) {
 TEST(GoldenSchedules, OracleReproducesEveryCase) {
   for (const auto& path : golden_files()) {
     const GoldenCase c = load_golden(path);
-    const auto lat = c.latency();
     if (c.has_stream) {
       const StreamResult r = oracle_simulate_streaming(
-          c.graph, c.network, c.final_placement(), *lat, c.stream_options());
+          c.graph, c.network, c.final_placement(), kLat, c.stream_options());
       expect_matches(c, r.schedule, "streaming oracle");
     } else {
       expect_matches(
           c,
-          oracle_simulate(c.graph, c.network, c.final_placement(), *lat, c.sim_options()),
+          oracle_simulate(c.graph, c.network, c.final_placement(), kLat, c.sim_options()),
           "oracle");
     }
   }
@@ -290,22 +271,21 @@ TEST(GoldenSchedules, OracleReproducesEveryCase) {
 TEST(GoldenSchedules, InvariantCheckerAcceptsEveryCase) {
   for (const auto& path : golden_files()) {
     const GoldenCase c = load_golden(path);
-    const auto lat = c.latency();
     const Placement p = c.final_placement();
     if (c.has_stream) {
       const StreamOptions sopt = c.stream_options();
-      const StreamResult r = simulate_streaming(c.graph, c.network, p, *lat, sopt);
+      const StreamResult r = simulate_streaming(c.graph, c.network, p, kLat, sopt);
       const InvariantReport rep =
-          check_stream_result(c.graph, c.network, p, *lat, r, sopt);
+          check_stream_result(c.graph, c.network, p, kLat, r, sopt);
       EXPECT_TRUE(rep.ok()) << c.name << ":\n" << rep.summary();
       continue;
     }
     const SimOptions opt = c.sim_options();
-    const Schedule s = simulate(c.graph, c.network, p, *lat, opt);
+    const Schedule s = simulate(c.graph, c.network, p, kLat, opt);
     CheckOptions check;
     check.trace = opt.trace;
     check.shared_links = opt.shared_links;
-    const InvariantReport r = check_schedule(c.graph, c.network, p, *lat, s, check);
+    const InvariantReport r = check_schedule(c.graph, c.network, p, kLat, s, check);
     EXPECT_TRUE(r.ok()) << c.name << ":\n" << r.summary();
   }
 }
@@ -326,10 +306,9 @@ TEST(GoldenSchedules, StreamingCasesCoverCrossFrameContention) {
     for (int v = 0; v < c.graph.num_tasks(); ++v) entries += c.graph.in_degree(v) == 0;
     multi_entry += entries >= 2 ? 1 : 0;
     ASSERT_GE(c.stream_frames, 2) << c.name << ": streaming case must pipeline";
-    const auto lat = c.latency();
     const StreamOptions sopt = c.stream_options();
     const StreamResult r =
-        simulate_streaming(c.graph, c.network, c.final_placement(), *lat, sopt);
+        simulate_streaming(c.graph, c.network, c.final_placement(), kLat, sopt);
     // Pipelining means some frame overlaps its predecessor's work: frame f
     // must start (some task) before frame f-1 completely finished.
     const int nv = c.graph.num_tasks();
@@ -356,14 +335,13 @@ TEST(GoldenSchedules, DeltaMoveCasesReplayIncrementallyAndBitwise) {
     const GoldenCase c = load_golden(path);
     if (!c.has_delta_move || !c.is_static()) continue;
     ++seen;
-    const auto lat = c.latency();
     SimWorkspace ws;
     Schedule prev, out;
     DeltaSimState ds;
-    simulate_into(c.graph, c.network, c.placement, *lat, ws, prev, ds);
+    simulate_into(c.graph, c.network, c.placement, kLat, ws, prev, ds);
     const Placement moved = c.final_placement();
     const DeltaSimResult dr =
-        simulate_delta(c.graph, c.network, moved, c.delta_task, *lat, ws, prev, ds, out);
+        simulate_delta(c.graph, c.network, moved, c.delta_task, kLat, ws, prev, ds, out);
     EXPECT_TRUE(dr == DeltaSimResult::kReplayed)
         << c.name << ": move was hand-picked to replay, not fall back";
     expect_matches(c, out, "delta");

@@ -5,10 +5,9 @@
 // extra entry tasks, device counts, hardware-constraint density, multi-core
 // devices, noise, NIC contention (add_nic_links), fault plans, and the
 // dynamic-conditions stack: network traces (piecewise-constant bandwidth /
-// delay / drop breakpoints, some in force from t = 0), lossy links
-// (LossAwareLatencyModel), and shared-link contention over random sparse
-// topologies. One generator (draw_instance and its helpers) serves the plain
-// and --stream modes. On every case it asserts:
+// delay / drop breakpoints, some in force from t = 0) and shared-link
+// contention over random sparse topologies. One generator (draw_instance and
+// its helpers) serves the plain and --stream modes. On every case it asserts:
 //   - simulate(), simulate_into() (with a reused workspace), and the
 //     independent oracle_simulate() agree bitwise on every time;
 //   - check_schedule() finds no invariant violation;
@@ -18,12 +17,12 @@
 //     stranded tasks, failed devices), and passes the fault-aware invariant
 //     check;
 //   - on a sampled subset, the inactive-config reductions: an empty
-//     NetworkTrace and a zero-drop LossAwareLatencyModel must leave the
-//     output bitwise identical to the plain run.
+//     NetworkTrace and a shared-link map with no physical links must leave
+//     the output bitwise identical to the plain run.
 //
 // Fault cases never carry a NetworkTrace (simulate_with_faults rejects one:
-// the plan's link degrades already are its trace); shared links, NIC links,
-// noise, and lossy links compose with everything.
+// the plan's link degrades already are its trace); shared links, NIC links
+// and noise compose with everything.
 //
 // With --delta, every non-fault case additionally runs a chain of random
 // one-task moves on its graph, network, placement and latency model under
@@ -49,7 +48,7 @@
 // With --stream the harness fuzzes iterated-graph execution: each case draws
 // a (graph, network, placement) triple plus streaming options (frame count,
 // inter-arrival interval scaled to the one-shot makespan, jitter, noise, NIC
-// links, traces, shared links, lossy models) and asserts that
+// links, traces, shared links) and asserts that
 // simulate_streaming(), simulate_streaming_into() (reused workspace), and the
 // independent oracle_simulate_streaming() agree bitwise on every time and
 // metric, that check_stream_result() finds no violation, and that F = 1
@@ -175,8 +174,6 @@ struct FuzzInstance {
   NetworkTrace trace;
   bool with_shared = false;  ///< a random sparse physical topology
   SharedLinkMap shared;      ///< its links, then the NIC links when `nic`
-  bool with_loss = false;
-  std::vector<std::pair<std::pair<int, int>, double>> drops;  // ((src, dst), p)
   std::uint64_t sim_seed = 0;  // seeds the noise engine of every replay
   std::string shape;           // one-line description for failure reports
 
@@ -238,8 +235,8 @@ void draw_topology(std::mt19937_64& rng, bool chords, FuzzInstance& c) {
 
 /// Piecewise-constant conditions on 1..max_links random device pairs, with
 /// breakpoints scaled to `span` so segments land inside the run. A quarter
-/// of the links start in their first segment's condition at t = 0, which
-/// the simulator and the oracle seed without a breakpoint event.
+/// of the links start in their first segment's condition at t = 0: the
+/// simulator applies it as a breakpoint, the oracle seeds the link with it.
 void draw_trace(std::mt19937_64& rng, double span, int max_links, FuzzInstance& c) {
   c.with_trace = true;
   for (int x = uniform_int(rng, 1, max_links); x > 0; --x) {
@@ -258,15 +255,6 @@ void draw_trace(std::mt19937_64& rng, double span, int max_links, FuzzInstance& 
       ls.segments.push_back(seg);
       t += uniform(rng, span * 0.05, span * 0.5);
     }
-  }
-}
-
-/// Lossy links: 1-3 random device pairs with a drop probability each.
-void draw_loss(std::mt19937_64& rng, FuzzInstance& c) {
-  c.with_loss = true;
-  for (int x = uniform_int(rng, 1, 3); x > 0; --x) {
-    const std::pair<int, int> link = draw_remote_pair(rng, c.network.num_devices());
-    c.drops.push_back({link, uniform(rng, 0.05, 0.7)});
   }
 }
 
@@ -295,14 +283,13 @@ std::string format_coverage(const Coverage& classes, std::uint64_t cases,
 
 /// Counts of the instance classes both simulation modes draw.
 struct InstanceCounts {
-  std::uint64_t traced = 0, traced_from_start = 0, shared = 0, lossy = 0, nic = 0,
-                multi_entry = 0, multi_core = 0;
+  std::uint64_t traced = 0, traced_from_start = 0, shared = 0, nic = 0, multi_entry = 0,
+                multi_core = 0;
 
   void add(const FuzzInstance& c) {
     traced += c.with_trace ? 1 : 0;
     traced_from_start += c.trace_from_start ? 1 : 0;
     shared += c.with_shared ? 1 : 0;
-    lossy += c.with_loss ? 1 : 0;
     nic += c.nic ? 1 : 0;
     multi_entry += c.extra_entries > 0 ? 1 : 0;
     multi_core += c.multi_core ? 1 : 0;
@@ -311,7 +298,6 @@ struct InstanceCounts {
     classes.insert(classes.end(), {{"traced", traced},
                                    {"traced from t = 0", traced_from_start},
                                    {"shared-topology", shared},
-                                   {"lossy", lossy},
                                    {"NIC", nic},
                                    {"multi-entry", multi_entry},
                                    {"multi-core", multi_core}});
@@ -372,8 +358,7 @@ FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
   }
 
   // Dynamic conditions. Fault cases never get a trace (simulate_with_faults
-  // rejects one); shared links, NIC links and lossy links compose with
-  // everything.
+  // rejects one); shared links and NIC links compose with everything.
   const int m = c.network.num_devices();
   if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.35) draw_topology(rng, true, c);
   if (c.nic) add_nic_links(c.shared, m);
@@ -383,16 +368,15 @@ FuzzCase build_case(std::uint64_t base_seed, std::uint64_t index) {
         std::max(1e-6, simulate(c.graph, c.network, c.placement, kLat).makespan);
     draw_trace(rng, span, 3, c);
   }
-  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.3) draw_loss(rng, c);
   c.check_reductions = uniform(rng, 0.0, 1.0) < 0.125;
 
   char shape[200];
   std::snprintf(shape, sizeof(shape),
                 "tasks=%d edges=%d extra_entries=%d devices=%d noise=%.3f nic=%d "
-                "faults=%zu trace=%d shared=%d loss=%zu",
+                "faults=%zu trace=%d shared=%d",
                 c.graph.num_tasks(), c.graph.num_edges(), c.extra_entries,
                 c.network.num_devices(), c.noise, c.nic ? 1 : 0, c.plan.events.size(),
-                c.with_trace ? 1 : 0, c.with_shared ? 1 : 0, c.drops.size());
+                c.with_trace ? 1 : 0, c.with_shared ? 1 : 0);
   c.shape = shape;
   return c;
 }
@@ -431,8 +415,8 @@ std::string diff_schedules(const Schedule& a, const Schedule& b, const char* wha
 }
 
 /// The inactive-config reductions: configurations that encode "no dynamics"
-/// explicitly (an empty trace, a zero-drop loss model, a shared map with no
-/// physical links) must leave the output bitwise identical to the plain run.
+/// explicitly (an empty trace, a shared map with no physical links) must
+/// leave the output bitwise identical to the plain run.
 std::string check_reductions(const FuzzCase& c) {
   const int m = c.network.num_devices();
   SharedLinkMap no_links = build_shared_link_map(m, {});  // NIC links only
@@ -440,7 +424,7 @@ std::string check_reductions(const FuzzCase& c) {
   SimOptions base;
   base.noise = c.noise;
   if (c.nic) base.shared_links = &no_links;
-  std::mt19937_64 r0(c.sim_seed), r1(c.sim_seed), r2(c.sim_seed), r3(c.sim_seed);
+  std::mt19937_64 r0(c.sim_seed), r1(c.sim_seed), r2(c.sim_seed);
   base.rng = &r0;
   const Schedule plain = simulate(c.graph, c.network, c.placement, kLat, base);
 
@@ -451,14 +435,9 @@ std::string check_reductions(const FuzzCase& c) {
   const Schedule et = simulate(c.graph, c.network, c.placement, kLat, opt);
   if (auto d = diff_schedules(plain, et, "empty-trace reduction"); !d.empty()) return d;
 
-  const LossAwareLatencyModel zero(kLat, m);
-  base.rng = &r2;
-  const Schedule zl = simulate(c.graph, c.network, c.placement, zero, base);
-  if (auto d = diff_schedules(plain, zl, "zero-drop reduction"); !d.empty()) return d;
-
   opt = base;
   opt.shared_links = &no_links;
-  opt.rng = &r3;
+  opt.rng = &r2;
   const Schedule ns = simulate(c.graph, c.network, c.placement, kLat, opt);
   if (auto d = diff_schedules(plain, ns, "no-links shared reduction"); !d.empty()) {
     return d;
@@ -469,20 +448,15 @@ std::string check_reductions(const FuzzCase& c) {
 /// --delta: a chain of random one-task moves re-simulated incrementally must
 /// stay bitwise identical to a from-scratch simulation at every step, and the
 /// refreshed DeltaSimState must keep chaining. simulate_delta replays the
-/// static model only, so the chain runs the case's graph, network, placement
-/// and latency model (lossy ones included) without its noise, trace or link
-/// contention.
+/// static model only, so the chain runs the case's graph, network and
+/// placement without its noise, trace or link contention.
 std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
                         std::uint64_t* replayed, std::uint64_t* fell_back) {
-  LossAwareLatencyModel loss(kLat, c.network.num_devices());
-  for (const auto& [link, prob] : c.drops) loss.set_drop(link.first, link.second, prob);
-  const LatencyModel& lat = c.with_loss ? static_cast<const LatencyModel&>(loss) : kLat;
-
   SimWorkspace ws, ws_ref;
   Schedule prev, cur, ref;
   DeltaSimState ds;
   Placement p = c.placement;
-  simulate_into(c.graph, c.network, p, lat, ws, prev, ds);
+  simulate_into(c.graph, c.network, p, kLat, ws, prev, ds);
 
   const auto feasible = feasible_sets(c.graph, c.network);
   std::mt19937_64 move_rng(mix(c.sim_seed ^ mix(case_index)));
@@ -494,9 +468,9 @@ std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
     p.set(v, d);
 
     const DeltaSimResult dr =
-        simulate_delta(c.graph, c.network, p, v, lat, ws, prev, ds, cur);
+        simulate_delta(c.graph, c.network, p, v, kLat, ws, prev, ds, cur);
     ++(dr == DeltaSimResult::kReplayed ? *replayed : *fell_back);
-    simulate_into(c.graph, c.network, p, lat, ws_ref, ref);
+    simulate_into(c.graph, c.network, p, kLat, ws_ref, ref);
     char what[64];
     std::snprintf(what, sizeof(what), "delta move %d (task %d -> dev %d, %s)", s, v, d,
                   dr == DeltaSimResult::kReplayed ? "replayed" : "fell back");
@@ -508,10 +482,6 @@ std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
 
 /// Runs all checks for one case; returns "" on success.
 std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
-  LossAwareLatencyModel loss(kLat, c.network.num_devices());
-  for (const auto& [link, p] : c.drops) loss.set_drop(link.first, link.second, p);
-  const LatencyModel& lat = c.with_loss ? static_cast<const LatencyModel&>(loss) : kLat;
-
   SimOptions opt;
   opt.noise = c.noise;
   if (c.with_trace) opt.trace = &c.trace;
@@ -521,11 +491,11 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
 
   if (!c.with_faults) {
     opt.rng = &rng_a;
-    const Schedule prod = simulate(c.graph, c.network, c.placement, lat, opt);
+    const Schedule prod = simulate(c.graph, c.network, c.placement, kLat, opt);
     opt.rng = &rng_b;
-    simulate_into(c.graph, c.network, c.placement, lat, ws, reused, opt);
+    simulate_into(c.graph, c.network, c.placement, kLat, ws, reused, opt);
     opt.rng = &rng_c;
-    const Schedule ref = oracle_simulate(c.graph, c.network, c.placement, lat, opt);
+    const Schedule ref = oracle_simulate(c.graph, c.network, c.placement, kLat, opt);
 
     if (auto d = diff_schedules(prod, reused, "simulate vs simulate_into"); !d.empty()) {
       return d;
@@ -535,7 +505,7 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
     const CheckOptions check{
         .noise = c.noise, .trace = opt.trace, .shared_links = opt.shared_links};
     const InvariantReport report =
-        check_schedule(c.graph, c.network, c.placement, lat, prod, check);
+        check_schedule(c.graph, c.network, c.placement, kLat, prod, check);
     if (!report.ok()) return "invariant violation:\n" + report.summary();
 
     // The fault path with an empty plan is a strict superset of simulate()
@@ -543,7 +513,7 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
     if (!c.with_trace) {
       opt.rng = &rng_d;
       const FaultSimResult empty =
-          simulate_with_faults(c.graph, c.network, c.placement, lat, FaultPlan{}, opt);
+          simulate_with_faults(c.graph, c.network, c.placement, kLat, FaultPlan{}, opt);
       if (!empty.completed()) return "empty fault plan stranded tasks";
       if (auto d = diff_schedules(prod, empty.schedule, "simulate vs empty fault plan");
           !d.empty()) {
@@ -560,13 +530,13 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
   // fault-aware invariants.
   opt.rng = &rng_a;
   const FaultSimResult r1 =
-      simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
+      simulate_with_faults(c.graph, c.network, c.placement, kLat, c.plan, opt);
   opt.rng = &rng_b;
   const FaultSimResult r2 =
-      simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
+      simulate_with_faults(c.graph, c.network, c.placement, kLat, c.plan, opt);
   opt.rng = &rng_c;
   const FaultSimResult ref =
-      oracle_simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
+      oracle_simulate_with_faults(c.graph, c.network, c.placement, kLat, c.plan, opt);
   if (auto d = diff_schedules(r1.schedule, r2.schedule, "fault replay"); !d.empty()) {
     return d;
   }
@@ -582,7 +552,7 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
   }
   const CheckOptions check{.noise = c.noise, .shared_links = opt.shared_links};
   const InvariantReport report =
-      check_fault_result(c.graph, c.network, c.placement, lat, r1, check);
+      check_fault_result(c.graph, c.network, c.placement, kLat, r1, check);
   if (!report.ok()) return "fault invariant violation:\n" + report.summary();
   if (c.check_reductions) {
     if (auto d = check_reductions(c); !d.empty()) return d;
@@ -1095,16 +1065,14 @@ StreamFuzzCase build_stream_case(std::uint64_t base_seed, std::uint64_t index) {
     // later frames, not just inside frame 0.
     draw_trace(rng, span + c.opt.interval * (c.opt.frames - 1), 2, c);
   }
-  if (m >= 2 && uniform(rng, 0.0, 1.0) < 0.25) draw_loss(rng, c);
 
   char shape[220];
   std::snprintf(shape, sizeof(shape),
                 "tasks=%d extra_entries=%d devices=%d frames=%d interval=%.3f "
-                "jitter=%.3f noise=%.3f nic=%d trace=%d shared=%d loss=%zu",
+                "jitter=%.3f noise=%.3f nic=%d trace=%d shared=%d",
                 c.graph.num_tasks(), c.extra_entries, c.network.num_devices(),
                 c.opt.frames, c.opt.interval, c.opt.arrival_jitter, c.opt.sim.noise,
-                c.nic ? 1 : 0, c.with_trace ? 1 : 0, c.with_shared ? 1 : 0,
-                c.drops.size());
+                c.nic ? 1 : 0, c.with_trace ? 1 : 0, c.with_shared ? 1 : 0);
   c.shape = shape;
   return c;
 }
@@ -1134,10 +1102,6 @@ std::string diff_stream_results(const StreamResult& a, const StreamResult& b,
 /// Runs all checks for one streaming case; returns "" on success.
 std::string run_stream_case(const StreamFuzzCase& c, StreamWorkspace& ws,
                             StreamResult& reused) {
-  LossAwareLatencyModel loss(kLat, c.network.num_devices());
-  for (const auto& [link, p] : c.drops) loss.set_drop(link.first, link.second, p);
-  const LatencyModel& lat = c.with_loss ? static_cast<const LatencyModel&>(loss) : kLat;
-
   StreamOptions opt = c.opt;
   if (c.with_trace) opt.sim.trace = &c.trace;
   opt.sim.shared_links = c.links();
@@ -1145,12 +1109,13 @@ std::string run_stream_case(const StreamFuzzCase& c, StreamWorkspace& ws,
       rng_d(c.sim_seed);
 
   opt.sim.rng = &rng_a;
-  const StreamResult fast = simulate_streaming(c.graph, c.network, c.placement, lat, opt);
+  const StreamResult fast =
+      simulate_streaming(c.graph, c.network, c.placement, kLat, opt);
   opt.sim.rng = &rng_b;
-  simulate_streaming_into(c.graph, c.network, c.placement, lat, ws, reused, opt);
+  simulate_streaming_into(c.graph, c.network, c.placement, kLat, ws, reused, opt);
   opt.sim.rng = &rng_c;
   const StreamResult ref =
-      oracle_simulate_streaming(c.graph, c.network, c.placement, lat, opt);
+      oracle_simulate_streaming(c.graph, c.network, c.placement, kLat, opt);
 
   if (auto d = diff_stream_results(fast, reused, "streaming vs reused workspace");
       !d.empty()) {
@@ -1161,14 +1126,14 @@ std::string run_stream_case(const StreamFuzzCase& c, StreamWorkspace& ws,
   }
 
   const InvariantReport report =
-      check_stream_result(c.graph, c.network, c.placement, lat, fast, opt);
+      check_stream_result(c.graph, c.network, c.placement, kLat, fast, opt);
   if (!report.ok()) return "stream invariant violation:\n" + report.summary();
 
   // F = 1 must be the one-shot simulator, bitwise (same draw sequence).
   if (c.opt.frames == 1) {
     SimOptions one = opt.sim;
     one.rng = &rng_d;
-    const Schedule flat = simulate(c.graph, c.network, c.placement, lat, one);
+    const Schedule flat = simulate(c.graph, c.network, c.placement, kLat, one);
     if (auto d = diff_schedules(fast.schedule, flat, "F=1 reduction"); !d.empty()) {
       return d;
     }
