@@ -5,14 +5,16 @@
 //                 stack enabled (a NetworkTrace with per-link breakpoints plus
 //                 shared-link contention over a sparse ring topology), to keep
 //                 the dynamic paths' overhead honest;
-//  2. churn     - evaluate_churn over a mobility-driven script: epochs/sec,
-//                 plus the determinism contract checked twice - the same seed
-//                 run twice must match bitwise, and a 4-thread run must match
-//                 the serial one bitwise.
+//  2. churn     - evaluate_churn over a mobility-driven script: epochs/sec
+//                 from the fastest of repeated calls, plus the determinism
+//                 contract checked twice - the same seed run twice must match
+//                 bitwise, and a 4-thread run must match the serial one
+//                 bitwise.
 //
 // Results go to BENCH_dynamic.json in the working directory; CI gates the
 // *_per_sec keys and the bitwise flag against the committed baseline.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <random>
@@ -130,9 +132,18 @@ int main() {
   eval::ChurnOptions copt;
   copt.seed = 21;
 
-  t0 = Clock::now();
+  // One call takes under a millisecond, so a single timing swings with the
+  // host; the rate is the best of at least 1,000 calls and 0.25 s.
   const eval::ChurnReport serial = eval::evaluate_churn(churn_g, script, lat, placers, copt);
-  const double churn_sec = seconds_since(t0);
+  double churn_sec = 0.0;
+  int churn_calls = 0;
+  for (const Clock::time_point start = Clock::now();
+       churn_calls < 1000 || seconds_since(start) < 0.25; ++churn_calls) {
+    t0 = Clock::now();
+    guard += eval::evaluate_churn(churn_g, script, lat, placers, copt).num_epochs;
+    const double sec = seconds_since(t0);
+    churn_sec = churn_calls == 0 ? sec : std::min(churn_sec, sec);
+  }
   const eval::ChurnReport again = eval::evaluate_churn(churn_g, script, lat, placers, copt);
   copt.threads = 4;
   const eval::ChurnReport threaded = eval::evaluate_churn(churn_g, script, lat, placers, copt);
@@ -143,7 +154,8 @@ int main() {
 
   std::printf("\nchurn: %d tasks, %d epochs, %zu rows\n", churn_g.num_tasks(),
               serial.num_epochs, serial.rows.size());
-  std::printf("%-32s %14.1f epoch-rows/s\n", "throughput", epochs_per_sec);
+  std::printf("%-32s %14.1f epoch-rows/s (best of %d calls)\n", "throughput",
+              epochs_per_sec, churn_calls);
   std::printf("%-32s %14s\n", "bitwise identical (rerun, 4 thr)", bitwise ? "yes" : "NO");
   std::printf("\n%s\n", eval::format_churn_report(serial).c_str());
 

@@ -70,34 +70,42 @@ class GraphEncoder {
     nn::Linear aggregate;  ///< h2
   };
 
-  /// One direction of sequential (full-depth) message passing, batched per
-  /// dependency level: all of a level's message/aggregate transforms run as
-  /// one matrix-matrix matmul (bitwise equal per row to the per-node
-  /// matrix-vector pass this replaced), and one gather per level advances
-  /// the direction's embedding matrix. Returns the num_nodes x dim_o matrix.
+  /// What one taped sequential pass keeps for its backward (gnn.cpp).
+  struct PassRecord;
+
+  /// One direction of sequential (full-depth) message passing as one tape
+  /// node. Its forward is sequential_into with a record. Its backward walks
+  /// the dependency levels from the last and makes the additions of the
+  /// equivalent per-level op chain in that chain's order, so its gradients
+  /// are bitwise the chain's (DESIGN.md, "Training tape"). `ws.pre` must
+  /// hold pre's value. Returns the num_nodes x dim_o matrix.
   nn::Var pass_sequential(const GraphView& view, const nn::Var& pre,
                           const nn::Var& edge_feats, const Direction& dir,
-                          bool forward) const;
+                          bool forward, Workspace& ws) const;
   /// One direction of k-step synchronous message passing (Eq. 4), every step
   /// batched over the whole graph. Returns the num_nodes x dim_o matrix.
   nn::Var pass_k_steps(const GraphView& view, const nn::Var& pre,
                        const nn::Var& edge_feats, const Direction& dir,
                        bool forward) const;
 
-  /// Forward-only twins of the two passes: write this direction's dim_o
-  /// columns of `out` starting at `col`. Both read ws.pre.
+  /// The forward of the two passes: write this direction's dim_o columns of
+  /// `out` starting at `col`. Both read ws.pre. sequential_into is also the
+  /// taped pass's forward, which passes a record; the forward-only encode
+  /// passes none.
   void sequential_into(const GraphView& view, const nn::Matrix& edge_feats,
                        const Direction& dir, bool forward, Workspace& ws,
-                       nn::Matrix& out, int col) const;
+                       nn::Matrix& out, int col, PassRecord* rec) const;
   void k_steps_into(const GraphView& view, const nn::Matrix& edge_feats,
                     const Direction& dir, bool forward, Workspace& ws, nn::Matrix& out,
                     int col) const;
   /// One node's message-passing update into `dst` (dim_o values): the mean
   /// of its incoming messages, each finished from its source's ws.prefix
   /// row, through the aggregate layer, plus its own ws.pre row; just that
-  /// ws.pre row when no message comes in.
+  /// ws.pre row when no message comes in. With a record, each message's
+  /// pre-relu row, the mean and the pre-relu aggregate go to u's rows of it.
   void update_node(const GraphView& view, int u, const nn::Matrix& edge_feats,
-                   const Direction& dir, bool forward, Workspace& ws, double* dst) const;
+                   const Direction& dir, bool forward, Workspace& ws, double* dst,
+                   PassRecord* rec) const;
   void graphsage_into(const GraphView& view, const nn::Matrix& node_features,
                       Workspace& ws, nn::Matrix& out) const;
 

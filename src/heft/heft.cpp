@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace giph {
 namespace {
@@ -85,7 +87,12 @@ HeftResult heft_schedule(const TaskGraph& g, const DeviceNetwork& n,
     double best_eft = std::numeric_limits<double>::infinity();
     double best_est = 0.0;
     int best_dev = -1;
-    for (int d : feasible_devices(g, n, v)) {
+    const std::vector<int> devices = feasible_devices(g, n, v);
+    if (devices.empty()) {
+      throw std::invalid_argument("heft_schedule: task " + std::to_string(v) +
+                                  " has no feasible device");
+    }
+    for (int d : devices) {
       double ready = 0.0;
       for (int e : g.in_edges(v)) {
         const int parent = g.edge(e).src;

@@ -21,7 +21,9 @@ struct HeftResult {
 /// communication costs, then assigned in priority order to the feasible
 /// device minimizing the earliest finish time under an insertion-based
 /// scheduling policy. Placement constraints restrict both the rank averages
-/// and the candidate devices.
+/// and the candidate devices. Throws std::invalid_argument naming a task that
+/// no device can run (a pin past the last device, or a hardware requirement
+/// no device meets).
 HeftResult heft_schedule(const TaskGraph& g, const DeviceNetwork& n, const LatencyModel& lat);
 
 /// Upward ranks only: rank_u(i) = w-bar_i + max_j (c-bar_ij + rank_u(j)) over

@@ -57,6 +57,11 @@ Var parameter(Matrix v) {
   return n;
 }
 
+Var custom_op(Matrix value, std::vector<Var> inputs,
+              std::function<void(const Node&)> backward_fn) {
+  return make_node(std::move(value), std::move(inputs), std::move(backward_fn));
+}
+
 void backward(const Var& root) {
   if (!root->requires_grad) return;
   std::vector<Node*> order;

@@ -37,6 +37,14 @@ Var constant(Matrix v);
 /// Leaf with gradient accumulation (trainable parameter).
 Var parameter(Matrix v);
 
+/// A node whose backward the caller writes. nn::backward calls `backward_fn`
+/// with the node once its gradient is complete, and the function adds into
+/// the gradients (ensure_grad) of those `inputs` that require one, as the
+/// built-in ops below do. For fused ops that record their own intermediates,
+/// such as the GNN's message-passing pass.
+Var custom_op(Matrix value, std::vector<Var> inputs,
+              std::function<void(const Node&)> backward_fn);
+
 /// Reverse-mode accumulation from `root` (any shape; seeded with ones).
 /// Parameter gradients accumulate across calls until zeroed by the optimizer.
 void backward(const Var& root);

@@ -66,63 +66,74 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  assert(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
+void matmul_tn(const double* a, const double* b, int rows, int m, int n, double* c) {
   // c(i, j) sums a(k, i) * b(k, j) over ascending k from 0.0, skipping
   // a(k, i) == 0.0. The register kernel finishes one row of c at a time.
-  const int m = a.cols();
-  const bool done = at_layer_width(b.cols(), [&](auto width) {
+  const bool done = at_layer_width(n, [&](auto width) {
     constexpr int C = decltype(width)::value;
     for (int i = 0; i < m; ++i) {
       double s[C] = {};
-      for (int k = 0; k < a.rows(); ++k) {
-        const double aki = a.data()[static_cast<std::size_t>(k) * m + i];
+      for (int k = 0; k < rows; ++k) {
+        const double aki = a[static_cast<std::size_t>(k) * m + i];
         if (aki == 0.0) continue;
-        const double* bk = b.data() + static_cast<std::size_t>(k) * C;
+        const double* bk = b + static_cast<std::size_t>(k) * C;
         for (int j = 0; j < C; ++j) s[j] += aki * bk[j];
       }
-      std::copy(s, s + C, c.data() + static_cast<std::size_t>(i) * C);
+      std::copy(s, s + C, c + static_cast<std::size_t>(i) * C);
     }
     return true;
   });
-  if (done) return c;
-  for (int k = 0; k < a.rows(); ++k) {
+  if (done) return;
+  std::fill(c, c + static_cast<std::size_t>(m) * n, 0.0);
+  for (int k = 0; k < rows; ++k) {
     for (int i = 0; i < m; ++i) {
-      const double aki = a(k, i);
+      const double aki = a[static_cast<std::size_t>(k) * m + i];
       if (aki == 0.0) continue;
-      for (int j = 0; j < b.cols(); ++j) c(i, j) += aki * b(k, j);
+      const double* bk = b + static_cast<std::size_t>(k) * n;
+      double* ci = c + static_cast<std::size_t>(i) * n;
+      for (int j = 0; j < n; ++j) ci[j] += aki * bk[j];
     }
   }
+}
+
+void matmul_nt(const double* a, const double* b, int rows, int kn, int n, double* c) {
+  // c(i, j) sums a(i, k) * b(j, k) over ascending k from 0.0, with no zero
+  // skip. The register kernel runs a row's outputs as independent sums.
+  const bool done = at_layer_width(n, [&](auto width) {
+    constexpr int C = decltype(width)::value;
+    for (int i = 0; i < rows; ++i) {
+      const double* ai = a + static_cast<std::size_t>(i) * kn;
+      double s[C] = {};
+      for (int k = 0; k < kn; ++k) {
+        for (int j = 0; j < C; ++j) s[j] += ai[k] * b[j * kn + k];
+      }
+      std::copy(s, s + C, c + static_cast<std::size_t>(i) * C);
+    }
+    return true;
+  });
+  if (done) return;
+  for (int i = 0; i < rows; ++i) {
+    const double* ai = a + static_cast<std::size_t>(i) * kn;
+    for (int j = 0; j < n; ++j) {
+      const double* bj = b + static_cast<std::size_t>(j) * kn;
+      double s = 0.0;
+      for (int k = 0; k < kn; ++k) s += ai[k] * bj[k];
+      c[static_cast<std::size_t>(i) * n + j] = s;
+    }
+  }
+}
+
+Matrix matmul_tn(const Matrix& a, const Matrix& b) {
+  assert(a.rows() == b.rows());
+  Matrix c(a.cols(), b.cols());
+  matmul_tn(a.data(), b.data(), a.rows(), a.cols(), b.cols(), c.data());
   return c;
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   Matrix c(a.rows(), b.rows());
-  // c(i, j) sums a(i, k) * b(j, k) over ascending k from 0.0, with no zero
-  // skip. The register kernel runs a row's outputs as independent sums.
-  const int kn = a.cols();
-  const bool done = at_layer_width(b.rows(), [&](auto width) {
-    constexpr int C = decltype(width)::value;
-    for (int i = 0; i < a.rows(); ++i) {
-      const double* ai = a.data() + static_cast<std::size_t>(i) * kn;
-      double s[C] = {};
-      for (int k = 0; k < kn; ++k) {
-        for (int j = 0; j < C; ++j) s[j] += ai[k] * b.data()[j * kn + k];
-      }
-      std::copy(s, s + C, c.data() + static_cast<std::size_t>(i) * C);
-    }
-    return true;
-  });
-  if (done) return c;
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < b.rows(); ++j) {
-      double s = 0.0;
-      for (int k = 0; k < kn; ++k) s += a(i, k) * b(j, k);
-      c(i, j) = s;
-    }
-  }
+  matmul_nt(a.data(), b.data(), a.rows(), a.cols(), b.rows(), c.data());
   return c;
 }
 

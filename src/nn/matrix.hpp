@@ -100,6 +100,15 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// C = A * B^T.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
+/// The kernels behind the two above, on row-major buffers, for callers that
+/// keep their rows in scratch of their own. matmul_tn writes the m x n
+/// matrix c = a^T b for a (rows x m) and b (rows x n): c(i, j) sums
+/// a(k, i) * b(k, j) over ascending k from 0.0, skipping a(k, i) == 0.0.
+/// matmul_nt writes the rows x n matrix c = a b^T for a (rows x kn) and
+/// b (n x kn): c(i, j) sums a(i, k) * b(j, k) over ascending k from 0.0,
+/// with no zero skip. `c` must not overlap `a` or `b`.
+void matmul_tn(const double* a, const double* b, int rows, int m, int n, double* c);
+void matmul_nt(const double* a, const double* b, int rows, int kn, int n, double* c);
 Matrix transpose(const Matrix& a);
 Matrix operator+(const Matrix& a, const Matrix& b);
 Matrix operator-(const Matrix& a, const Matrix& b);

@@ -4,7 +4,8 @@
 // demands that further act() calls on it make zero allocations. Every
 // autograd node is a make_shared, so zero allocations also means no tape was
 // built. The same holds for a warm simulate_into(), a search env's try_move()
-// (replayed or fallen back) and simulate_streaming_into().
+// (replayed or fallen back) and simulate_streaming_into(). The training tape,
+// which does allocate, has exact ceilings per decide and per episode backward.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "agent_variants.hpp"
 #include "core/giph_agent.hpp"
@@ -105,7 +107,61 @@ TEST(DecideAllocations, TapePathAllocates) {
   agent.decide(env, rng, true);
   const long before = allocations();
   agent.decide(env, rng, true);
-  EXPECT_GT(allocations() - before, 100);
+  EXPECT_GT(allocations() - before, 0);
+}
+
+// Exact work counters for the training tape on a 20-task x 8-device
+// instance: a warm GiPH decide, and the backward over a 40-step episode's
+// loss. Each ceiling is the count the tape makes with one tape node per
+// message-passing direction; a change that allocates more per decide or per
+// episode fails here, without timing noise.
+constexpr long kWarmDecideAllocations = 89;
+constexpr long kEpisodeBackwardAllocations = 1699;
+
+struct TapeInstance {
+  TaskGraph g;
+  DeviceNetwork n;
+  DefaultLatencyModel lat;
+  std::optional<PlacementSearchEnv> env;
+  GiPHAgent agent{GiPHOptions{}};
+  std::mt19937_64 rng{1};
+  TapeInstance() {
+    std::mt19937_64 gen(20260810);
+    TaskGraphParams gp;
+    gp.num_tasks = 20;
+    NetworkParams np;
+    np.num_devices = 8;
+    np.num_hw_kinds = gp.num_hw_kinds;
+    g = generate_task_graph(gp, gen);
+    n = generate_device_network(np, gen);
+    ensure_feasible(g, n, gen);
+    env.emplace(g, n, lat, makespan_objective(lat), random_placement(g, n, gen));
+    agent.begin_episode();
+    agent.decide(*env, rng, false);  // warm-up
+  }
+};
+
+TEST(DecideAllocations, WarmDecideStaysUnderCeiling) {
+  TapeInstance t;
+  const long before = allocations();
+  t.agent.decide(*t.env, t.rng, false);
+  EXPECT_LE(allocations() - before, kWarmDecideAllocations);
+}
+
+TEST(DecideAllocations, EpisodeBackwardStaysUnderCeiling) {
+  TapeInstance t;
+  std::vector<nn::Var> log_probs;
+  std::vector<double> weights;
+  for (int step = 0; step < 2 * t.g.num_tasks(); ++step) {
+    const ActionDecision d = t.agent.decide(*t.env, t.rng, false);
+    weights.push_back(t.env->apply(d.action) - 0.01 * step);
+    log_probs.push_back(d.log_prob);
+  }
+  const nn::Var loss = nn::weighted_sum(log_probs, weights);
+  log_probs.clear();
+  const long before = allocations();
+  nn::backward(loss);
+  EXPECT_LE(allocations() - before, kEpisodeBackwardAllocations);
 }
 
 /// A seeded 40-task instance for the simulator allocation tests.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/features.hpp"
 #include "core/giph_agent.hpp"
 #include "gen/dataset.hpp"
@@ -13,6 +15,17 @@ namespace {
 
 const DefaultLatencyModel kLat;
 
+/// `num_tasks` tasks in a chain 0 -> 1 -> ... (the deepest graph of its
+/// size), or with no edges at all.
+TaskGraph line_graph(int num_tasks, bool chained) {
+  TaskGraph g;
+  for (int v = 0; v < num_tasks; ++v) g.add_task(Task{.compute = 1.0 + 0.5 * (v % 3)});
+  if (chained) {
+    for (int v = 0; v + 1 < num_tasks; ++v) g.add_edge(v, v + 1, 2.0 + v);
+  }
+  return g;
+}
+
 struct Instance {
   TaskGraph g;
   DeviceNetwork n;
@@ -23,9 +36,18 @@ struct Instance {
     std::mt19937_64 rng(77);
     TaskGraphParams gp;
     gp.num_tasks = num_tasks;
+    g = generate_task_graph(gp, rng);
+    place(num_devices, rng);
+  }
+  Instance(TaskGraph graph, int num_devices) : g(std::move(graph)) {
+    std::mt19937_64 rng(77);
+    place(num_devices, rng);
+  }
+
+ private:
+  void place(int num_devices, std::mt19937_64& rng) {
     NetworkParams np;
     np.num_devices = num_devices;
-    g = generate_task_graph(gp, rng);
     n = generate_device_network(np, rng);
     ensure_all_kinds(n, np.num_hw_kinds, rng);
     m = random_placement(g, n, rng);
@@ -449,45 +471,52 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, EncoderBitwise,
                                            GnnKind::kGiPHNE, GnnKind::kGraphSAGE,
                                            GnnKind::kNone));
 
-// The encoder advances one embedding matrix per direction through level
-// gathers. A fixed weighted loss must give every parameter the gradient
-// bytes of the per-node-slice tape, on the test gpNet, a 12 x 5 one and a
-// 20 x 8 one. Starting the chain at pre itself, not at an identity gather
-// of it, fails both kinds here (GiPH-NE on the 12 x 5 gpNet only).
-class TapeGradients : public ::testing::TestWithParam<GnnKind> {};
-
-TEST_P(TapeGradients, MatchPerNodeSliceTapeBitwise) {
-  for (const auto& [tasks, devices] :
-       {std::pair{8, 4}, std::pair{12, 5}, std::pair{20, 8}}) {
-    SCOPED_TRACE(std::to_string(tasks) + " tasks x " + std::to_string(devices) +
-                 " devices");
-    const Instance inst(tasks, devices);
+// The encoder's sequential pass is one tape node per direction, whose
+// backward repeats the per-level op chain's additions. A loss must give
+// every parameter the gradient bytes of the per-node-slice tape: a fixed
+// weighted loss on the test gpNet, a 12 x 5 one, a 20 x 8 one, a 12-task
+// chain's (the most levels for its size) and an edgeless graph's (only the
+// identity head runs), and a decide's log-probability, over every non-pivot
+// candidate and over just two, which leaves most embedding rows without
+// gradient.
+class TapeGradients : public ::testing::TestWithParam<GnnKind> {
+ protected:
+  struct Model {
     GnnConfig cfg;
-    cfg.kind = GetParam();
-    const bool merged = cfg.kind == GnnKind::kGiPHNE;
-    cfg.node_dim = merged ? 8 : 4;
-    cfg.edge_dim = merged ? 0 : 4;
-    std::mt19937_64 rng(5);
     nn::ParamRegistry reg;
-    const GraphEncoder enc(reg, cfg, rng);
+    std::unique_ptr<GraphEncoder> enc;
+    std::unique_ptr<ScorePolicy> policy;
+    std::mt19937_64 rng{5};
+    Model(GnnKind kind, bool with_policy) {
+      cfg.kind = kind;
+      const bool merged = kind == GnnKind::kGiPHNE;
+      cfg.node_dim = merged ? 8 : 4;
+      cfg.edge_dim = merged ? 0 : 4;
+      enc = std::make_unique<GraphEncoder>(reg, cfg, rng);
+      if (with_policy) {
+        policy = std::make_unique<ScorePolicy>(reg, "policy", enc->out_dim(), rng);
+      }
+    }
+  };
+
+  /// Checks `loss_of` on the encoder's embeddings against the same loss on
+  /// the per-node-slice reference, every parameter's gradient bytewise.
+  template <class Loss>
+  void expect_reference_gradients(Model& model, const Instance& inst, Loss&& loss_of) {
+    const bool merged = model.cfg.edge_dim == 0;
     const nn::Matrix node_feats =
         merged ? append_mean_out_edge_features(inst.net, inst.feats) : inst.feats.node;
     const nn::Matrix edge_feats = merged ? nn::Matrix() : inst.feats.edge;
-
-    nn::Matrix loss_weights(inst.net.num_nodes(), enc.out_dim());
-    std::uniform_real_distribution<double> d(-1.0, 1.0);
-    for (int i = 0; i < loss_weights.rows(); ++i) {
-      for (int j = 0; j < loss_weights.cols(); ++j) loss_weights(i, j) = d(rng);
-    }
+    nn::ParamRegistry& reg = model.reg;
     auto gradients_of = [&](const nn::Var& emb) {
       reg.zero_grad();
-      nn::backward(nn::sum_all(nn::mul(emb, nn::constant(loss_weights))));
+      nn::backward(loss_of(emb));
       std::vector<nn::Matrix> grads;
       for (const nn::Var& p : reg.params()) grads.push_back(p->grad);
       return grads;
     };
 
-    const nn::Var emb = enc.encode(inst.net.view, node_feats, edge_feats);
+    const nn::Var emb = model.enc->encode(inst.net.view, node_feats, edge_feats);
     const std::vector<nn::Matrix> got = gradients_of(emb);
 
     const nn::Var nodes = nn::constant(node_feats);
@@ -503,8 +532,65 @@ TEST_P(TapeGradients, MatchPerNodeSliceTapeBitwise) {
 
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_GT(got[i].size(), 0u) << reg.names()[i];
-      EXPECT_TRUE(nn::bitwise_equal(got[i], want[i])) << reg.names()[i];
+      const std::string& name = reg.names()[i];
+      // Without edges no message passes: the message and aggregate layers
+      // get no gradient at all.
+      const bool passes_messages = name.rfind("gnn.fwd", 0) == 0 || name.rfind("gnn.bwd", 0) == 0;
+      if (inst.net.view.edges.empty() && passes_messages) {
+        EXPECT_EQ(got[i].size(), 0u) << name;
+      } else {
+        EXPECT_GT(got[i].size(), 0u) << name;
+      }
+      EXPECT_TRUE(nn::bitwise_equal(got[i], want[i])) << name;
+    }
+  }
+};
+
+TEST_P(TapeGradients, MatchPerNodeSliceTapeBitwise) {
+  std::vector<std::pair<std::string, Instance>> cases;
+  for (const auto& [tasks, devices] :
+       {std::pair{8, 4}, std::pair{12, 5}, std::pair{20, 8}}) {
+    cases.emplace_back(std::to_string(tasks) + " tasks x " + std::to_string(devices) +
+                           " devices",
+                       Instance(tasks, devices));
+  }
+  cases.emplace_back("12-task chain x 5 devices", Instance(line_graph(12, true), 5));
+  cases.emplace_back("6 tasks, no edges x 4 devices", Instance(line_graph(6, false), 4));
+  for (const auto& [name, inst] : cases) {
+    SCOPED_TRACE(name);
+    Model model(GetParam(), /*with_policy=*/false);
+    nn::Matrix loss_weights(inst.net.num_nodes(), model.enc->out_dim());
+    std::uniform_real_distribution<double> d(-1.0, 1.0);
+    for (int i = 0; i < loss_weights.rows(); ++i) {
+      for (int j = 0; j < loss_weights.cols(); ++j) loss_weights(i, j) = d(model.rng);
+    }
+    expect_reference_gradients(model, inst, [&](const nn::Var& emb) {
+      return nn::sum_all(nn::mul(emb, nn::constant(loss_weights)));
+    });
+  }
+}
+
+TEST_P(TapeGradients, DecideLogProbMatchesPerNodeSliceTapeBitwise) {
+  for (const Instance& inst : {Instance(20, 8), Instance(line_graph(12, true), 5)}) {
+    Model model(GetParam(), /*with_policy=*/true);
+    // Every non-pivot node, as decide's candidates, then just two of them.
+    std::vector<int> candidates;
+    for (int u = 0; u < inst.net.num_nodes(); ++u) {
+      if (!inst.net.is_pivot[u]) candidates.push_back(u);
+    }
+    for (const std::size_t keep : {candidates.size(), std::size_t{2}}) {
+      SCOPED_TRACE(std::to_string(inst.g.num_tasks()) + " tasks, " +
+                   std::to_string(keep) + " candidates");
+      const std::vector<int> cands(candidates.begin(),
+                                   candidates.begin() + static_cast<long>(keep));
+      int choice = -1;
+      expect_reference_gradients(model, inst, [&](const nn::Var& emb) {
+        std::mt19937_64 draw(41);
+        const ScorePolicy::Sample s = model.policy->act(emb, cands, draw, false);
+        if (choice >= 0) EXPECT_EQ(s.choice, choice);
+        choice = s.choice;
+        return s.log_prob;
+      });
     }
   }
 }
@@ -537,6 +623,29 @@ TEST(GraphEncoder, TapeSizeDoesNotGrowWithDevices) {
     gpnet_nodes.push_back(build_gpnet(g, n, env.placement(), env.feasible()).num_nodes());
   }
   EXPECT_GT(gpnet_nodes[1], gpnet_nodes[0] + 100);
+  EXPECT_EQ(sizes[0], sizes[1]);
+}
+
+// Nor does it grow with the task graph's depth: the sequential pass is one
+// tape node per direction however many levels it has.
+TEST(GraphEncoder, TapeSizeDoesNotGrowWithDepth) {
+  std::mt19937_64 rng(77);
+  NetworkParams np;
+  np.num_devices = 6;
+  DeviceNetwork n = generate_device_network(np, rng);
+  ensure_all_kinds(n, np.num_hw_kinds, rng);
+  std::vector<std::size_t> sizes;
+  for (const int tasks : {6, 18}) {
+    const TaskGraph g = line_graph(tasks, true);
+    PlacementSearchEnv env(g, n, kLat, makespan_objective(kLat),
+                           random_placement(g, n, rng), slr_denominator(g, n, kLat));
+    GiPHAgent agent(GiPHOptions{});
+    agent.begin_episode();
+    std::mt19937_64 act_rng(3);
+    const ActionDecision d = agent.decide(env, act_rng, false);
+    ASSERT_TRUE(d.log_prob);
+    sizes.push_back(nn::graph_size(d.log_prob));
+  }
   EXPECT_EQ(sizes[0], sizes[1]);
 }
 

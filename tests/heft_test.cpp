@@ -122,6 +122,27 @@ TEST(Heft, BeatsAverageRandomPlacementOnSyntheticInstances) {
   EXPECT_GE(wins, 9);
 }
 
+// A task no device can run is rejected with its name, not scheduled on
+// device -1: a pin past the last device, and a hardware requirement no
+// device meets.
+TEST(Heft, TaskWithNoFeasibleDeviceIsRejectedByName) {
+  for (const bool pin : {true, false}) {
+    Fixture f;
+    if (pin) {
+      f.g.task(1).pinned = 5;
+    } else {
+      f.g.task(1).requires_hw = 0b100;
+      for (int d = 0; d < f.n.num_devices(); ++d) f.n.device(d).supports_hw = 0b011;
+    }
+    try {
+      heft_schedule(f.g, f.n, kLat);
+      ADD_FAILURE() << "expected std::invalid_argument (pin " << pin << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "heft_schedule: task 1 has no feasible device");
+    }
+  }
+}
+
 TEST(Heft, EftSelectDevicePrefersParentLocality) {
   TaskGraph g;
   g.add_task(Task{.compute = 1.0});
