@@ -184,14 +184,14 @@ int main() {
     const std::vector<std::vector<int>> feas = feasible_sets(dg, dn);
     Placement dp = random_placement(dg, dn, deep_rng);
     Schedule prev, next, check;
-    DeltaSimState dds;
+    DeltaSimState dds, next_dds;
     SimWorkspace check_ws;
     simulate_into(dg, dn, dp, lat, ws, prev, dds);
     for (int i = 0; i < hit_moves; ++i) {
       const int v = static_cast<int>(deep_rng() % dg.num_tasks());
       const int d = feas[v][deep_rng() % feas[v].size()];
       dp.set(v, d);
-      if (simulate_delta(dg, dn, dp, v, lat, ws, prev, dds, next) ==
+      if (simulate_delta(dg, dn, dp, v, lat, ws, prev, dds, next, next_dds) ==
           DeltaSimResult::kReplayed) {
         ++delta_hits;
       }
@@ -204,6 +204,7 @@ int main() {
         }
       }
       std::swap(prev, next);
+      std::swap(dds, next_dds);
     }
   }
   const double delta_hit_rate = static_cast<double>(delta_hits) / hit_moves;

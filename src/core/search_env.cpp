@@ -59,17 +59,15 @@ double PlacementSearchEnv::try_move(const SearchAction& a) {
   if (std::find(devs.begin(), devs.end(), a.device) == devs.end()) {
     throw std::invalid_argument("PlacementSearchEnv::try_move: infeasible device");
   }
-  // One-task move: replay it incrementally from sched_ (bitwise identical to
-  // a full simulation) into the trial buffers. simulate_delta rewrites the
-  // state it replays from, so the trial replays from a copy; copy-assignment
-  // reuses trial_delta_'s capacity. current_ carries the move only while the
-  // trial is simulated and scored.
-  trial_delta_ = delta_;
+  // One-task move: replay it incrementally from sched_ and delta_ (bitwise
+  // identical to a full simulation) into the trial buffers, which reuse their
+  // capacity. current_ carries the move only while the trial is simulated and
+  // scored.
   const int from = current_.device_of(a.task);
   current_.set(a.task, a.device);
   try {
     const DeltaSimResult dr = simulate_delta(*g_, *n_, current_, a.task, *lat_, ws_,
-                                             sched_, trial_delta_, trial_sched_);
+                                             sched_, delta_, trial_sched_, trial_delta_);
     ++sims_;
     if (dr == DeltaSimResult::kReplayed) {
       ++delta_sims_;

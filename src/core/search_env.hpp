@@ -86,8 +86,8 @@ class PlacementSearchEnv {
   double apply(const SearchAction& a);
 
   /// Evaluates a one-task move without taking it: checks `a` like apply(),
-  /// replays the move from schedule() into a trial schedule (simulate_delta
-  /// on a copy of the delta state) and returns the objective the move would
+  /// replays the move from schedule() into a trial schedule and delta state
+  /// (simulate_delta) and returns the objective the move would
   /// reach, bitwise what apply(a) leaves in objective(). The placement,
   /// schedule, objective, best-so-far record, steps_taken() and
   /// last_moved_task() are unchanged; only the simulation counters count the

@@ -129,45 +129,66 @@ struct SimWorkspace {
   std::vector<long> edge_seq;           ///< per edge: seq of its arrival key
   std::vector<double> edge_wire_begin;  ///< per edge: when wire time starts
   std::vector<double> edge_wire_factor; ///< per edge: factor baked into finish
+  /// simulate_delta() reconstruction scratch: (recorded runnable rank, task)
+  /// of every task queued at the dirty time.
+  std::vector<std::pair<long, int>> delta_queued;
 };
 
-/// Bookkeeping recorded by a full simulation (and kept current by delta
-/// replays) that lets simulate_delta() reconstruct the exact mid-run simulator
-/// state at the dirty-time boundary of a one-task move. The recorded event
-/// seqs and runnable ranks preserve the full run's deterministic tie-breaking,
-/// which is what makes the incremental path bitwise-identical.
+/// Bookkeeping recorded by a full simulation (and written by delta replays)
+/// that lets simulate_delta() reconstruct the exact mid-run simulator state at
+/// the dirty-time boundary of a one-task move. The recorded event seqs and
+/// runnable ranks preserve the full run's deterministic tie-breaking, which is
+/// what makes the incremental path bitwise-identical.
 ///
-/// Only the recording simulate_into() overload fills a state, and it always
-/// runs the static model (no noise, trace or link contention), the only model
-/// simulate_delta() replays. One state belongs to one (graph, network) chain
-/// of schedules: a recording run seeds it, and each simulate_delta() call
-/// both consumes and refreshes it, so single-move steps chain indefinitely.
-/// Evaluating a move without taking it branches the chain by copying the
-/// state: replay into the copy, then keep the copy (the move is taken) or
-/// drop it (the original still describes the unchanged schedule), as
+/// Only the recording simulate_into() overload fills a state from scratch,
+/// and it always runs the static model (no noise, trace or link contention),
+/// the only model simulate_delta() replays. One state belongs to one (graph,
+/// network) chain of schedules: a recording run seeds it, and each
+/// simulate_delta() call reads the previous state and writes the next one
+/// into a second state, so single-move steps chain indefinitely. A replay
+/// numbers its events and ranks exactly like a full run, so every state in a
+/// chain is bitwise the one a recording run of its placement would write.
+/// Evaluating a move without taking it keeps the previous state: replay into
+/// a second state, then keep it (the move is taken) or drop it (the previous
+/// one still describes the unchanged schedule), as
 /// PlacementSearchEnv::try_move / commit do. Copy-assignment reuses the
 /// target's capacity.
 struct DeltaSimState {
   bool valid = false;  ///< false until a recording run completes
-  /// Per task: position in the run's make_runnable() order. Strictly
-  /// monotone in runnable time; replays hand out fresh ranks above every
-  /// recorded one, so relative order stays exact across chained deltas.
+  /// Per task: position in the run's make_runnable() order (0 .. V - 1).
   std::vector<long> runnable_order;
   std::vector<long> task_event_seq;  ///< per task: seq of its task-done event
   /// Per edge: the seq its transfer took when sent, the tie-break of its
   /// arrival (an inputs-ready event is keyed by its latest input's).
   std::vector<long> edge_event_seq;
-  long total_seq = 0;            ///< seq counter at run end
-  long next_runnable_rank = 0;   ///< rank counter at run end
-  /// Reconstruction scratch (sorted (rank, task) pairs); not part of the
-  /// recorded state.
-  std::vector<std::pair<long, int>> runnable_scratch;
+  long total_seq = 0;            ///< seq counter at run end (V + E)
+  long next_runnable_rank = 0;   ///< rank counter at run end (V)
 };
 
 /// Outcome of simulate_delta(): whether the incremental replay ran or the
 /// call fell back to a full simulation (either way `out` holds the exact
 /// full-simulation schedule).
 enum class DeltaSimResult { kReplayed, kFellBack };
+
+/// Why simulate_delta() fell back to a full simulation.
+enum class DeltaFallback {
+  kNone,          ///< it replayed
+  kInvalidState,  ///< the previous state is invalid or sized for another instance
+  kEntryTask,     ///< the moved task is an entry task: dirty from t = 0
+  kPrefixGate,    ///< fewer than 5% of the tasks finish before the dirty time
+};
+
+/// What one simulate_delta() call did, for tests and the fuzzer's coverage
+/// counts. The schedule and state it writes do not depend on it.
+struct DeltaSimReport {
+  DeltaFallback fallback = DeltaFallback::kNone;
+  /// The dirty time is the moved task's new inputs-ready time (strictly
+  /// earlier than its old one).
+  bool dirty_from_new_arrival = false;
+  /// Every input of the moved task was sent before the dirty time, so its
+  /// inputs-ready event was rebuilt from their new arrivals.
+  bool inputs_sent_before_t0 = false;
+};
 
 /// Discrete-event runtime simulator (Appendix B.5).
 ///
@@ -206,27 +227,31 @@ void simulate_into(const TaskGraph& g, const DeviceNetwork& n, const Placement& 
 /// noise-free, contention-free simulator of Appendix B.5, which is what the
 /// search scores moves with): `p` must differ from the placement that
 /// produced `prev` at most at `moved_task`, `prev` must be the schedule of a
-/// run that recorded (or refreshed) `ds` under the same graph, network and
-/// latency model, and `out` must not alias `prev`.
+/// run that recorded (or replayed into) `prev_state` under the same graph,
+/// network and latency model, and neither output may alias its input.
 ///
-/// Computes the earliest dirty time T0 = min(previous start of the moved
-/// task, earliest previous finish among its parents): before T0 the two runs
-/// are provably identical (the moved task is inert until its first input
-/// transfer dispatches, and queued-but-unstarted work displaces nothing), so
-/// the call reconstructs the simulator state at T0 straight from `prev` + `ds`
-/// and replays only events at or after it. Work is proportional to the
-/// affected suffix instead of the whole graph.
+/// The dirty time T0 is the earlier of the moved task's old inputs-ready time
+/// and its new one (the latest recorded dispatch plus comm time to its new
+/// device over its inputs). Before T0 the two runs pop the same events and
+/// the moved task is runnable in neither, so the call reconstructs the
+/// simulator state at T0 straight from `prev` + `prev_state` (the moved
+/// task's already-sent inputs take their new arrivals) and replays only
+/// events at or after it. Work is proportional to the affected suffix
+/// instead of the whole graph.
 ///
 /// Falls back to a full recording simulation (same output, DeltaSimResult::
 /// kFellBack) when the replay cannot or need not run: invalid or mismatched
-/// `ds`, a moved entry task (dirty from t = 0), or an unaffected prefix
-/// below 5% of the tasks. Either way `out` and `ds` end bitwise identical to
-/// what the recording simulate_into() would produce, so single-move steps
-/// chain indefinitely.
+/// `prev_state`, a moved entry task (dirty from t = 0), or an unaffected
+/// prefix below 5% of the tasks. Either way `out` and `state` end bitwise
+/// identical to what the recording simulate_into() would write, so
+/// single-move steps chain indefinitely. `report`, when given, says which
+/// path ran.
 DeltaSimResult simulate_delta(const TaskGraph& g, const DeviceNetwork& n,
                               const Placement& p, int moved_task,
                               const LatencyModel& lat, SimWorkspace& ws,
-                              const Schedule& prev, DeltaSimState& ds, Schedule& out);
+                              const Schedule& prev, const DeltaSimState& prev_state,
+                              Schedule& out, DeltaSimState& state,
+                              DeltaSimReport* report = nullptr);
 
 /// Process-wide count of simulator invocations (simulate, simulate_into,
 /// simulate_with_faults, and simulate_delta all count). Monotonic,

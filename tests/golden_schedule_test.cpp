@@ -337,11 +337,11 @@ TEST(GoldenSchedules, DeltaMoveCasesReplayIncrementallyAndBitwise) {
     ++seen;
     SimWorkspace ws;
     Schedule prev, out;
-    DeltaSimState ds;
+    DeltaSimState ds, out_ds;
     simulate_into(c.graph, c.network, c.placement, kLat, ws, prev, ds);
     const Placement moved = c.final_placement();
-    const DeltaSimResult dr =
-        simulate_delta(c.graph, c.network, moved, c.delta_task, kLat, ws, prev, ds, out);
+    const DeltaSimResult dr = simulate_delta(c.graph, c.network, moved, c.delta_task, kLat,
+                                             ws, prev, ds, out, out_ds);
     EXPECT_TRUE(dr == DeltaSimResult::kReplayed)
         << c.name << ": move was hand-picked to replay, not fall back";
     expect_matches(c, out, "delta");

@@ -14,6 +14,7 @@
 #include "gen/device_network_gen.hpp"
 #include "gen/grouping.hpp"
 #include "gen/task_graph_gen.hpp"
+#include "graph/topology.hpp"
 #include "sim/schedule_index.hpp"
 #include "sim/simulator.hpp"
 #include "util/parallel_for.hpp"
@@ -293,6 +294,59 @@ TEST(Hierarchical, InvalidOptionsThrow) {
   opt.coarse_steps_factor = -1;
   EXPECT_THROW(HierarchicalPlacer(in.graph, in.network, kLat, opt),
                std::invalid_argument);
+}
+
+TEST(Hierarchical, RefineWorkCountersAreExact) {
+  // perfbench scale1000's tiny shape: 200 tasks (alpha 0.8, p_connect 2/200)
+  // on a 20-device sparse topology (random spanning tree plus chords), 10
+  // clusters, 3 refine rounds, the HEFT coarse warm start expanded. Every
+  // count below is a pure function of these inputs, so a change to the delta
+  // replay's dirty time or gate moves them with no timing noise.
+  std::mt19937_64 rng(20260808);
+  TaskGraphParams gp;
+  gp.num_tasks = 200;
+  gp.alpha = 0.8;
+  gp.p_connect = 2.0 / 200;
+  const TaskGraph g = generate_task_graph(gp, rng);
+  NetworkParams np;
+  np.num_devices = 20;
+  DeviceNetwork n = generate_device_network(np, rng);
+  std::vector<PhysicalLink> links;
+  std::uniform_real_distribution<double> bw(20.0, 80.0);
+  std::uniform_real_distribution<double> dl(0.1, 2.0);
+  for (int i = 1; i < 20; ++i) {
+    const int j = static_cast<int>(rng() % static_cast<std::uint64_t>(i));
+    links.push_back({j, i, bw(rng), dl(rng), true});
+  }
+  for (int c = 0; c < 40; ++c) {
+    const int a = static_cast<int>(rng() % 20);
+    const int b = static_cast<int>(rng() % 20);
+    if (a != b) links.push_back({a, b, bw(rng), dl(rng), true});
+  }
+  apply_topology(n, links);
+  ensure_feasible(g, n, rng);
+
+  HierarchicalOptions opt;
+  opt.partition.num_clusters = 10;
+  opt.refine_rounds = 3;
+  opt.coarse_steps_factor = 0;  // the HEFT warm start: no policy steps
+  GiPHAgent agent(GiPHOptions{});
+  std::mt19937_64 place_rng(5);
+  HierarchicalPlacer placer(g, n, kLat, opt);
+  Placement fine = placer.expand(placer.place_clusters(agent, place_rng));
+
+  const std::uint64_t full0 = full_simulation_count();
+  const std::uint64_t delta0 = delta_simulation_count();
+  const std::uint64_t fallback0 = delta_fallback_count();
+  HierarchicalStats stats;
+  placer.refine(fine, &stats);
+  const std::uint64_t replays = delta_simulation_count() - delta0;
+  const std::uint64_t fallbacks = delta_fallback_count() - fallback0;
+  EXPECT_EQ(static_cast<std::uint64_t>(stats.refine_moves_tried), replays + fallbacks);
+  EXPECT_EQ(full_simulation_count() - full0, fallbacks + 1);  // + the initial run
+  EXPECT_EQ(stats.refine_moves_tried, 2124);
+  EXPECT_EQ(replays, 1853u);
+  EXPECT_EQ(fallbacks, 271u);
 }
 
 // ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@
 // With --delta, every non-fault case additionally runs a chain of random
 // one-task moves on its graph, network, placement and latency model under
 // the static model (no noise, trace or link contention: the only model
-// simulate_delta() replays), asserting that simulate_delta() stays bitwise
-// identical to a from-scratch simulation at each step (whether it replayed
-// incrementally or fell back).
+// simulate_delta() replays), asserting that simulate_delta()'s schedule and
+// refreshed DeltaSimState stay bitwise identical to a from-scratch recording
+// simulation at each step (whether it replayed incrementally or fell back).
+// The summary counts replays by class and fallbacks by cause.
 //
 // Any failure prints the exact flags reproducing that single case. The plain
 // and --stream summaries count every case class they draw; a run of at least
@@ -445,18 +446,73 @@ std::string check_reductions(const FuzzCase& c) {
   return "";
 }
 
+/// The first field in which two delta states differ, or "" when bitwise equal.
+std::string diff_delta_states(const DeltaSimState& a, const DeltaSimState& b,
+                              const char* what) {
+  char buf[160];
+  const auto diff_vec = [&](const std::vector<long>& x, const std::vector<long>& y,
+                            const char* field) {
+    if (x.size() != y.size()) {
+      std::snprintf(buf, sizeof(buf), "%s: state %s has %zu entries, not %zu", what,
+                    field, x.size(), y.size());
+      return false;
+    }
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (x[i] != y[i]) {
+        std::snprintf(buf, sizeof(buf), "%s: state %s[%zu] differs (%ld vs %ld)", what,
+                      field, i, x[i], y[i]);
+        return false;
+      }
+    }
+    return true;
+  };
+  if (a.valid != b.valid) {
+    std::snprintf(buf, sizeof(buf), "%s: state validity differs", what);
+    return buf;
+  }
+  if (!diff_vec(a.runnable_order, b.runnable_order, "runnable_order") ||
+      !diff_vec(a.task_event_seq, b.task_event_seq, "task_event_seq") ||
+      !diff_vec(a.edge_event_seq, b.edge_event_seq, "edge_event_seq")) {
+    return buf;
+  }
+  if (a.total_seq != b.total_seq || a.next_runnable_rank != b.next_runnable_rank) {
+    std::snprintf(buf, sizeof(buf), "%s: state counters differ (%ld/%ld vs %ld/%ld)", what,
+                  a.total_seq, a.next_runnable_rank, b.total_seq, b.next_runnable_rank);
+    return buf;
+  }
+  return "";
+}
+
+/// --delta outcome counts: replays by class, fallbacks by cause.
+struct DeltaCounts {
+  std::uint64_t replayed = 0, from_new_arrival = 0, inputs_sent = 0;
+  std::uint64_t invalid_state = 0, entry_task = 0, prefix_gate = 0;
+
+  void add(DeltaSimResult r, const DeltaSimReport& rep) {
+    if (r == DeltaSimResult::kReplayed) {
+      ++replayed;
+      from_new_arrival += rep.dirty_from_new_arrival ? 1 : 0;
+      inputs_sent += rep.inputs_sent_before_t0 ? 1 : 0;
+      return;
+    }
+    ++(rep.fallback == DeltaFallback::kInvalidState ? invalid_state
+       : rep.fallback == DeltaFallback::kEntryTask  ? entry_task
+                                                    : prefix_gate);
+  }
+};
+
 /// --delta: a chain of random one-task moves re-simulated incrementally must
-/// stay bitwise identical to a from-scratch simulation at every step, and the
-/// refreshed DeltaSimState must keep chaining. simulate_delta replays the
-/// static model only, so the chain runs the case's graph, network and
-/// placement without its noise, trace or link contention.
-std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
-                        std::uint64_t* replayed, std::uint64_t* fell_back) {
+/// stay bitwise identical to a from-scratch recording simulation at every
+/// step, schedule and refreshed DeltaSimState alike, so the chain keeps
+/// going. simulate_delta replays the static model only, so the chain runs the
+/// case's graph, network and placement without its noise, trace or link
+/// contention.
+std::string check_delta(const FuzzCase& c, std::uint64_t case_index, DeltaCounts& counts) {
   SimWorkspace ws, ws_ref;
   Schedule prev, cur, ref;
-  DeltaSimState ds;
+  DeltaSimState prev_ds, cur_ds, ref_ds;
   Placement p = c.placement;
-  simulate_into(c.graph, c.network, p, kLat, ws, prev, ds);
+  simulate_into(c.graph, c.network, p, kLat, ws, prev, prev_ds);
 
   const auto feasible = feasible_sets(c.graph, c.network);
   std::mt19937_64 move_rng(mix(c.sim_seed ^ mix(case_index)));
@@ -467,15 +523,18 @@ std::string check_delta(const FuzzCase& c, std::uint64_t case_index,
     const int d = devs[uniform_int(move_rng, 0, static_cast<int>(devs.size()) - 1)];
     p.set(v, d);
 
-    const DeltaSimResult dr =
-        simulate_delta(c.graph, c.network, p, v, kLat, ws, prev, ds, cur);
-    ++(dr == DeltaSimResult::kReplayed ? *replayed : *fell_back);
-    simulate_into(c.graph, c.network, p, kLat, ws_ref, ref);
+    DeltaSimReport rep;
+    const DeltaSimResult dr = simulate_delta(c.graph, c.network, p, v, kLat, ws, prev,
+                                             prev_ds, cur, cur_ds, &rep);
+    counts.add(dr, rep);
+    simulate_into(c.graph, c.network, p, kLat, ws_ref, ref, ref_ds);
     char what[64];
     std::snprintf(what, sizeof(what), "delta move %d (task %d -> dev %d, %s)", s, v, d,
                   dr == DeltaSimResult::kReplayed ? "replayed" : "fell back");
     if (auto diff = diff_schedules(cur, ref, what); !diff.empty()) return diff;
+    if (auto diff = diff_delta_states(cur_ds, ref_ds, what); !diff.empty()) return diff;
     std::swap(prev, cur);
+    std::swap(prev_ds, cur_ds);
   }
   return "";
 }
@@ -1240,8 +1299,8 @@ int main(int argc, char** argv) {
 
   SimWorkspace ws;
   Schedule reused;
-  std::uint64_t fault_cases = 0, noisy_cases = 0, delta_replayed = 0,
-                delta_fell_back = 0;
+  std::uint64_t fault_cases = 0, noisy_cases = 0;
+  DeltaCounts delta_counts;
   InstanceCounts counts;
   for (std::uint64_t i = start; i < start + cases; ++i) {
     FuzzCase c;
@@ -1255,7 +1314,7 @@ int main(int argc, char** argv) {
       // Fault cases are checked against the fault oracle instead; every
       // other case gets the static one-move chain on its instance.
       if (failure.empty() && delta && !c.with_faults) {
-        failure = check_delta(c, i, &delta_replayed, &delta_fell_back);
+        failure = check_delta(c, i, delta_counts);
       }
     } catch (const std::exception& e) {
       failure = std::string("exception: ") + e.what();
@@ -1285,12 +1344,19 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(cases), static_cast<unsigned long long>(seed),
       format_coverage(classes, cases, covered).c_str());
   if (delta) {
-    const Coverage moves = {{"replayed incrementally", delta_replayed},
-                            {"fell back", delta_fell_back}};
+    const DeltaCounts& dc = delta_counts;
+    const Coverage moves = {{"replayed incrementally", dc.replayed},
+                            {"with the dirty time from the new arrival", dc.from_new_arrival},
+                            {"with inputs all sent before T0", dc.inputs_sent},
+                            {"entry-task fallbacks", dc.entry_task},
+                            {"prefix-gate fallbacks", dc.prefix_gate}};
+    // A chain always starts from a recorded state, so no move meets an
+    // invalid one; the count is printed, not required.
     std::printf(
-        "giph_fuzz: delta moves ok (%s), all bitwise equal to from-scratch "
-        "simulation\n",
-        format_coverage(moves, cases, covered).c_str());
+        "giph_fuzz: delta moves ok (%s, %llu invalid-state fallbacks), schedule and "
+        "state bitwise equal to a from-scratch recording simulation\n",
+        format_coverage(moves, cases, covered).c_str(),
+        static_cast<unsigned long long>(dc.invalid_state));
   }
   return covered ? 0 : 1;
 }
