@@ -67,25 +67,6 @@ inline std::vector<double> heft_final(const std::vector<Case>& cases,
   return eval::heft_finals(cases, lat);
 }
 
-/// Parallel variants: a factory makes one fresh policy per case so the
-/// evaluation can fan out over util::parallel_for. Results are bitwise
-/// identical for any thread count (see eval/evaluation.hpp).
-inline Curve evaluate_policy_curve(const eval::PolicyFactory& make_policy,
-                                   const std::vector<Case>& cases,
-                                   const LatencyModel& lat, double noise,
-                                   std::uint64_t seed, int curve_points = 9,
-                                   int threads = 0) {
-  return eval::policy_curve(make_policy, cases, lat, noise, seed, curve_points,
-                            threads);
-}
-
-inline std::vector<double> evaluate_policy_final(const eval::PolicyFactory& make_policy,
-                                                 const std::vector<Case>& cases,
-                                                 const LatencyModel& lat, double noise,
-                                                 std::uint64_t seed, int threads = 0) {
-  return eval::policy_finals(make_policy, cases, lat, noise, seed, threads);
-}
-
 /// Prints a curve table (one row per sampled step fraction, one column per
 /// policy) followed by an ASCII chart of the same series.
 void print_curves(const std::string& title, const std::vector<Curve>& curves);

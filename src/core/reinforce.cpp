@@ -1,5 +1,7 @@
 #include "core/reinforce.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -17,6 +19,13 @@
 
 namespace giph {
 namespace {
+
+/// Global gradient-norm bound applied to each batch gradient before the
+/// optimizer step.
+constexpr double kGradClip = 10.0;
+/// Weight of the critic's value-regression loss when the policy provides
+/// state-value estimates (actor-critic extension).
+constexpr double kValueCoef = 0.25;
 
 /// splitmix64 finalizer. mt19937_64 seeded with adjacent integers can emit
 /// correlated early outputs across episodes; mixing (seed + episode) through
@@ -283,7 +292,7 @@ EpisodeOutcome run_episode(RolloutWorker& w, const LatencyModel& lat,
         const nn::Var diff =
             nn::sub(values[t], nn::constant(nn::Matrix::scalar(returns[t])));
         sq_errors.push_back(nn::mul(diff, diff));
-        vweights.push_back(opt.value_coef / steps);
+        vweights.push_back(kValueCoef / steps);
       }
       loss = nn::add(loss, nn::weighted_sum(sq_errors, vweights));
     }
@@ -355,10 +364,6 @@ TrainStats train_reinforce(SearchPolicy& policy, const LatencyModel& lat,
     worker.owned = std::move(clone);
     rollout.push_back(std::move(worker));
   }
-  // The pool persists across batches: threads are spawned once, not per
-  // optimizer step.
-  std::unique_ptr<util::WorkerPool> pool;
-  if (workers > 1) pool = std::make_unique<util::WorkerPool>(workers);
 
   const int batch = opt.batch_episodes;
   int ep = start_episode;
@@ -368,18 +373,19 @@ TrainStats train_reinforce(SearchPolicy& policy, const LatencyModel& lat,
     const int group_end = std::min(opt.episodes, (ep / batch + 1) * batch);
     const int count = group_end - ep;
     std::vector<EpisodeOutcome> outcomes(count);
-    if (pool && count > 1) {
-      // Broadcast the post-update parameter values to every clone; within a
-      // batch all episodes see the same values, exactly as sequentially.
-      for (int w = 1; w < workers; ++w) nn::copy_values(params, rollout[w].params);
-      pool->run(count, [&](int i, int w) {
+    // Broadcast the post-update parameter values to the clones that run;
+    // within a batch all episodes see the same values, exactly as
+    // sequentially.
+    const int fan = std::min(workers, count);
+    for (int w = 1; w < fan; ++w) nn::copy_values(params, rollout[w].params);
+    // Worker w owns rollout[w] and takes the batch's next episode until none
+    // is left. One worker runs inline on the caller, in episode order.
+    std::atomic<int> next{0};
+    util::parallel_for(fan, fan, [&](int w) {
+      for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
         outcomes[i] = run_episode(rollout[w], lat, sampler, opt, ep + i);
-      });
-    } else {
-      for (int i = 0; i < count; ++i) {
-        outcomes[i] = run_episode(rollout[0], lat, sampler, opt, ep + i);
       }
-    }
+    });
 
     // Ordered reduction: stats, gradient accumulation, optimizer step,
     // callbacks, and checkpoints replay the episodes in index order, so the
@@ -398,7 +404,7 @@ TrainStats train_reinforce(SearchPolicy& policy, const LatencyModel& lat,
         }
         nn::install_grads(params, std::move(grad_accum));
         grad_accum.assign(params.size(), nn::Matrix());
-        nn::clip_grad_norm(params, opt.grad_clip);
+        nn::clip_grad_norm(params, kGradClip);
         adam->step();
       }
       if (opt.on_episode) opt.on_episode(e);

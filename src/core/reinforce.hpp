@@ -39,7 +39,6 @@ struct TrainOptions {
   /// Final learning rate; when < lr, the rate decays linearly over the
   /// episodes (stabilizes late REINFORCE training). Default: no decay.
   double lr_final = -1.0;
-  double grad_clip = 10.0;
   double noise = 0.0;  ///< multiplicative simulation noise during training
   /// Scale step t's gradient by gamma^t (the strict discounted policy
   /// gradient, as in the paper's Appendix B.7 update). Disabling uses the
@@ -62,9 +61,6 @@ struct TrainOptions {
   /// batch_episodes == 1 every update depends on the previous one, so there
   /// is nothing to parallelize.
   int rollout_workers = 1;
-  /// Weight of the critic's value-regression loss when the policy provides
-  /// state-value estimates (actor-critic extension).
-  double value_coef = 0.25;
   std::uint64_t seed = 7;
   /// Crash-safe checkpointing: every `checkpoint_every` episodes the trainer
   /// writes parameters, optimizer moments, RNG state, and stats so far to

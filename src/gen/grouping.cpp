@@ -247,14 +247,4 @@ Placement expand_placement(const GraphPartition& part, const Placement& coarse) 
   return fine;
 }
 
-Placement expand_placement(const GraphPartition& part, const TaskGraph& g,
-                           const Placement& coarse) {
-  Placement fine = expand_placement(part, coarse);
-  for (int v = 0; v < g.num_tasks(); ++v) {
-    const int pin = g.task(v).pinned;
-    if (pin >= 0) fine.set(v, pin);
-  }
-  return fine;
-}
-
 }  // namespace giph

@@ -74,9 +74,4 @@ GraphPartition partition_tasks(const TaskGraph& g, const DeviceNetwork& n,
 /// members on the pin).
 Placement expand_placement(const GraphPartition& part, const Placement& coarse);
 
-/// Variant that additionally snaps pinned tasks of `g` back to their pin,
-/// tolerating coarse placements that ignore coarse pins.
-Placement expand_placement(const GraphPartition& part, const TaskGraph& g,
-                           const Placement& coarse);
-
 }  // namespace giph

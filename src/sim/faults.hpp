@@ -155,7 +155,7 @@ PostFaultNetwork post_fault_network(const DeviceNetwork& base, const FaultPlan& 
 Placement remap_placement(const Placement& p, const std::vector<int>& old_to_new);
 
 /// Copy of `g` with pinned-device ids mapped through old_to_new. A task
-/// pinned to a removed device stays pinned to -2, which no device satisfies:
+/// pinned to a removed device is pinned to INT_MAX, which no device satisfies:
 /// feasibility checks then report the instance unrecoverable instead of
 /// silently unpinning.
 TaskGraph remap_pinned(const TaskGraph& g, const std::vector<int>& old_to_new);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -72,31 +71,8 @@ WorkerPool::~WorkerPool() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  start_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-/// Hands out indices of the current run to `worker` until none remain, then
-/// retires the worker from the run. Called with mu_ held; releases it around
-/// each body invocation.
-void WorkerPool::drain(int worker) {
-  for (;;) {
-    if (next_ >= count_) break;
-    const int i = next_++;
-    mu_.unlock();
-    std::exception_ptr err;
-    try {
-      (*body_)(i, worker);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    mu_.lock();
-    if (err && (first_error_index_ < 0 || i < first_error_index_)) {
-      first_error_ = err;
-      first_error_index_ = i;
-    }
-  }
-  if (--active_ == 0) done_cv_.notify_all();
 }
 
 /// Pops and executes one queued task. Called with mu_ held; releases it
@@ -121,35 +97,24 @@ void WorkerPool::run_one_queued(int worker, std::unique_lock<std::mutex>& lock) 
 
 void WorkerPool::worker_loop(int worker) {
   std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t seen = 0;
   for (;;) {
-    start_cv_.wait(lock,
-                   [&] { return shutdown_ || generation_ != seen || !queue_.empty(); });
-    if (generation_ != seen) {
-      seen = generation_;
-      drain(worker);
-      continue;
-    }
-    if (!queue_.empty()) {
-      run_one_queued(worker, lock);
-      continue;
-    }
-    if (shutdown_) return;
+    work_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // shut down with nothing left to run
+    run_one_queued(worker, lock);
   }
 }
 
 bool WorkerPool::try_submit(std::function<void(int worker)> task) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!accepting_ || shutdown_) return false;
+  queue_.push_back(std::move(task));
   if (threads_ == 1) {
     // No background workers: run inline as worker 0 (same capture semantics
     // as the background path, so callers observe one behavior).
-    queue_.push_back(std::move(task));
     run_one_queued(0, lock);
-    return true;
+  } else {
+    work_cv_.notify_one();
   }
-  queue_.push_back(std::move(task));
-  start_cv_.notify_one();
   return true;
 }
 
@@ -164,7 +129,7 @@ void WorkerPool::stop_and_drain() {
   accepting_ = false;
   // Wake the workers: with admission closed they must finish what is queued,
   // not wait for more.
-  start_cv_.notify_all();
+  work_cv_.notify_all();
   idle_cv_.wait(lock, [&] { return queue_.empty() && tasks_in_flight_ == 0; });
   if (task_error_) {
     std::exception_ptr err = task_error_;
@@ -176,23 +141,6 @@ void WorkerPool::stop_and_drain() {
 int WorkerPool::pending_tasks() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(queue_.size()) + tasks_in_flight_;
-}
-
-void WorkerPool::run(int count, const std::function<void(int, int)>& body) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (body_ != nullptr) throw std::logic_error("WorkerPool::run: reentrant call");
-  count_ = count;
-  body_ = &body;
-  next_ = 0;
-  active_ = threads_;
-  first_error_ = nullptr;
-  first_error_index_ = -1;
-  ++generation_;
-  start_cv_.notify_all();
-  drain(0);  // the caller's thread participates as worker 0
-  done_cv_.wait(lock, [&] { return active_ == 0; });
-  body_ = nullptr;
-  if (first_error_) std::rethrow_exception(first_error_);
 }
 
 }  // namespace giph::util

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -20,29 +20,18 @@ int resolve_threads(int threads);
 /// must write only to per-index state (e.g. slot i of a results vector) for
 /// the overall result to be independent of the thread count. With threads
 /// resolving to 1, or count <= 1, everything runs inline on the caller's
-/// thread.
+/// thread. This is the library's one counted fan-out (training batches
+/// included); WorkerPool below serves only queued tasks.
 ///
 /// Exceptions thrown by the body are captured; the first one (lowest index)
 /// is rethrown on the caller's thread after all workers have joined.
 void parallel_for(int count, int threads, const std::function<void(int)>& body);
 
-/// A pool of persistent worker threads for repeated fan-outs (e.g. one batch
-/// of training rollouts per optimizer step): the threads are spawned once and
-/// reused across run() calls, so a caller that fans out thousands of times
-/// does not pay thread creation/teardown per batch.
-///
-/// run(count, body) executes body(index, worker) for index in [0, count).
-/// Indices are handed out dynamically; `worker` identifies the executing
-/// worker slot (stable across the pool's lifetime, in [0, threads())), which
-/// lets callers attach per-worker state (scratch buffers, policy clones)
-/// without locking. The caller's thread participates as worker 0. As with
-/// parallel_for, the index->worker mapping is nondeterministic, so the body
-/// must write only per-index (or per-worker) state for results to be
-/// independent of the thread count.
-///
-/// Exceptions thrown by the body are captured and the one with the lowest
-/// index is rethrown on the caller's thread after the fan-out completes.
-/// run() must not be called concurrently or reentrantly.
+/// A pool of persistent worker threads draining a FIFO task queue, for
+/// streaming workloads (the serving daemon) where tasks arrive one at a time
+/// instead of as a counted fan-out. Each task receives its worker slot id
+/// (stable across the pool's lifetime, in [0, threads())), which lets callers
+/// attach per-worker state (arenas, policy clones) without locking.
 class WorkerPool {
  public:
   /// Spawns threads-1 persistent workers (<= 0 = hardware concurrency).
@@ -54,28 +43,21 @@ class WorkerPool {
 
   int threads() const noexcept { return threads_; }
 
-  void run(int count, const std::function<void(int index, int worker)>& body);
-
-  /// Queued-task mode, for streaming workloads (e.g. a serving daemon) where
-  /// tasks arrive one at a time instead of as a counted fan-out. submit()
-  /// enqueues `task`; a background worker eventually executes task(worker)
-  /// with its worker slot id. With threads() == 1 there are no background
-  /// workers, so the task runs inline on the submitting thread (as worker 0)
-  /// before submit() returns. Throws std::runtime_error once the pool has
-  /// been stopped; try_submit() returns false instead. An accepted task is
-  /// guaranteed to execute exactly once, even when stop_and_drain() races the
-  /// submit. submit() may be called concurrently from any number of threads
-  /// and may interleave with run() fan-outs (queued tasks and fan-out indices
-  /// never run on the same worker at the same time).
+  /// Enqueues `task`; a background worker eventually executes task(worker).
+  /// With threads() == 1 there are no background workers, so the task runs
+  /// inline on the submitting thread (as worker 0) before submit() returns.
+  /// Throws std::runtime_error once the pool has been stopped; try_submit()
+  /// returns false instead. An accepted task is guaranteed to execute exactly
+  /// once, even when stop_and_drain() races the submit. Both may be called
+  /// concurrently from any number of threads.
   void submit(std::function<void(int worker)> task);
   bool try_submit(std::function<void(int worker)> task);
 
   /// Stops admission (subsequent submits fail) and blocks until every
-  /// accepted task has finished. Exceptions escaping a queued task are
-  /// captured at execution time without wedging the pool — the remaining
-  /// tasks still run — and the first captured one is rethrown here (then
-  /// cleared). Idempotent; also invoked by the destructor, which swallows the
-  /// rethrow. run() remains usable after stop_and_drain().
+  /// accepted task has finished. Exceptions escaping a task are captured at
+  /// execution time without wedging the pool — the remaining tasks still
+  /// run — and the first captured one is rethrown here (then cleared).
+  /// Idempotent; also invoked by the destructor, which swallows the rethrow.
   void stop_and_drain();
 
   /// Tasks accepted but not yet finished (queued + in flight). Admission
@@ -84,25 +66,16 @@ class WorkerPool {
 
  private:
   void worker_loop(int worker);
-  void drain(int worker);
   void run_one_queued(int worker, std::unique_lock<std::mutex>& lock);
 
   int threads_;
   std::vector<std::thread> workers_;
 
   mutable std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::condition_variable idle_cv_;  ///< queued-task drain completion
-  std::uint64_t generation_ = 0;  ///< bumped per run(); wakes the workers
+  std::condition_variable work_cv_;  ///< a task arrived, or shutdown
+  std::condition_variable idle_cv_;  ///< queue empty and nothing in flight
   bool shutdown_ = false;
   bool accepting_ = true;  ///< false once stop_and_drain() begins
-  int count_ = 0;
-  const std::function<void(int, int)>* body_ = nullptr;
-  int next_ = 0;     ///< next index to hand out (under mu_)
-  int active_ = 0;   ///< workers still draining the current run
-  std::exception_ptr first_error_;
-  int first_error_index_ = -1;
 
   std::deque<std::function<void(int)>> queue_;  ///< submitted tasks (under mu_)
   int tasks_in_flight_ = 0;         ///< queued tasks currently executing

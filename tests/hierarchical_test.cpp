@@ -196,26 +196,6 @@ TEST(Partition, ExpandIsConstantOnClustersAndFeasible) {
   }
 }
 
-TEST(Partition, PinSnappingExpandRepairsPinIgnoringCoarse) {
-  TaskGraph g;
-  g.add_task(Task{.compute = 1.0, .pinned = 1});
-  g.add_task(Task{.compute = 1.0});
-  g.add_edge(0, 1, 5.0);
-  std::mt19937_64 rng(8);
-  DeviceNetwork n = generate_device_network(NetworkParams{.num_devices = 2}, rng);
-  ensure_feasible(g, n, rng);
-  PartitionOptions opt;
-  opt.num_clusters = 1;
-  const GraphPartition part = partition_tasks(g, n, opt);
-  // A coarse placement that ignores the coarse pin: the snapping overload
-  // still lands the pinned task on its pin.
-  Placement coarse(part.num_clusters());
-  for (int c = 0; c < part.num_clusters(); ++c) coarse.set(c, 0);
-  const Placement fine = expand_placement(part, g, coarse);
-  EXPECT_EQ(fine.device_of(0), 1);
-  EXPECT_TRUE(is_feasible(g, n, fine));
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(Hierarchical, RefinementNeverWorsensAndMatchesFlatSimulation) {

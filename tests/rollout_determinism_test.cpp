@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -20,7 +19,6 @@
 #include "core/giph_agent.hpp"
 #include "core/reinforce.hpp"
 #include "gen/dataset.hpp"
-#include "util/parallel_for.hpp"
 
 namespace giph {
 namespace {
@@ -311,59 +309,6 @@ TEST(TrainOptionsValidation, TrainReinforceRejectsBadOptions) {
   opt.rollout_workers = -2;
   EXPECT_THROW(train_reinforce(policy, kLat, sampler_for(ds), opt),
                std::invalid_argument);
-}
-
-TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
-  util::WorkerPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-  std::vector<std::atomic<int>> hits(103);
-  pool.run(103, [&](int index, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    hits[index].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, ReusableAcrossRuns) {
-  util::WorkerPool pool(3);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<int> out(8, -1);
-    pool.run(8, [&](int index, int) { out[index] = index * index; });
-    for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], i * i);
-  }
-}
-
-TEST(WorkerPool, SingleThreadRunsInline) {
-  util::WorkerPool pool(1);
-  EXPECT_EQ(pool.threads(), 1);
-  std::vector<int> workers;
-  pool.run(5, [&](int, int worker) { workers.push_back(worker); });
-  EXPECT_EQ(workers, std::vector<int>(5, 0));
-}
-
-TEST(WorkerPool, PropagatesLowestIndexException) {
-  util::WorkerPool pool(4);
-  try {
-    pool.run(32, [](int index, int) {
-      if (index % 7 == 3) throw std::runtime_error("boom " + std::to_string(index));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 3");
-  }
-  // The pool survives an exceptional run.
-  std::vector<std::atomic<int>> hits(16);
-  pool.run(16, [&](int index, int) { hits[index].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, HandlesZeroAndNegativeCounts) {
-  util::WorkerPool pool(2);
-  int calls = 0;
-  pool.run(0, [&](int, int) { ++calls; });
-  pool.run(-3, [&](int, int) { ++calls; });
-  EXPECT_EQ(calls, 0);
 }
 
 }  // namespace

@@ -3,13 +3,51 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace giph::util {
 namespace {
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> hits(103);
+  parallel_for(103, 4, [&](int index) { hits[index].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, SingleThreadRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  parallel_for(5, 1, [&](int index) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(index);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelFor, PropagatesLowestIndexException) {
+  try {
+    parallel_for(32, 4, [](int index) {
+      // Index 3 throws last, so the rethrow is chosen by index, not arrival.
+      if (index == 3) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (index % 7 == 3) throw std::runtime_error("boom " + std::to_string(index));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 3");
+  }
+}
+
+TEST(ParallelFor, HandlesZeroAndNegativeCounts) {
+  int calls = 0;
+  parallel_for(0, 2, [&](int) { ++calls; });
+  parallel_for(-3, 2, [&](int) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
 
 TEST(WorkerPool, SubmittedTasksAllExecuteExactlyOnce) {
   WorkerPool pool(4);
@@ -50,24 +88,6 @@ TEST(WorkerPool, StopAndDrainRethrowsFirstTaskExceptionThenRecovers) {
   pool.submit([](int) {});  // later tasks still run
   EXPECT_THROW(pool.stop_and_drain(), std::runtime_error);
   EXPECT_NO_THROW(pool.stop_and_drain());  // error cleared; idempotent
-
-  // run() fan-outs remain usable after a drain.
-  std::atomic<int> sum{0};
-  pool.run(10, [&sum](int index, int) { sum.fetch_add(index); });
-  EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(WorkerPool, QueuedTasksInterleaveWithRunFanouts) {
-  WorkerPool pool(3);
-  std::atomic<int> queued{0};
-  std::atomic<int> fanned{0};
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 5; ++i) pool.submit([&queued](int) { queued.fetch_add(1); });
-    pool.run(8, [&fanned](int, int) { fanned.fetch_add(1); });
-  }
-  pool.stop_and_drain();
-  EXPECT_EQ(queued.load(), 50);
-  EXPECT_EQ(fanned.load(), 80);
 }
 
 // The shutdown-vs-submit race (run under TSan in the -DGIPH_TSAN tree):

@@ -10,18 +10,21 @@
 //                    missing or corrupt snapshot does not abort: the daemon
 //                    starts in degraded mode (HEFT answers, mode=heft) and
 //                    reports the load failure on stderr.
-//   --workers N      worker threads (default 1)
-//   --queue-cap N    admission queue bound; above it requests shed (default 64)
-//   --max-steps N    hard per-request search-step cap (default 4096)
-//   --steps-factor K default budget K*|V| when a request leaves steps=0
-//                    (default 2)
+//   --workers N      worker threads, >= 1 (default 1)
+//   --queue-cap N    admission queue bound, >= 1; above it requests shed
+//                    (default 64)
+//   --max-steps N    hard per-request search-step cap, >= 0 (default 4096)
+//   --steps-factor K default budget K*|V| when a request leaves steps=0,
+//                    K >= 0 (default 2)
 //   --sample         sample actions instead of greedy decode
 //
-// Exit status: 0 after a clean end-of-stream, 2 on bad usage. Malformed
+// Exit status: 0 after a clean end-of-stream, 2 on bad usage: an unknown
+// flag, or a number that does not parse whole or is out of range. Malformed
 // requests never abort the daemon; each produces a status=error response and
 // the stream resynchronizes on the next request header.
 
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -37,6 +40,23 @@ int usage() {
   return 2;
 }
 
+/// Parses `text` whole ("5x" is an error, not 5) into `out`, which must end
+/// up >= `min`; a bad value is reported with its flag and rejected.
+bool parse_int(const std::string& flag, const char* text, int min, int& out) {
+  try {
+    std::size_t used = 0;
+    const int x = std::stoi(text, &used);
+    if (used == std::strlen(text) && x >= min) {
+      out = x;
+      return true;
+    }
+  } catch (const std::exception&) {
+  }
+  std::cerr << "giph_serve: " << flag << ": expected an integer >= " << min << ", got '"
+            << text << "'\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -48,13 +68,13 @@ int main(int argc, char** argv) {
     if (arg == "--policy" && has_value) {
       policy_path = argv[++i];
     } else if (arg == "--workers" && has_value) {
-      opt.workers = std::atoi(argv[++i]);
+      if (!parse_int(arg, argv[++i], 1, opt.workers)) return usage();
     } else if (arg == "--queue-cap" && has_value) {
-      opt.queue_capacity = std::atoi(argv[++i]);
+      if (!parse_int(arg, argv[++i], 1, opt.queue_capacity)) return usage();
     } else if (arg == "--max-steps" && has_value) {
-      opt.max_steps = std::atoi(argv[++i]);
+      if (!parse_int(arg, argv[++i], 0, opt.max_steps)) return usage();
     } else if (arg == "--steps-factor" && has_value) {
-      opt.default_steps_factor = std::atoi(argv[++i]);
+      if (!parse_int(arg, argv[++i], 0, opt.default_steps_factor)) return usage();
     } else if (arg == "--sample") {
       opt.greedy = false;
     } else {
