@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace giph {
@@ -23,6 +24,28 @@ void check_edge_features(const GraphView& view, const nn::Matrix& edge_features,
                        edge_features.cols() != edge_dim)) {
     throw std::invalid_argument(std::string(who) + ": edge feature shape mismatch");
   }
+}
+
+/// Runs body(dim_o, edge, message) with a message-passing layer's widths:
+/// nn::Fixed for the shapes GiPH (5, 4, 9) and GiPH-NE (5, 0, 5) ship with,
+/// ints for any other configuration. The body is the same either way, so
+/// are the bytes; a Fixed width lets its loops unroll and its rows stay in
+/// registers.
+template <class Body>
+void at_message_widths(int eo, int ed, Body&& body) {
+  using nn::Fixed;
+  if (eo == 5 && ed == 4) return body(Fixed<5>{}, Fixed<4>{}, Fixed<9>{});
+  if (eo == 5 && ed == 0) return body(Fixed<5>{}, Fixed<0>{}, Fixed<5>{});
+  body(eo, ed, eo + ed);
+}
+
+/// update_node's message, mean and aggregate rows at int widths. At Fixed
+/// widths they are local arrays, so a taped pass allocates none for them.
+template <class E, class M>
+double* row_scratch(std::vector<double>& buf, E eo, M mo) {
+  if constexpr (!std::is_same_v<M, int>) return nullptr;
+  if (buf.size() < static_cast<std::size_t>(2 * mo + eo)) buf.resize(2 * mo + eo);
+  return buf.data();
 }
 
 }  // namespace
@@ -387,13 +410,8 @@ void GraphEncoder::encode_into(const GraphView& view, const nn::Matrix& node_fea
   check_edge_features(view, edge_features, cfg_.edge_dim, "GraphEncoder::encode_into");
   const int eo = cfg_.embed_dim;
   ws.pre.assign(view.num_nodes, eo);
-  for (int u = 0; u < view.num_nodes; ++u) {
-    pre_embed_.forward_row(
-        node_features.data() + static_cast<std::size_t>(u) * cfg_.node_dim,
-        ws.pre.data() + static_cast<std::size_t>(u) * eo, ws.mlp);
-  }
-  const int mo = fwd_.message.out_dim();
-  if (ws.row.size() < static_cast<std::size_t>(2 * mo + eo)) ws.row.resize(2 * mo + eo);
+  pre_embed_.forward_rows(node_features.data(), nullptr, view.num_nodes, ws.pre.data(),
+                          ws.mlp);
   out.assign(view.num_nodes, out_dim_);
   if (cfg_.kind == GnnKind::kGiPHK) {
     k_steps_into(view, edge_features, fwd_, true, ws, out, 0);
@@ -404,121 +422,117 @@ void GraphEncoder::encode_into(const GraphView& view, const nn::Matrix& node_fea
   }
 }
 
-void GraphEncoder::update_node(const GraphView& view, int u, const nn::Matrix& edge_feats,
-                               const Direction& dir, bool forward, Workspace& ws,
+template <class E, class D, class M>
+void GraphEncoder::update_node(E eo, D ed, M mo, const GraphView& view, int u,
+                               const nn::Matrix& edge_feats, const Direction& dir,
+                               bool forward, const Workspace& ws, double* scratch,
                                double* dst, PassRecord* rec) const {
-  const int eo = cfg_.embed_dim;
-  const int ed = cfg_.edge_dim;
-  const nn::Matrix& w = dir.message.weight()->value;
-  const nn::Matrix& b = dir.message.bias()->value;
-  const int mo = w.cols();
   const double* self = ws.pre.data() + static_cast<std::size_t>(u) * eo;
   const auto& incoming = forward ? view.in_edges[u] : view.out_edges[u];
   if (incoming.empty()) {
-    std::copy(self, self + eo, dst);
+    for (int j = 0; j < eo; ++j) dst[j] = self[j];
     return;
   }
-  // Scratch rows, or u's rows of the record, which keeps every message row.
-  double *msg, *agg, *h;
-  std::size_t msg_step = 0;
-  if (rec == nullptr) {
-    msg = ws.row.data();
-    agg = msg + mo;
-    h = agg + mo;
-  } else {
-    const int k = rec->slot[u];
-    msg = rec->pre_msg.data() + static_cast<std::size_t>(rec->msg_off[k]) * mo;
-    msg_step = mo;
-    agg = rec->mean.data() + static_cast<std::size_t>(k) * mo;
-    h = rec->pre_agg.data() + static_cast<std::size_t>(k) * eo;
-  }
+  const double* w_edge =
+      dir.message.weight()->value.data() + static_cast<std::size_t>(eo) * mo;
+  const double* b = dir.message.bias()->value.data();
+  nn::Row<M> msg(scratch), agg(scratch, mo);
+  nn::Row<E> h(scratch, 2 * mo);
+  const std::size_t m0 = rec == nullptr ? 0 : rec->msg_off[rec->slot[u]];
+  double* rec_msg = rec == nullptr ? nullptr : rec->pre_msg.data() + m0 * mo;
   // The message row [h_src || f_e] sums its h_src terms first, so the
   // source's prefix row is exactly matmul's partial sum after k = dim_o;
   // the edge terms continue it in matmul's order. Then the bias, relu, and
   // the segment mean's zero-initialized ascending sum and one scale.
-  std::fill(agg, agg + mo, 0.0);
+  for (int j = 0; j < mo; ++j) agg.v[j] = 0.0;
   for (int e : incoming) {
     const int v = forward ? view.edges[e].first : view.edges[e].second;
     const double* p = ws.prefix.data() + static_cast<std::size_t>(v) * mo;
-    std::copy(p, p + mo, msg);
+    for (int j = 0; j < mo; ++j) msg.v[j] = p[j];
     if (ed > 0) {
-      nn::accumulate_row(edge_feats.data() + static_cast<std::size_t>(e) * ed, ed, w, eo,
-                         msg);
+      nn::accumulate_row_at(edge_feats.data() + static_cast<std::size_t>(e) * ed, ed,
+                            w_edge, mo, msg.v);
     }
     for (int j = 0; j < mo; ++j) {
-      msg[j] += b(0, j);
-      agg[j] += std::max(0.0, msg[j]);
+      msg.v[j] += b[j];
+      agg.v[j] += std::max(0.0, msg.v[j]);
     }
-    msg += msg_step;
+    if (rec_msg != nullptr) {
+      for (int j = 0; j < mo; ++j) rec_msg[j] = msg.v[j];
+      rec_msg += mo;
+    }
   }
   const double inv = 1.0 / std::max(1, static_cast<int>(incoming.size()));
-  for (int j = 0; j < mo; ++j) agg[j] *= inv;
-  dir.aggregate.forward_row(agg, h);
-  for (int j = 0; j < eo; ++j) dst[j] = std::max(0.0, h[j]) + self[j];
+  for (int j = 0; j < mo; ++j) agg.v[j] *= inv;
+  dir.aggregate.forward_row(mo, eo, agg.v, h.v);
+  if (rec != nullptr) {
+    const std::size_t k = rec->slot[u];
+    for (int j = 0; j < mo; ++j) rec->mean.data()[k * mo + j] = agg.v[j];
+    for (int j = 0; j < eo; ++j) rec->pre_agg.data()[k * eo + j] = h.v[j];
+  }
+  for (int j = 0; j < eo; ++j) dst[j] = std::max(0.0, h.v[j]) + self[j];
 }
 
 void GraphEncoder::sequential_into(const GraphView& view, const nn::Matrix& edge_feats,
                                    const Direction& dir, bool forward, Workspace& ws,
                                    nn::Matrix& out, int col, PassRecord* rec) const {
-  const int eo = cfg_.embed_dim;
-  const nn::Matrix& w = dir.message.weight()->value;
-  const int mo = w.cols();
-  ws.prefix.assign(view.num_nodes, mo);
-  // One node at a time in processing order: every message source is final
-  // before its receivers are visited, and rows are independent, so this
-  // computes the level-batched pass's rows without level buckets.
-  auto visit = [&](int u) {
-    double* emb = out.data() + static_cast<std::size_t>(u) * out.cols() + col;
-    update_node(view, u, edge_feats, dir, forward, ws, emb, rec);
-    if (!(forward ? view.out_edges[u] : view.in_edges[u]).empty()) {
-      nn::accumulate_row(emb, eo, w, 0,
-                         ws.prefix.data() + static_cast<std::size_t>(u) * mo);
+  at_message_widths(cfg_.embed_dim, cfg_.edge_dim, [&](auto eo, auto ed, auto mo) {
+    const double* w = dir.message.weight()->value.data();
+    double* scratch = row_scratch(ws.row, eo, mo);
+    ws.prefix.assign(view.num_nodes, mo);
+    // One node at a time in processing order: every message source is final
+    // before its receivers are visited, and rows are independent, so this
+    // computes the level-batched pass's rows without level buckets.
+    auto visit = [&](int u) {
+      double* emb = out.data() + static_cast<std::size_t>(u) * out.cols() + col;
+      update_node(eo, ed, mo, view, u, edge_feats, dir, forward, ws, scratch, emb, rec);
+      if (!(forward ? view.out_edges[u] : view.in_edges[u]).empty()) {
+        nn::matmul_row_at(emb, eo, w, mo,
+                          ws.prefix.data() + static_cast<std::size_t>(u) * mo);
+      }
+    };
+    if (forward) {
+      for (int u : view.topo) visit(u);
+    } else {
+      for (auto it = view.topo.rbegin(); it != view.topo.rend(); ++it) visit(*it);
     }
-  };
-  if (forward) {
-    for (int u : view.topo) visit(u);
-  } else {
-    for (auto it = view.topo.rbegin(); it != view.topo.rend(); ++it) visit(*it);
-  }
+  });
 }
 
 void GraphEncoder::k_steps_into(const GraphView& view, const nn::Matrix& edge_feats,
                                 const Direction& dir, bool forward, Workspace& ws,
                                 nn::Matrix& out, int col) const {
-  const int eo = cfg_.embed_dim;
-  const nn::Matrix& w = dir.message.weight()->value;
-  const int mo = w.cols();
-  ws.cur = ws.pre;
-  for (int step = 0; step < cfg_.k_steps; ++step) {
-    // Synchronous update: every message reads the previous step's rows.
-    ws.prefix.assign(view.num_nodes, mo);
-    for (int u = 0; u < view.num_nodes; ++u) {
-      if ((forward ? view.out_edges[u] : view.in_edges[u]).empty()) continue;
-      nn::accumulate_row(ws.cur.data() + static_cast<std::size_t>(u) * eo, eo, w, 0,
-                         ws.prefix.data() + static_cast<std::size_t>(u) * mo);
+  at_message_widths(cfg_.embed_dim, cfg_.edge_dim, [&](auto eo, auto ed, auto mo) {
+    const double* w = dir.message.weight()->value.data();
+    double* scratch = row_scratch(ws.row, eo, mo);
+    ws.cur = ws.pre;
+    for (int step = 0; step < cfg_.k_steps; ++step) {
+      // Synchronous update: every message reads the previous step's rows.
+      ws.prefix.assign(view.num_nodes, mo);
+      for (int u = 0; u < view.num_nodes; ++u) {
+        if ((forward ? view.out_edges[u] : view.in_edges[u]).empty()) continue;
+        nn::matmul_row_at(ws.cur.data() + static_cast<std::size_t>(u) * eo, eo, w, mo,
+                          ws.prefix.data() + static_cast<std::size_t>(u) * mo);
+      }
+      ws.next.assign(view.num_nodes, eo);
+      for (int u = 0; u < view.num_nodes; ++u) {
+        update_node(eo, ed, mo, view, u, edge_feats, dir, forward, ws, scratch,
+                    ws.next.data() + static_cast<std::size_t>(u) * eo, nullptr);
+      }
+      std::swap(ws.cur, ws.next);
     }
-    ws.next.assign(view.num_nodes, eo);
     for (int u = 0; u < view.num_nodes; ++u) {
-      update_node(view, u, edge_feats, dir, forward, ws,
-                  ws.next.data() + static_cast<std::size_t>(u) * eo, nullptr);
+      for (int j = 0; j < eo; ++j) out(u, col + j) = ws.cur(u, j);
     }
-    std::swap(ws.cur, ws.next);
-  }
-  for (int u = 0; u < view.num_nodes; ++u) {
-    for (int j = 0; j < eo; ++j) out(u, col + j) = ws.cur(u, j);
-  }
+  });
 }
 
 void GraphEncoder::graphsage_into(const GraphView& view, const nn::Matrix& node_features,
                                   Workspace& ws, nn::Matrix& out) const {
   const int hid = sage_transform_.out_dim();
   ws.cur.assign(view.num_nodes, hid);
-  for (int u = 0; u < view.num_nodes; ++u) {
-    double* h = ws.cur.data() + static_cast<std::size_t>(u) * hid;
-    sage_transform_.forward_row(
-        node_features.data() + static_cast<std::size_t>(u) * cfg_.node_dim, h);
-    for (int j = 0; j < hid; ++j) h[j] = std::max(0.0, h[j]);
-  }
+  sage_transform_.forward_rows(node_features.data(), nullptr, view.num_nodes,
+                               nn::Activation::kRelu, ws.cur.data());
   if (ws.row.size() < static_cast<std::size_t>(hid)) ws.row.resize(hid);
   double* mean = ws.row.data();
   for (const nn::Linear& layer : sage_layers_) {
@@ -604,17 +618,18 @@ ScorePolicy::Choice ScorePolicy::choose(const nn::Matrix& embeddings,
   if (candidates.empty()) {
     throw std::invalid_argument("ScorePolicy::choose: no candidates");
   }
+  if (embeddings.cols() != score_.input_dim()) {
+    throw std::invalid_argument("ScorePolicy::choose: embedding width mismatch");
+  }
+  for (const int c : candidates) {
+    if (c < 0 || c >= embeddings.rows()) {
+      throw std::invalid_argument("ScorePolicy::choose: candidate out of range");
+    }
+  }
   const int k = static_cast<int>(candidates.size());
   ws.scores.resize(k);
   ws.log_probs.resize(k);
-  for (int i = 0; i < k; ++i) {
-    if (candidates[i] < 0 || candidates[i] >= embeddings.rows()) {
-      throw std::invalid_argument("ScorePolicy::choose: candidate out of range");
-    }
-    score_.forward_row(
-        embeddings.data() + static_cast<std::size_t>(candidates[i]) * embeddings.cols(),
-        &ws.scores[i], ws.mlp);
-  }
+  score_.forward_rows(embeddings.data(), candidates.data(), k, ws.scores.data(), ws.mlp);
   nn::log_softmax(ws.scores.data(), k, ws.log_probs.data());
   const int idx = select_index(ws.log_probs.data(), k, rng, greedy);
   Choice c;

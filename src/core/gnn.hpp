@@ -46,8 +46,8 @@ class GraphEncoder {
     nn::Matrix pre;          ///< pre-embedded node rows
     nn::Matrix prefix;       ///< per node: its message-layer partial sums
     nn::Matrix cur, next;    ///< k-step and GraphSAGE rows, ping-pong
-    std::vector<double> row;  ///< per-node scratch
-    std::vector<double> mlp;  ///< MLP::forward_row scratch
+    std::vector<double> row;  ///< per-node scratch at run-time widths
+    std::vector<double> mlp;  ///< MLP::forward_rows scratch
   };
 
   /// Forward-only encode: writes into `out` the (num_nodes x out_dim) values
@@ -103,8 +103,13 @@ class GraphEncoder {
   /// row, through the aggregate layer, plus its own ws.pre row; just that
   /// ws.pre row when no message comes in. With a record, each message's
   /// pre-relu row, the mean and the pre-relu aggregate go to u's rows of it.
-  void update_node(const GraphView& view, int u, const nn::Matrix& edge_feats,
-                   const Direction& dir, bool forward, Workspace& ws, double* dst,
+  /// The widths (dim_o, edge, message) are each nn::Fixed or int, picked
+  /// once per pass (gnn.cpp, at_message_widths); `scratch` holds the
+  /// message, mean and aggregate rows at int widths (nn::Row).
+  template <class E, class D, class M>
+  void update_node(E eo, D ed, M mo, const GraphView& view, int u,
+                   const nn::Matrix& edge_feats, const Direction& dir, bool forward,
+                   const Workspace& ws, double* scratch, double* dst,
                    PassRecord* rec) const;
   void graphsage_into(const GraphView& view, const nn::Matrix& node_features,
                       Workspace& ws, nn::Matrix& out) const;
@@ -146,7 +151,8 @@ class ScorePolicy {
   };
 
   /// Forward-only act(): the same choice, log-probability and RNG draws,
-  /// with no tape and, once `ws` is warm, no allocation.
+  /// with no tape and, once `ws` is warm, no allocation. Throws on an empty
+  /// candidate set, a candidate out of range or rows of the wrong width.
   Choice choose(const nn::Matrix& embeddings, const std::vector<int>& candidates,
                 std::mt19937_64& rng, bool greedy, Workspace& ws) const;
 

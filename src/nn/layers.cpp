@@ -123,11 +123,40 @@ Linear::Linear(ParamRegistry& reg, const std::string& name, int in, int out,
   b_ = reg.create(name + ".b", Matrix::zeros(1, out));
 }
 
-void Linear::forward_row(const double* x, double* y) const {
-  const Matrix& b = b_->value;
-  std::fill(y, y + b.cols(), 0.0);
-  accumulate_row(x, in_dim(), W_->value, 0, y);
-  for (int j = 0; j < b.cols(); ++j) y[j] += b(0, j);
+namespace {
+
+/// Runs body(in, out) at Fixed widths for the layers of the MLPs GiPH ships
+/// with: the pre-embeddings 4 -> 4 -> 5 (GiPH) and 8 -> 8 -> 5 (GiPH-NE) and
+/// the score head 10 -> 16 -> 1. Any other layer runs the same body at int
+/// widths.
+template <class Body>
+void at_mlp_widths(int in, int out, Body&& body) {
+  if (in == 4 && out == 4) return body(Fixed<4>{}, Fixed<4>{});
+  if (in == 4 && out == 5) return body(Fixed<4>{}, Fixed<5>{});
+  if (in == 8 && out == 8) return body(Fixed<8>{}, Fixed<8>{});
+  if (in == 8 && out == 5) return body(Fixed<8>{}, Fixed<5>{});
+  if (in == 10 && out == 16) return body(Fixed<10>{}, Fixed<16>{});
+  if (in == 16 && out == 1) return body(Fixed<16>{}, Fixed<1>{});
+  body(in, out);
+}
+
+}  // namespace
+
+void Linear::forward_rows(const double* x, const int* rows, int n, Activation act,
+                          double* y) const {
+  at_mlp_widths(in_dim(), out_dim(), [&](auto in, auto out) {
+    for (int i = 0; i < n; ++i) {
+      const std::size_t r = rows != nullptr ? rows[i] : i;
+      forward_row(in, out, x + r * in, y + static_cast<std::size_t>(i) * out);
+    }
+  });
+  // The activation, its kind picked once (relu is apply_activation's max).
+  const std::size_t size = static_cast<std::size_t>(n) * out_dim();
+  if (act == Activation::kRelu) {
+    for (std::size_t i = 0; i < size; ++i) y[i] = std::max(0.0, y[i]);
+  } else if (act != Activation::kNone) {
+    for (std::size_t i = 0; i < size; ++i) y[i] = apply_activation(y[i], act);
+  }
 }
 
 MLP::MLP(ParamRegistry& reg, const std::string& name, const std::vector<int>& dims,
@@ -148,18 +177,19 @@ Var MLP::operator()(Var x) const {
   return x;
 }
 
-void MLP::forward_row(const double* x, double* y, std::vector<double>& scratch) const {
+void MLP::forward_rows(const double* x, const int* rows, int n, double* y,
+                       std::vector<double>& scratch) const {
   // Hidden layers ping-pong between the two halves of `scratch`.
   int width = 0;
   for (const Linear& l : layers_) width = std::max(width, l.out_dim());
-  if (scratch.size() < 2 * static_cast<std::size_t>(width)) scratch.resize(2 * width);
+  const std::size_t half = static_cast<std::size_t>(n) * width;
+  if (scratch.size() < 2 * half) scratch.resize(2 * half);
   const double* in = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const bool last = i + 1 == layers_.size();
-    double* out = last ? y : scratch.data() + (i % 2) * width;
-    layers_[i].forward_row(in, out);
-    const Activation act = last ? output_ : hidden_;
-    for (int j = 0; j < layers_[i].out_dim(); ++j) out[j] = apply_activation(out[j], act);
+    double* out = last ? y : scratch.data() + (i % 2) * half;
+    layers_[i].forward_rows(in, i == 0 ? rows : nullptr, n, last ? output_ : hidden_,
+                            out);
     in = out;
   }
 }

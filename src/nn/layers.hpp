@@ -60,10 +60,22 @@ class Linear {
 
   Var operator()(const Var& x) const { return add_rowvec(matmul(x, W_), b_); }
 
-  /// Forward-only y = x W + b for one row of in_dim() values: matmul's
-  /// accumulation from zero, then add_rowvec's bias add, so y is bitwise the
-  /// matching row of operator()(x), without a tape node.
-  void forward_row(const double* x, double* y) const;
+  /// Forward-only y = x W + b for one row, at widths `in` = in_dim() and
+  /// `out` = out_dim() that are each Fixed<C> or int (matrix.hpp):
+  /// matmul's accumulation from zero, then add_rowvec's bias add, so y is
+  /// bitwise the matching row of operator()(x), without a tape node. `y`
+  /// must not overlap `x`.
+  template <class In, class Out>
+  void forward_row(In in, Out out, const double* x, double* y) const {
+    matmul_row_at(x, in, W_->value.data(), out, y);
+    for (int j = 0; j < out; ++j) y[j] += b_->value.data()[j];
+  }
+
+  /// forward_row then `act` over n rows, the widths picked once: y's row i
+  /// is for x's row rows[i] (row i when `rows` is null), x's rows being
+  /// in_dim() wide.
+  void forward_rows(const double* x, const int* rows, int n, Activation act,
+                    double* y) const;
 
   const Var& weight() const { return W_; }
   const Var& bias() const { return b_; }
@@ -85,11 +97,14 @@ class MLP {
 
   Var operator()(Var x) const;
 
-  /// Forward-only pass of one row (see Linear::forward_row): y gets
-  /// output_dim() values, bitwise the matching row of operator()(x).
-  /// `scratch` holds the hidden activations; it grows on first use only.
-  void forward_row(const double* x, double* y, std::vector<double>& scratch) const;
+  /// Forward-only pass of n rows, one layer at a time (Linear::forward_rows):
+  /// y's row i gets output_dim() values, bitwise operator()'s row for x's
+  /// row rows[i] (row i when `rows` is null). `scratch` holds the hidden
+  /// activations; it grows to the largest n only.
+  void forward_rows(const double* x, const int* rows, int n, double* y,
+                    std::vector<double>& scratch) const;
 
+  int input_dim() const { return layers_.front().in_dim(); }
   int output_dim() const { return out_dim_; }
 
  private:

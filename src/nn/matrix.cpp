@@ -8,22 +8,22 @@
 namespace giph::nn {
 namespace {
 
-/// Returns body(std::integral_constant<int, C>{}) when `width` is one of the
-/// widths the GiPH layers use (their input and output sizes), false for any
-/// other width. At these widths the kernels below hold one output row's C
-/// partial sums in registers. Each output still sums the same products in
-/// the same ascending order from the same start, skipping the same zero
-/// inputs, as the generic loop does, so the bytes are the same; only the
-/// loop nest changes.
+/// Returns body(Fixed<C>{}) when `width` is one of the widths the GiPH
+/// layers use (their input and output sizes), false for any other width. At
+/// these widths the kernels below hold one output row's C partial sums in
+/// registers. Each output still sums the same products in the same
+/// ascending order from the same start, skipping the same zero inputs, as
+/// the generic loop does, so the bytes are the same; only the loop nest
+/// changes.
 template <class Body>
 bool at_layer_width(int width, Body&& body) {
   switch (width) {
-    case 1: return body(std::integral_constant<int, 1>{});
-    case 4: return body(std::integral_constant<int, 4>{});
-    case 5: return body(std::integral_constant<int, 5>{});
-    case 9: return body(std::integral_constant<int, 9>{});
-    case 10: return body(std::integral_constant<int, 10>{});
-    case 16: return body(std::integral_constant<int, 16>{});
+    case 1: return body(Fixed<1>{});
+    case 4: return body(Fixed<4>{});
+    case 5: return body(Fixed<5>{});
+    case 9: return body(Fixed<9>{});
+    case 10: return body(Fixed<10>{});
+    case 16: return body(Fixed<16>{});
     default: return false;
   }
 }
@@ -35,25 +35,13 @@ void accumulate_row(const double* x, int n, const Matrix& w, int k0, double* acc
   const int cols = w.cols();
   const double* w0 = w.data() + static_cast<std::size_t>(k0) * cols;
   const bool done = at_layer_width(cols, [&](auto width) {
-    constexpr int C = decltype(width)::value;
-    double s[C];
-    for (int j = 0; j < C; ++j) s[j] = acc[j];
-    for (int k = 0; k < n; ++k) {
-      const double xk = x[k];
-      if (xk == 0.0) continue;
-      const double* wk = w0 + static_cast<std::size_t>(k) * C;
-      for (int j = 0; j < C; ++j) s[j] += xk * wk[j];
-    }
-    for (int j = 0; j < C; ++j) acc[j] = s[j];
+    Row<decltype(width)> s(acc);
+    for (int j = 0; j < width; ++j) s.v[j] = acc[j];
+    accumulate_row_at(x, n, w0, width, s.v);
+    for (int j = 0; j < width; ++j) acc[j] = s.v[j];
     return true;
   });
-  if (done) return;
-  for (int k = 0; k < n; ++k) {
-    const double xk = x[k];
-    if (xk == 0.0) continue;
-    const double* wk = w0 + static_cast<std::size_t>(k) * cols;
-    for (int j = 0; j < cols; ++j) acc[j] += xk * wk[j];
-  }
+  if (!done) accumulate_row_at(x, n, w0, cols, acc);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

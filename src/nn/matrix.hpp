@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 namespace giph::nn {
@@ -86,12 +87,55 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// acc[j] += x[k] * w(k0 + k, j) for k = 0, 1, ..., n - 1 in ascending
-/// order, skipping x[k] == 0.0: matmul's loop for one output row. Splitting a
-/// row's k range over several calls resumes the partial sums, so the
-/// forward-only GNN path (which finishes a per-node prefix per edge)
-/// performs matmul's additions in matmul's order. `acc` must not overlap
-/// `x` or `w`: the partial sums may be held in registers until the end.
+/// A row width known at compile time. The row kernels below take a width
+/// either as Fixed<C> or as a plain int, and run one body at both: at a
+/// Fixed width the loops unroll and a Row stays in registers.
+template <int C>
+using Fixed = std::integral_constant<int, C>;
+
+/// One row of width W. At a Fixed<C> width it is a local array, and the
+/// pointer is ignored; at a run-time width it is the caller's doubles from
+/// base + at.
+template <class W>
+struct Row {
+  double* v;
+  explicit Row(double* base, std::size_t at = 0) : v(base + at) {}
+};
+template <int C>
+struct Row<Fixed<C>> {
+  double v[C] = {};
+  explicit Row(double*, std::size_t = 0) {}
+};
+
+/// acc[j] += x[k] * w[k * cols + j] for j < cols and k = 0, 1, ..., n - 1 in
+/// ascending order, skipping x[k] == 0.0: matmul's loop for one output row,
+/// at widths n and cols that are each Fixed<C> or int. `acc` must not
+/// overlap `x` or `w`.
+template <class N, class Cols>
+inline void accumulate_row_at(const double* x, N n, const double* w, Cols cols,
+                              double* acc) {
+  for (int k = 0; k < n; ++k) {
+    const double xk = x[k];
+    if (xk == 0.0) continue;
+    const double* wk = w + static_cast<std::size_t>(k) * cols;
+    for (int j = 0; j < cols; ++j) acc[j] += xk * wk[j];
+  }
+}
+
+/// y = x w for one row: accumulate_row_at from +0.0, with the partial sums
+/// in a Row. `y` must not overlap `x` or `w`.
+template <class N, class Cols>
+inline void matmul_row_at(const double* x, N n, const double* w, Cols cols, double* y) {
+  Row<Cols> s(y);
+  for (int j = 0; j < cols; ++j) s.v[j] = 0.0;
+  accumulate_row_at(x, n, w, cols, s.v);
+  for (int j = 0; j < cols; ++j) y[j] = s.v[j];
+}
+
+/// accumulate_row_at over rows k0 .. k0 + n - 1 of `w`, at run-time widths:
+/// at the widths the GiPH layers use it dispatches to a Fixed instance that
+/// holds acc's row in a Row. Splitting a row's k range over several calls
+/// resumes the partial sums in matmul's order.
 void accumulate_row(const double* x, int n, const Matrix& w, int k0, double* acc);
 
 /// C = A * B; row i is accumulate_row over A's row i from zero.

@@ -130,10 +130,11 @@ bool read_request(LineReader& r, PlacementRequest& req, bool header_consumed) {
   {
     const int at = r.line();
     const std::string tok = r.token(kind, "seed");
+    // Digits only: strtoull would also take a sign, and negate a '-'.
     errno = 0;
-    char* end = nullptr;
-    req.seed = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || errno == ERANGE) {
+    req.seed = std::strtoull(tok.c_str(), nullptr, 10);
+    if (tok.empty() || tok.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE) {
       throw ParseError(kind, at, "seed is not an unsigned integer: '" + tok + "'");
     }
   }

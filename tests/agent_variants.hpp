@@ -8,7 +8,8 @@
 namespace giph {
 
 /// The agent variants the forward-only path must cover: every GNN kind,
-/// GiPH-task-EFT, and a sparse gpNet. `name` is a valid gtest name suffix.
+/// GiPH-task-EFT, a sparse gpNet, and a non-default embedding width. `name`
+/// is a valid gtest name suffix.
 struct AgentVariant {
   std::string name;
   GiPHOptions options;
@@ -29,6 +30,8 @@ inline std::vector<AgentVariant> agent_variants() {
       {"GiPH_NE_Pol", with([](GiPHOptions& o) { o.gnn = GnnKind::kNone; })},
       {"TaskEft", with([](GiPHOptions& o) { o.use_gpnet = false; })},
       {"TopK8", with([](GiPHOptions& o) { o.gpnet_topk = 8; })},
+      // dim_o = 3 runs the encoder and score head at run-time widths.
+      {"GiPH_Embed3", with([](GiPHOptions& o) { o.embed_dim = 3; })},
   };
 }
 

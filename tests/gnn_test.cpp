@@ -466,6 +466,93 @@ TEST_P(EncoderBitwise, BatchedEncodeMatchesPerNodeReference) {
   EXPECT_TRUE(nn::bitwise_equal(out, ref->value));
 }
 
+/// Sets every third entry of `m` to +0.0 and every other fifth to -0.0: the
+/// inputs every row kernel's zero skip passes over.
+void sign_zeros(nn::Matrix& m) {
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (i % 3 == 0) {
+      m.data()[i] = 0.0;
+    } else if (i % 5 == 0) {
+      m.data()[i] = -0.0;
+    }
+  }
+}
+
+/// Nonzero biases, as after training: a fresh layer's are all +0.0, which
+/// hides where a row adds them.
+void randomize_biases(const nn::ParamRegistry& reg, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> d(-0.5, 0.5);
+  for (const nn::Var& p : reg.params()) {
+    if (p->value.rows() != 1) continue;
+    for (std::size_t i = 0; i < p->value.size(); ++i) p->value.data()[i] = d(rng);
+  }
+}
+
+/// EncoderBitwise at `embed` with random biases and signed-zero features:
+/// the tape encode and encode_into against the per-node reference.
+void expect_rows_match_reference(GnnKind kind, int embed) {
+  Instance inst(12, 5);
+  GnnConfig cfg;
+  cfg.kind = kind;
+  cfg.embed_dim = embed;
+  const bool merged = kind == GnnKind::kGiPHNE || kind == GnnKind::kGraphSAGE ||
+                      kind == GnnKind::kNone;
+  cfg.node_dim = merged ? 8 : 4;
+  cfg.edge_dim = merged ? 0 : 4;
+
+  std::mt19937_64 rng(6);
+  nn::ParamRegistry reg;
+  const GraphEncoder enc(reg, cfg, rng);
+  randomize_biases(reg, rng);
+
+  nn::Matrix node_feats =
+      merged ? append_mean_out_edge_features(inst.net, inst.feats) : inst.feats.node;
+  nn::Matrix edge_feats = merged ? nn::Matrix() : inst.feats.edge;
+  sign_zeros(node_feats);
+  sign_zeros(edge_feats);
+  const nn::Var nodes = nn::constant(node_feats);
+  const nn::Var edges = nn::constant(edge_feats);
+  nn::Var ref;
+  if (kind == GnnKind::kNone) {
+    ref = nodes;
+  } else if (kind == GnnKind::kGraphSAGE) {
+    ref = ref_sage(reg, inst.net.view, nodes, cfg.k_steps);
+  } else {
+    const nn::Var pre = ref_pre(reg, nodes);
+    std::vector<nn::Var> fwd, bwd;
+    if (kind == GnnKind::kGiPHK) {
+      fwd = ref_k_steps(reg, inst.net.view, pre, edges, !merged, "gnn.fwd", true,
+                        cfg.k_steps);
+      bwd = ref_k_steps(reg, inst.net.view, pre, edges, !merged, "gnn.bwd", false,
+                        cfg.k_steps);
+    } else {
+      fwd = ref_sequential(reg, inst.net.view, pre, edges, !merged, "gnn.fwd", true);
+      bwd = ref_sequential(reg, inst.net.view, pre, edges, !merged, "gnn.bwd", false);
+    }
+    ref = nn::concat_cols({nn::concat_rows(fwd), nn::concat_rows(bwd)});
+  }
+  ASSERT_EQ(ref->value.cols(), enc.out_dim());
+  const nn::Var taped = enc.encode(inst.net.view, node_feats, edge_feats);
+  EXPECT_TRUE(nn::bitwise_equal(taped->value, ref->value));
+  GraphEncoder::Workspace ws;
+  nn::Matrix out;
+  for (int pass = 0; pass < 2; ++pass) {
+    enc.encode_into(inst.net.view, node_feats, edge_feats, ws, out);
+    EXPECT_TRUE(nn::bitwise_equal(out, ref->value)) << "pass " << pass;
+  }
+}
+
+// The shipped widths run compile-time instances of the forward-only rows;
+// dim_o = 3 (a message width of 7 with edge features, 3 without) runs the
+// same body at run-time widths. Both run here with nonzero biases, on node
+// and edge features with exact +0.0 and -0.0 entries.
+TEST_P(EncoderBitwise, RunTimeWidthsBiasesAndSignedZerosMatchPerNodeReference) {
+  for (const int embed : {3, 5}) {
+    SCOPED_TRACE("embed_dim " + std::to_string(embed));
+    expect_rows_match_reference(GetParam(), embed);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, EncoderBitwise,
                          ::testing::Values(GnnKind::kGiPH, GnnKind::kGiPHK,
                                            GnnKind::kGiPHNE, GnnKind::kGraphSAGE,
@@ -676,6 +763,35 @@ TEST(ScorePolicy, ChooseMatchesActBitwise) {
     }
   }
   EXPECT_THROW(pol.choose(emb->value, {}, rng, false, ws), std::invalid_argument);
+}
+
+// The same at an input width the score head's compile-time rows do not
+// cover (7 -> 16 -> 1), with nonzero biases, over rows with exact +0.0 and
+// -0.0 entries; an embedding matrix of another width is rejected.
+TEST(ScorePolicy, ChooseMatchesActBitwiseAtRunTimeWidth) {
+  std::mt19937_64 rng(12);
+  nn::ParamRegistry reg;
+  const ScorePolicy pol(reg, "policy", 7, rng);
+  randomize_biases(reg, rng);
+  nn::Matrix m(30, 7);
+  std::uniform_real_distribution<double> d(-2.0, 2.0);
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = d(rng);
+  sign_zeros(m);
+  const nn::Var emb = nn::constant(m);
+  const std::vector<int> candidates{0, 3, 4, 8, 9, 15, 21, 22, 29};
+  ScorePolicy::Workspace ws;
+  for (const bool greedy : {true, false}) {
+    std::mt19937_64 tape_rng(43), choose_rng(43);
+    for (int i = 0; i < 100; ++i) {
+      const ScorePolicy::Sample s = pol.act(emb, candidates, tape_rng, greedy);
+      const ScorePolicy::Choice c = pol.choose(m, candidates, choose_rng, greedy, ws);
+      ASSERT_EQ(s.choice, c.choice) << "draw " << i;
+      EXPECT_TRUE(nn::bitwise_equal(s.log_prob->value, nn::Matrix::scalar(c.log_prob)));
+      ASSERT_TRUE(tape_rng == choose_rng) << "draw " << i;
+    }
+  }
+  EXPECT_THROW(pol.choose(nn::Matrix(30, 6), candidates, rng, true, ws),
+               std::invalid_argument);
 }
 
 TEST(ScorePolicy, LogProbGradientReachesScoreParams) {

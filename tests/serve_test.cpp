@@ -100,6 +100,38 @@ TEST(ServeProtocol, MalformedFieldsReportLineAndFieldContext) {
   }
 }
 
+// A seed must be all decimal digits: strtoull would turn "-1" into 2^64 - 1
+// and accept "+7", so both are errors naming the field and its line, as is
+// a value past 2^64 - 1.
+TEST(ServeProtocol, SignedOrOverflowingSeedIsAnError) {
+  const Instance in = make_instance(3, /*tasks=*/4);
+  std::ostringstream os;
+  write_request(os, make_request(in));
+  const std::string wire = os.str();
+  const auto at = wire.find("seed 21\n");
+  ASSERT_NE(at, std::string::npos);
+  for (const std::string bad : {"-1", "+7", "18446744073709551616", "0x10"}) {
+    SCOPED_TRACE(bad);
+    std::string edited = wire;
+    edited.replace(at, 7, "seed " + bad);
+    std::istringstream is(edited);
+    PlacementRequest back;
+    try {
+      read_request(is, back);
+      FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 5);
+      EXPECT_NE(std::string(e.what()).find("seed is not an unsigned integer: '" + bad),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::istringstream ok(wire);
+  PlacementRequest back;
+  ASSERT_TRUE(read_request(ok, back));
+  EXPECT_EQ(back.seed, 21u);
+}
+
 TEST(ServeProtocol, WarmStartSizeMismatchIsAnError) {
   const Instance in = make_instance(2, /*tasks=*/6);
   PlacementRequest req = make_request(in);

@@ -75,8 +75,10 @@
 //                  [--hier] [--stream] [--verbose]
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -1263,19 +1265,30 @@ int main(int argc, char** argv) {
   bool stream = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> std::uint64_t {
+    // A whole unsigned integer >= `min`: "1e4" or "abc" is a usage error
+    // naming the flag and the value, never a prefix or zero.
+    auto next = [&](std::uint64_t min) -> std::uint64_t {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "giph_fuzz: %s needs a value\n", arg.c_str());
         std::exit(2);
       }
-      return std::strtoull(argv[++i], nullptr, 10);
+      const char* text = argv[++i];
+      errno = 0;
+      const std::uint64_t x = std::strtoull(text, nullptr, 10);
+      if (*text == '\0' || std::strspn(text, "0123456789") != std::strlen(text) ||
+          errno == ERANGE || x < min) {
+        std::fprintf(stderr, "giph_fuzz: %s: expected an integer >= %llu, got '%s'\n",
+                     arg.c_str(), static_cast<unsigned long long>(min), text);
+        std::exit(2);
+      }
+      return x;
     };
     if (arg == "--cases") {
-      cases = next();
+      cases = next(1);
     } else if (arg == "--seed") {
-      seed = next();
+      seed = next(0);
     } else if (arg == "--start") {
-      start = next();
+      start = next(0);
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--delta") {
